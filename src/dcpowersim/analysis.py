@@ -1,14 +1,16 @@
 """Derived analyses on top of the engine.
 
-Curtailment inverts the forward model: the facility total is strictly
-increasing in utilisation, so a plain bisection recovers the utilisation
-that hits a power target.  Targets below the floor load (everything idle)
-or above the design peak are reported infeasible together with the nearest
-achievable total rather than raising.
+Curtailment inverts the forward model in closed form: at one outdoor
+temperature the facility total is c0 + c1*U + c2*U^2 with every c >= 0
+(see ``engine``), solved by the cancellation-free root
+U = 2d / (c1 + sqrt(c1^2 + 4*c2*d)), d = target - c0.  Targets below the
+floor load (everything idle) or above the full-load total are reported
+infeasible with the nearest achievable total rather than raising.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .config import CoolingArchitecture, ScenarioConfig
@@ -17,7 +19,6 @@ from .errors import OutOfRange
 from .profiles import AmbientProfile, UtilisationProfile
 
 CURTAIL_RELATIVE_TOLERANCE = 1e-6
-CURTAIL_MAX_ITERATIONS = 64
 
 # Which breakdown components constitute "cooling" for each architecture.
 _COOLING_COMPONENTS = {
@@ -63,14 +64,15 @@ def curtail(target_total_w: float, ambient_c: float,
             scenario: ScenarioConfig, ctx: PeakContext) -> CurtailmentSolution:
     """Find the utilisation whose facility total matches a curtailment target.
 
-    Feasible solutions satisfy the relative tolerance on the achieved
-    total; infeasible targets return the nearest bound with the relevant
-    endpoint utilisation.
+    A target within the relative tolerance of the floor or peak snaps to
+    that endpoint; one beyond them is infeasible at the nearest endpoint.
     """
-    if target_total_w <= 0.0:
-        raise OutOfRange("curtailment target must be positive")
-    floor_w = step_power(0.0, ambient_c, scenario, ctx).total_w
-    peak_w = step_power(1.0, ambient_c, scenario, ctx).total_w
+    if not (math.isfinite(target_total_w) and target_total_w > 0.0):
+        raise OutOfRange(
+            f"curtailment target must be positive and finite, got "
+            f"{target_total_w!r}")
+    c0, c1, c2 = ctx.total_quadratic(ctx.adjustment(ambient_c))
+    floor_w, peak_w = c0, c0 + c1 + c2
     tolerance_w = CURTAIL_RELATIVE_TOLERANCE * target_total_w
     if abs(floor_w - target_total_w) <= tolerance_w:
         return CurtailmentSolution(target_total_w, 0.0, floor_w, True)
@@ -80,20 +82,9 @@ def curtail(target_total_w: float, ambient_c: float,
         return CurtailmentSolution(target_total_w, 0.0, floor_w, False)
     if target_total_w > peak_w:
         return CurtailmentSolution(target_total_w, 1.0, peak_w, False)
-
-    low, high = 0.0, 1.0
-    mid = 0.5
-    achieved_w = floor_w
-    for _ in range(CURTAIL_MAX_ITERATIONS):
-        mid = 0.5 * (low + high)
-        achieved_w = step_power(mid, ambient_c, scenario, ctx).total_w
-        if abs(achieved_w - target_total_w) <= tolerance_w:
-            break
-        if achieved_w < target_total_w:
-            low = mid
-        else:
-            high = mid
-    return CurtailmentSolution(target_total_w, mid, achieved_w, True)
+    d = target_total_w - c0
+    u = min(2.0 * d / (c1 + math.sqrt(c1 * c1 + 4.0 * c2 * d)), 1.0)
+    return CurtailmentSolution(target_total_w, u, c0 + u * (c1 + u * c2), True)
 
 
 def peak_breakdown(scenario: ScenarioConfig) -> dict[str, float]:
@@ -139,16 +130,10 @@ def compare_architectures(
     follow the architecture); the comparison reports the per-step cooling
     draw and the relative cooling-energy increase of the alternative.
     """
-    base_result = simulate(utilisation, ambient,
-                           scenario.with_architecture(baseline))
-    alt_result = simulate(utilisation, ambient,
-                          scenario.with_architecture(alternative))
-    base_series = tuple(
-        cooling_power(step.power.as_dict(), baseline)
-        for step in base_result.steps)
-    alt_series = tuple(
-        cooling_power(step.power.as_dict(), alternative)
-        for step in alt_result.steps)
+    base_series, alt_series = (
+        tuple(cooling_power(step.power.as_dict(), arch) for step in simulate(
+            utilisation, ambient, scenario.with_architecture(arch)).steps)
+        for arch in (baseline, alternative))
     return ArchitectureComparison(
         baseline=baseline,
         alternative=alternative,

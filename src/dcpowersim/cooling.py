@@ -21,7 +21,9 @@ Fan power is independent of outdoor conditions and is never scaled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import bisect
+import math
+from dataclasses import dataclass, field
 
 from .errors import InvariantViolation, InvertedTemperatures, OutOfRange
 
@@ -110,9 +112,17 @@ class CracSpec:
 
 @dataclass(frozen=True)
 class EerTable:
-    """Piecewise-linear EER versus ambient temperature, descending ambient."""
+    """Piecewise-linear EER versus ambient temperature, descending ambient.
+
+    The ambient and EER columns are also kept in ascending ambient order,
+    built once, for bisection in :func:`eer_lookup`.
+    """
 
     breakpoints: tuple[tuple[float, float], ...] = DEFAULT_EER_BREAKPOINTS
+    ascending_c: tuple[float, ...] = field(init=False, repr=False,
+                                           compare=False)
+    ascending_eer: tuple[float, ...] = field(init=False, repr=False,
+                                             compare=False)
 
     def __post_init__(self) -> None:
         if len(self.breakpoints) == 0:
@@ -130,6 +140,11 @@ class EerTable:
                     raise InvariantViolation(
                         "EER must be nonincreasing in ambient temperature")
             previous_t, previous_eer = ambient_c, eer
+        ascending = self.breakpoints[::-1]
+        object.__setattr__(self, "ascending_c",
+                           tuple(t for t, _ in ascending))
+        object.__setattr__(self, "ascending_eer",
+                           tuple(eer for _, eer in ascending))
 
 
 def heat_load(m_dot_kg_s: float, containment: float, t_hot_c: float,
@@ -203,16 +218,19 @@ def crac_power(utilisation: float, farm_peak_w: float, spec: CracSpec,
 
 def eer_lookup(ambient_c: float, table: EerTable) -> float:
     """EER at one outdoor temperature, interpolated between breakpoints."""
-    ascending = tuple(reversed(table.breakpoints))
-    if ambient_c <= ascending[0][0]:
-        return ascending[0][1]
-    if ambient_c >= ascending[-1][0]:
-        return ascending[-1][1]
-    for (t_lo, eer_lo), (t_hi, eer_hi) in zip(ascending, ascending[1:]):
-        if t_lo <= ambient_c <= t_hi:
-            span = t_hi - t_lo
-            return eer_lo + (eer_hi - eer_lo) * (ambient_c - t_lo) / span
-    raise AssertionError("unreachable: table covers the clamped range")
+    if not math.isfinite(ambient_c):
+        raise OutOfRange(
+            f"ambient temperature must be finite, got {ambient_c!r}")
+    temps, eers = table.ascending_c, table.ascending_eer
+    if ambient_c <= temps[0]:
+        return eers[0]
+    if ambient_c >= temps[-1]:
+        return eers[-1]
+    # First segment whose upper breakpoint is >= ambient_c.
+    hi = bisect.bisect_left(temps, ambient_c)
+    t_lo, eer_lo = temps[hi - 1], eers[hi - 1]
+    span = temps[hi] - t_lo
+    return eer_lo + (eers[hi] - eer_lo) * (ambient_c - t_lo) / span
 
 
 def ambient_adjustment(ambient_c: float, reference_c: float,

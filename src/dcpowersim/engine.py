@@ -1,40 +1,51 @@
-"""Composition engine: per-hour power breakdown and time-series runs.
+"""Composition engine: a scenario compiled into quadratics, run per hour.
 
-The component models are combined per the configured cooling architecture:
+Cooling per architecture: ``crah_chiller`` is a chiller, CRAH fans and
+water pumps, ``crac`` is CRAC units with their own condensers (no pumps),
+``free_air`` is CRAH fans only.
 
-    crah_chiller   chiller (temperature-adjusted) + CRAH fans + water pumps
-    crac           CRAC with temperature-adjusted condenser; no pumps
-    free_air       CRAH fans only; no refrigeration, no pumps
+At one outdoor temperature every load is a quadratic c0 + c1*U + c2*U^2
+in utilisation U with every coefficient >= 0.  :func:`peak_context`
+expands the component formulas once per scenario into (c0, c1, c2)
+triples, with F the farm peak and L the consolidation:
 
-Two loads are defined relative to the facility total rather than any one
-component, which makes the total self-referential:
+    farm      count * (p_idle * L + (p_peak - p_idle * L) * U)
+    PDU, UPS  quadratic and linear in the farm draw
+    chiller   a * sizing * F * (gamma + beta * U + alpha * U^2)
+    CRAH      idle_frac * F + fan * U
+    CRAC      idle_frac * F + a * (1 + COP) * fan * U
 
-  * miscellaneous load is a constant fraction of the design peak,
-  * pump load (chilled-water loops only) is a fraction of the
-    instantaneous total.
+Outdoor temperature enters only through a = EER(reference) / EER(ambient),
+which multiplies the chiller and the CRAC condenser term, never the CRAC
+idle floor.  Absent components stay exactly 0.  The per-component
+functions of ``server_farm``, ``power_chain`` and ``cooling`` remain the
+reference model the compiled form is tested against.
 
-Both resolve in closed form.  With S the component sum at design
-conditions, phi the pump fraction and mu the misc fraction:
+Misc load is a fraction mu of the design peak and pump load (chilled
+water only) a fraction phi of the instantaneous total.  With S the
+component sum at design conditions both resolve in closed form:
 
     total_peak = S / (1 - phi - mu)
     total(t)   = (components(t) + misc) / (1 - phi)
-
-Each hour is steady state; steps are independent given the peak context
-and are evaluated in timestamp order.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 
-from . import cooling, power_chain, server_farm
+from . import cooling
 from .config import CoolingArchitecture, ScenarioConfig
-from .errors import (EmptyProfile, EmptyResult, InvalidFractions,
-                     InvariantViolation, ProfileMismatch)
+from .errors import (EmptyProfile, EmptyResult, InvariantViolation,
+                     OutOfRange, ProfileMismatch)
 from .profiles import AmbientProfile, UtilisationProfile
 
 COMPONENT_NAMES = ("server_farm", "pdu_loss", "ups_loss", "chiller", "crah",
                    "crac", "pumps", "misc")
+
+Quadratic = tuple[float, float, float]   # (c0, c1, c2) in U
+_ZERO: Quadratic = (0.0, 0.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -56,34 +67,63 @@ class PowerBreakdown:
     total_w: float = field(init=False)
 
     def __post_init__(self) -> None:
-        components = self.as_dict()
-        for name, value in components.items():
+        values = self.values()
+        for name, value in zip(COMPONENT_NAMES, values):
             if value < 0.0:
                 raise InvariantViolation(
                     f"component {name} is negative: {value}")
-        object.__setattr__(self, "total_w", sum(components.values()))
+        object.__setattr__(self, "total_w", sum(values))
+
+    def values(self) -> tuple[float, ...]:
+        """Components in the canonical order, without the total."""
+        return (self.server_farm_w, self.pdu_loss_w, self.ups_loss_w,
+                self.chiller_w, self.crah_w, self.crac_w, self.pumps_w,
+                self.misc_w)
 
     def as_dict(self) -> dict[str, float]:
-        """Components in the canonical order, without the total."""
-        return {
-            "server_farm": self.server_farm_w,
-            "pdu_loss": self.pdu_loss_w,
-            "ups_loss": self.ups_loss_w,
-            "chiller": self.chiller_w,
-            "crah": self.crah_w,
-            "crac": self.crac_w,
-            "pumps": self.pumps_w,
-            "misc": self.misc_w,
-        }
+        """Components by name in the canonical order, without the total."""
+        return dict(zip(COMPONENT_NAMES, self.values()))
 
 
 @dataclass(frozen=True)
 class PeakContext:
-    """Design-point quantities every timestep refers back to."""
+    """A scenario compiled into its quadratic form, plus its design peak.
+
+    Load i (farm, PDU, UPS, chiller, CRAH, CRAC) draws
+    ``fixed[i](U) + a * refrigeration[i](U)``: ``refrigeration`` holds the
+    terms the ambient adjustment ``a`` scales.
+    """
 
     farm_peak_w: float
     total_peak_w: float
     misc_constant_w: float
+    pump_fraction: float
+    eer: cooling.EerTable
+    reference_eer: float
+    fixed: tuple[Quadratic, ...]
+    refrigeration: tuple[Quadratic, ...]
+
+    def adjustment(self, ambient_c: float) -> float:
+        """EER(reference) / EER(ambient); rejects a non-finite ambient."""
+        return self.reference_eer / cooling.eer_lookup(ambient_c, self.eer)
+
+    def total_quadratic(self, adjustment: float) -> Quadratic:
+        """The facility total as (c0, c1, c2) in U at one adjustment."""
+        c0, c1, c2 = (sum(f) + adjustment * sum(r) for f, r in
+                      zip(zip(*self.fixed), zip(*self.refrigeration)))
+        scale = 1.0 - self.pump_fraction
+        return (c0 + self.misc_constant_w) / scale, c1 / scale, c2 / scale
+
+    def breakdown(self, u: float, adjustment: float) -> PowerBreakdown:
+        """Every component at one utilisation and adjustment, unchecked."""
+        farm, pdu, ups, chiller, crah, crac = [
+            f0 + u * (f1 + u * f2) + adjustment * (r0 + u * (r1 + u * r2))
+            for (f0, f1, f2), (r0, r1, r2) in zip(self.fixed,
+                                                  self.refrigeration)]
+        misc_w, phi = self.misc_constant_w, self.pump_fraction
+        before_pumps_w = farm + pdu + ups + chiller + crah + crac + misc_w
+        return PowerBreakdown(farm, pdu, ups, chiller, crah, crac,
+                              phi * before_pumps_w / (1.0 - phi), misc_w)
 
 
 @dataclass(frozen=True)
@@ -111,120 +151,95 @@ class SimulationResult:
     total_energy_wh: float
 
 
-def _effective_pump_fraction(scenario: ScenarioConfig) -> float:
-    # Water pumps exist only alongside a chilled-water loop.
-    if scenario.architecture is CoolingArchitecture.CRAH_CHILLER:
-        return scenario.pump_fraction
-    return 0.0
-
-
 def peak_context(scenario: ScenarioConfig) -> PeakContext:
-    """Design peak at full utilisation and reference outdoor temperature."""
-    farm_peak_w = scenario.server.farm_peak_w
-    phi = _effective_pump_fraction(scenario)
-    denominator = 1.0 - phi - scenario.misc_fraction
-    if denominator <= 0.0:
-        raise InvalidFractions(
-            "pump and misc fractions consume the whole total: "
-            f"phi={phi}, mu={scenario.misc_fraction}")
-    supply = power_chain.supply_loss(farm_peak_w, scenario.supply)
-    if scenario.architecture is CoolingArchitecture.CRAH_CHILLER:
-        cooling_peak_w = (cooling.chiller_power(1.0, farm_peak_w,
-                                                scenario.chiller)
-                          + cooling.crah_power(1.0, farm_peak_w,
-                                               scenario.crah))
+    """Compile a scenario: its quadratics in U and its design peak."""
+    server, supply = scenario.server, scenario.supply
+    farm_peak_w = server.farm_peak_w
+    chilled = scenario.architecture is CoolingArchitecture.CRAH_CHILLER
+    # Water pumps exist only alongside a chilled-water loop.
+    phi = scenario.pump_fraction if chilled else 0.0
+    idle_w = server.p_idle_w * scenario.consolidation
+    farm = (server.count * idle_w, server.count * (server.p_peak_w - idle_w),
+            0.0)
+    k = supply.lambda_pdu_per_w / supply.pdu_count
+    pdu = (supply.pdu_idle_total_w + k * farm[0] ** 2,
+           2.0 * k * farm[0] * farm[1], k * farm[1] ** 2)
+    ups = (supply.ups_idle_w + supply.lambda_ups * (farm[0] + pdu[0]),
+           supply.lambda_ups * (farm[1] + pdu[1]), supply.lambda_ups * pdu[2])
+    # Fan power is proportional to U, so its slope is its draw at U = 1.
+    fan_w = cooling.airflow_heat_power(1.0, farm_peak_w, scenario.crah)
+    crah = (scenario.crah.idle_frac * farm_peak_w, fan_w, 0.0)
+    fixed = [farm, pdu, ups, _ZERO, crah, _ZERO]
+    refrigeration = [_ZERO] * 6
+    if chilled:
+        size_w = scenario.chiller.sizing_factor * farm_peak_w
+        refrigeration[3] = (size_w * scenario.chiller.gamma,
+                            size_w * scenario.chiller.beta,
+                            size_w * scenario.chiller.alpha)
     elif scenario.architecture is CoolingArchitecture.CRAC:
-        cooling_peak_w = cooling.crac_power(1.0, farm_peak_w, scenario.crac,
-                                            scenario.crah)
-    else:
-        cooling_peak_w = cooling.crah_power(1.0, farm_peak_w, scenario.crah)
-    component_sum_w = farm_peak_w + supply.total_w + cooling_peak_w
-    total_peak_w = component_sum_w / denominator
+        fixed[4] = _ZERO
+        fixed[5] = (scenario.crac.idle_frac * farm_peak_w, 0.0, 0.0)
+        refrigeration[5] = (0.0, (1.0 + scenario.crac.cop) * fan_w, 0.0)
+    # At U = 1 and a = 1 each load is its coefficient sum; ScenarioConfig
+    # keeps pump_fraction + misc_fraction below 1.
+    total_peak_w = (sum(map(sum, fixed + refrigeration))
+                    / (1.0 - phi - scenario.misc_fraction))
     return PeakContext(
         farm_peak_w=farm_peak_w,
         total_peak_w=total_peak_w,
         misc_constant_w=scenario.misc_fraction * total_peak_w,
+        pump_fraction=phi,
+        eer=scenario.eer,
+        reference_eer=cooling.eer_lookup(scenario.reference_ambient_c,
+                                         scenario.eer),
+        fixed=tuple(fixed),
+        refrigeration=tuple(refrigeration),
     )
 
 
 def step_power(utilisation: float, ambient_c: float,
                scenario: ScenarioConfig, ctx: PeakContext) -> PowerBreakdown:
-    """Full power breakdown for one steady-state hour."""
-    farm_w = server_farm.farm_power(utilisation, scenario.consolidation,
-                                    scenario.server)
-    supply = power_chain.supply_loss(farm_w, scenario.supply)
-    adjustment = cooling.ambient_adjustment(
-        ambient_c, scenario.reference_ambient_c, scenario.eer)
-
-    chiller_w = crah_w = crac_w = 0.0
-    if scenario.architecture is CoolingArchitecture.CRAH_CHILLER:
-        chiller_w = cooling.chiller_power(
-            utilisation, ctx.farm_peak_w, scenario.chiller) * adjustment
-        crah_w = cooling.crah_power(utilisation, ctx.farm_peak_w,
-                                    scenario.crah)
-    elif scenario.architecture is CoolingArchitecture.CRAC:
-        crac_w = cooling.crac_power(utilisation, ctx.farm_peak_w,
-                                    scenario.crac, scenario.crah,
-                                    condenser_adjustment=adjustment)
-    else:
-        crah_w = cooling.crah_power(utilisation, ctx.farm_peak_w,
-                                    scenario.crah)
-
-    phi = _effective_pump_fraction(scenario)
-    before_pumps_w = (farm_w + supply.pdu_loss_w + supply.ups_loss_w
-                      + chiller_w + crah_w + crac_w + ctx.misc_constant_w)
-    pumps_w = phi * before_pumps_w / (1.0 - phi)
-    return PowerBreakdown(
-        server_farm_w=farm_w,
-        pdu_loss_w=supply.pdu_loss_w,
-        ups_loss_w=supply.ups_loss_w,
-        chiller_w=chiller_w,
-        crah_w=crah_w,
-        crac_w=crac_w,
-        pumps_w=pumps_w,
-        misc_w=ctx.misc_constant_w,
-    )
+    """Power breakdown for one hour; ``ctx`` holds the compiled model."""
+    if not 0.0 <= utilisation <= 1.0:
+        raise OutOfRange(
+            f"utilisation must lie in [0, 1], got {utilisation!r}")
+    return ctx.breakdown(utilisation, ctx.adjustment(ambient_c))
 
 
 def _summarize_steps(steps: tuple[SimulationStep, ...]) -> EnergySummary:
-    energy_wh = {name: 0.0 for name in COMPONENT_NAMES}
-    for step in steps:
-        for name, watts in step.power.as_dict().items():
-            energy_wh[name] += watts  # 1-hour steps: W -> Wh directly
+    # 1-hour steps: W -> Wh directly.
+    energy_wh = {name: sum(map(attrgetter(f"power.{name}_w"), steps))
+                 for name in COMPONENT_NAMES}
     total_wh = sum(energy_wh.values())
-    if total_wh > 0.0:
-        shares = {name: e / total_wh for name, e in energy_wh.items()}
-    else:
-        shares = {name: 0.0 for name in COMPONENT_NAMES}
+    shares = {name: e / total_wh if total_wh > 0.0 else 0.0
+              for name, e in energy_wh.items()}
     return EnergySummary(energy_wh=energy_wh, shares=shares,
                          total_energy_wh=total_wh)
 
 
 def simulate(utilisation: UtilisationProfile, ambient: AmbientProfile,
              scenario: ScenarioConfig) -> SimulationResult:
-    """Run the full model over aligned hourly profiles."""
+    """Run the full model over aligned hourly profiles, checked once."""
     if len(utilisation) == 0 or len(ambient) == 0:
         raise EmptyProfile("profiles must be non-empty")
     if len(utilisation) != len(ambient):
         raise ProfileMismatch(
             f"profile lengths differ: {len(utilisation)} utilisation rows "
             f"vs {len(ambient)} weather rows")
-    for i, (a, b) in enumerate(zip(utilisation.timestamps,
-                                   ambient.timestamps)):
-        if a != b:
+    rows = zip(utilisation.timestamps, ambient.timestamps,
+               utilisation.values, ambient.values)
+    for row, (stamp, other, u, t) in enumerate(rows, 1):
+        if stamp != other:
             raise ProfileMismatch(
-                f"row {i + 1}: timestamps diverge ({a!r} vs {b!r})")
+                f"row {row}: timestamps diverge ({stamp!r} vs {other!r})")
+        if not (0.0 <= u <= 1.0 and math.isfinite(t)):
+            raise OutOfRange(f"row {row}: utilisation must lie in [0, 1] and "
+                             f"ambient be finite, got {u!r}, {t!r}")
     ctx = peak_context(scenario)
     steps = tuple(
-        SimulationStep(
-            timestamp=stamp,
-            utilisation=u,
-            ambient_c=t,
-            power=step_power(u, t, scenario, ctx),
-        )
+        SimulationStep(stamp, u, t, ctx.breakdown(u, ctx.adjustment(t)))
         for stamp, u, t in zip(utilisation.timestamps, utilisation.values,
-                               ambient.values)
-    )
+                               ambient.values))
     summary = _summarize_steps(steps)
     return SimulationResult(steps=steps, energy_wh=summary.energy_wh,
                             shares=summary.shares,

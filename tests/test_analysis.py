@@ -1,8 +1,14 @@
 """Curtailment, peak breakdown, power curves and architecture comparison."""
 
-import pytest
+import math
+from dataclasses import replace
 
-from dcpowersim.analysis import (compare_architectures, cooling_power,
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dcpowersim.analysis import (CURTAIL_RELATIVE_TOLERANCE,
+                                 compare_architectures, cooling_power,
                                  curtail, peak_breakdown, power_curve)
 from dcpowersim.config import (CoolingArchitecture, ScenarioConfig,
                                default_scenario)
@@ -73,6 +79,45 @@ def test_rejects_nonpositive_target():
         curtail(0.0, 30.0, SCENARIO, CTX)
 
 
+@pytest.mark.parametrize("target", [math.inf, -math.inf, math.nan])
+def test_rejects_non_finite_target(target):
+    # An infinite target once made the tolerance infinite (feasible at
+    # U = 0), and a NaN one came back feasible at U ~ 5e-20.
+    with pytest.raises(OutOfRange):
+        curtail(target, 30.0, SCENARIO, CTX)
+
+
+@pytest.mark.parametrize("ambient", [math.inf, -math.inf, math.nan])
+def test_curtail_rejects_non_finite_ambient(ambient):
+    with pytest.raises(OutOfRange):
+        curtail(15e6, ambient, SCENARIO, CTX)
+
+
+@settings(max_examples=400, deadline=None)
+@given(architecture=st.sampled_from(CoolingArchitecture),
+       consolidation=st.floats(0.0, 1.0) | st.just(0.0) | st.just(1.0),
+       u=st.floats(0.0, 1.0) | st.just(0.0) | st.just(1.0),
+       ambient=st.floats(-60.0, 60.0))
+def test_round_trip_property(architecture, consolidation, u, ambient):
+    scenario = replace(default_scenario(architecture),
+                       consolidation=consolidation)
+    ctx = peak_context(scenario)
+    target = step_power(u, ambient, scenario, ctx).total_w
+    solution = curtail(target, ambient, scenario, ctx)
+    assert solution.feasible
+    tolerance = CURTAIL_RELATIVE_TOLERANCE * target
+    assert abs(solution.achieved_total_w - target) <= tolerance
+    # An endpoint within the tolerance of the target is returned as is.
+    expected = u
+    for endpoint in (0.0, 1.0):
+        endpoint_w = step_power(endpoint, ambient, scenario, ctx).total_w
+        if abs(endpoint_w - target) <= tolerance:
+            expected = endpoint
+            break
+    assert solution.required_utilisation == pytest.approx(expected,
+                                                          abs=1e-9)
+
+
 # --- peak breakdown ---
 
 def test_default_peak_shares():
@@ -141,6 +186,12 @@ def test_hotter_curve_dominates_colder():
 def test_curve_needs_two_points():
     with pytest.raises(OutOfRange):
         power_curve([30.0], SCENARIO, 1)
+
+
+@pytest.mark.parametrize("temp", [math.inf, -math.inf, math.nan])
+def test_curve_rejects_non_finite_temperature(temp):
+    with pytest.raises(OutOfRange):
+        power_curve([30.0, temp], SCENARIO, 5)
 
 
 # --- architecture comparison ---

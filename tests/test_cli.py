@@ -1,9 +1,14 @@
 """CLI contract tests: exit codes, file outputs, atomicity, determinism."""
 
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
+import dcpowersim
 from dcpowersim.cli import run
 
 CONFIG = """\
@@ -185,3 +190,30 @@ def test_compare_writes_series_and_summary(tmp_path, capsys):
                    for line in capsys.readouterr().out.strip().split("\n"))
     assert float(summary["relative_increase"]) == pytest.approx(0.40691,
                                                                 abs=5e-4)
+
+
+def run_process(args):
+    """The CLI as a separate process, importing this checkout's package."""
+    env = dict(os.environ)
+    src = str(Path(dcpowersim.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "dcpowersim.cli", *args],
+                          capture_output=True, text=True, env=env,
+                          timeout=60)
+
+
+@pytest.mark.parametrize("command", [
+    ["curtail", "--ambient-c", "nan", "--target-w", "15000000"],
+    ["curtail", "--ambient-c", "30", "--target-w", "inf"],
+    ["curve", "--temps", "nan", "--out", "{tmp}/curve.csv"],
+])
+def test_non_finite_input_is_data_error_without_traceback(tmp_path,
+                                                          command):
+    config, _, _ = write_inputs(tmp_path)
+    args = [arg.format(tmp=tmp_path) for arg in command]
+    done = run_process([args[0], "--config", str(config), *args[1:]])
+    assert done.returncode == 2
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith("dcpowersim: error:")
+    assert not (tmp_path / "curve.csv").exists()

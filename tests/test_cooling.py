@@ -155,6 +155,13 @@ def test_clamping_outside_range():
     assert eer_lookup(-10.0, EER) == 5.82
 
 
+@pytest.mark.parametrize("ambient_c", [float("nan"), float("inf"),
+                                       float("-inf")])
+def test_lookup_rejects_non_finite_ambient(ambient_c):
+    with pytest.raises(OutOfRange):
+        eer_lookup(ambient_c, EER)
+
+
 def test_lookup_continuous_and_nonincreasing():
     previous = None
     for i in range(-50, 510):

@@ -7,15 +7,19 @@ Design peak solves to (10 + 1.5 + 7.42 + 2.662) MW / 0.90 = 23.98 MW.
 """
 
 import math
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dcpowersim import cooling, power_chain, server_farm
 from dcpowersim.config import CoolingArchitecture, default_scenario
 from dcpowersim.engine import (PowerBreakdown, SimulationResult,
                                SimulationStep, peak_context, simulate,
                                step_power, summarize_energy)
 from dcpowersim.errors import (EmptyProfile, EmptyResult, InvariantViolation,
-                               ProfileMismatch)
+                               OutOfRange, ProfileMismatch)
 from dcpowersim.profiles import AmbientProfile, UtilisationProfile
 
 SCENARIO = default_scenario()
@@ -141,6 +145,84 @@ def test_negative_component_rejected():
         PowerBreakdown(-1.0, 0, 0, 0, 0, 0, 0, 0)
 
 
+def test_non_finite_ambient_rejected():
+    for ambient in (math.nan, math.inf, -math.inf):
+        with pytest.raises(OutOfRange):
+            step_power(0.5, ambient, SCENARIO, CTX)
+
+
+# --- compiled quadratics vs the per-component reference chain ---
+
+def reference_breakdown(u, ambient_c, scenario):
+    """The eight components through the per-component model functions."""
+    farm_peak_w = scenario.server.farm_peak_w
+    chilled = scenario.architecture is CoolingArchitecture.CRAH_CHILLER
+    phi = scenario.pump_fraction if chilled else 0.0
+
+    def loads(u, ambient_c):
+        farm = server_farm.farm_power(u, scenario.consolidation,
+                                      scenario.server)
+        supply = power_chain.supply_loss(farm, scenario.supply)
+        adjustment = cooling.ambient_adjustment(
+            ambient_c, scenario.reference_ambient_c, scenario.eer)
+        chiller = crah = crac = 0.0
+        if chilled:
+            chiller = cooling.chiller_power(
+                u, farm_peak_w, scenario.chiller) * adjustment
+            crah = cooling.crah_power(u, farm_peak_w, scenario.crah)
+        elif scenario.architecture is CoolingArchitecture.CRAC:
+            crac = cooling.crac_power(u, farm_peak_w, scenario.crac,
+                                      scenario.crah,
+                                      condenser_adjustment=adjustment)
+        else:
+            crah = cooling.crah_power(u, farm_peak_w, scenario.crah)
+        return [farm, supply.pdu_loss_w, supply.ups_loss_w, chiller, crah,
+                crac]
+
+    design_w = math.fsum(loads(1.0, scenario.reference_ambient_c))
+    misc = (scenario.misc_fraction * design_w
+            / (1.0 - phi - scenario.misc_fraction))
+    parts = loads(u, ambient_c)
+    pumps = phi * math.fsum([*parts, misc]) / (1.0 - phi)
+    return [*parts, pumps, misc]
+
+
+@st.composite
+def eer_tables(draw):
+    """Valid tables: strictly descending ambient, EER nonincreasing in it."""
+    n = draw(st.integers(1, 40))
+    temps = draw(st.lists(st.floats(-40.0, 50.0), min_size=n, max_size=n,
+                          unique=True))
+    eers = draw(st.lists(st.floats(0.5, 10.0), min_size=n, max_size=n))
+    return cooling.EerTable(tuple(zip(sorted(temps, reverse=True),
+                                      sorted(eers))))
+
+
+def unit_interval():
+    return st.floats(0.0, 1.0, allow_subnormal=False) | st.just(0.0) \
+        | st.just(1.0)
+
+
+@settings(max_examples=400, deadline=None)
+@given(architecture=st.sampled_from(CoolingArchitecture),
+       consolidation=unit_interval(), u=unit_interval(),
+       ambient=st.floats(-100.0, 100.0) | st.sampled_from([-100.0, 100.0]),
+       table=eer_tables())
+def test_compiled_step_power_matches_reference_chain(architecture,
+                                                     consolidation, u,
+                                                     ambient, table):
+    scenario = replace(default_scenario(architecture),
+                       consolidation=consolidation, eer=table)
+    got = step_power(u, ambient, scenario, peak_context(scenario))
+    want = reference_breakdown(u, ambient, scenario)
+    for (name, g), w in zip(got.as_dict().items(), want):
+        if w == 0.0:
+            assert g == 0.0, name
+        else:
+            assert g == pytest.approx(w, rel=1e-12), name
+    assert got.total_w == pytest.approx(math.fsum(want), rel=1e-12)
+
+
 # --- simulate ---
 
 def test_constant_profiles_hold_the_peak():
@@ -173,6 +255,25 @@ def test_timestamp_mismatch_rejected():
         ("2016-06-01T06:00", "2016-06-01T07:00", "2016-06-01T08:00"),
         (30.0, 30.0, 30.0))
     with pytest.raises(ProfileMismatch):
+        simulate(utilisation, ambient, SCENARIO)
+
+
+@pytest.mark.parametrize("bad", [1.2, -0.1, math.nan])
+def test_out_of_range_utilisation_at_any_row_rejected(bad):
+    for row in (0, 7, 11):
+        us = [0.5] * 12
+        us[row] = bad
+        utilisation, ambient = profiles_from(us, [30.0] * 12)
+        with pytest.raises(OutOfRange, match=f"row {row + 1}:"):
+            simulate(utilisation, ambient, SCENARIO)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_ambient_at_any_row_rejected(bad):
+    ts = [30.0] * 12
+    ts[5] = bad
+    utilisation, ambient = profiles_from([0.5] * 12, ts)
+    with pytest.raises(OutOfRange, match="row 6:"):
         simulate(utilisation, ambient, SCENARIO)
 
 
