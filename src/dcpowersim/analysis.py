@@ -14,7 +14,8 @@ import math
 from dataclasses import dataclass
 
 from .config import CoolingArchitecture, ScenarioConfig
-from .engine import PeakContext, peak_context, simulate, step_power
+from .engine import (COMPONENT_NAMES, PeakContext, peak_context, simulate,
+                     step_power)
 from .errors import OutOfRange
 from .profiles import AmbientProfile, UtilisationProfile
 
@@ -110,13 +111,6 @@ def power_curve(temps_c: list[float], scenario: ScenarioConfig,
     return curves
 
 
-def cooling_power(step_breakdown: dict[str, float],
-                  architecture: CoolingArchitecture) -> float:
-    """Total cooling draw of one breakdown under the given architecture."""
-    return sum(step_breakdown[name]
-               for name in _COOLING_COMPONENTS[architecture])
-
-
 def compare_architectures(
     utilisation: UtilisationProfile,
     ambient: AmbientProfile,
@@ -130,10 +124,13 @@ def compare_architectures(
     follow the architecture); the comparison reports the per-step cooling
     draw and the relative cooling-energy increase of the alternative.
     """
-    base_series, alt_series = (
-        tuple(cooling_power(step.power.as_dict(), arch) for step in simulate(
-            utilisation, ambient, scenario.with_architecture(arch)).steps)
-        for arch in (baseline, alternative))
+    def cooling_series(arch: CoolingArchitecture) -> tuple[float, ...]:
+        run = simulate(utilisation, ambient, scenario.with_architecture(arch))
+        loads = dict(zip(COMPONENT_NAMES, run.components))
+        return tuple(map(sum, zip(*[loads[name] for name in
+                                    _COOLING_COMPONENTS[arch]])))
+
+    base_series, alt_series = map(cooling_series, (baseline, alternative))
     return ArchitectureComparison(
         baseline=baseline,
         alternative=alternative,

@@ -9,14 +9,14 @@ Subcommands::
     compare    run chilled-water vs CRAC cooling over the same profiles
 
 Exit codes: 0 success, 1 usage error, 2 data or model error.  Output files
-are written via temp-then-rename; nothing is left behind on failure.
+are written via temp-then-rename, with mode 0o666 less the umask.  A failure
+leaves no temp file and exits 2; one partway through renaming leaves the
+outputs renamed before it with their new text and the rest untouched.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import os
 import sys
 import tempfile
@@ -92,41 +92,32 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _read_text(path: str) -> str:
+def _parse_file(parse, path: str):
+    """``parse`` the text of ``path``; errors name the file."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return handle.read()
+            text = handle.read()
     except OSError as exc:
-        raise SimulationError(f"cannot read {path}: {exc}") from exc
+        raise SimulationError(f"{path}: cannot read {path}: {exc}") from exc
+    try:
+        return parse(text)
+    except SimulationError as exc:
+        raise SimulationError(f"{path}: {exc}") from exc
 
 
 def _load_scenario(path: str,
                    arch_override: str | None = None) -> ScenarioConfig:
-    try:
-        scenario = parse_scenario_config(_read_text(path))
-    except SimulationError as exc:
-        raise SimulationError(f"{path}: {exc}") from exc
+    scenario = _parse_file(parse_scenario_config, path)
     if arch_override:
         scenario = scenario.with_architecture(
             CoolingArchitecture(arch_override))
     return scenario
 
 
-def _load_profiles(utilisation_path: str, weather_path: str):
-    try:
-        utilisation = profiles.parse_utilisation_csv(
-            _read_text(utilisation_path))
-    except SimulationError as exc:
-        raise SimulationError(f"{utilisation_path}: {exc}") from exc
-    try:
-        ambient = profiles.parse_temperature_csv(_read_text(weather_path))
-    except SimulationError as exc:
-        raise SimulationError(f"{weather_path}: {exc}") from exc
-    return utilisation, ambient
-
-
 def _write_all_atomic(payloads: dict[str, str]) -> None:
-    """Write every file or none: stage temps first, then rename them all."""
+    """Stage every file as a temp, then rename them all (module docstring)."""
+    umask = os.umask(0)   # reading the umask means setting it; put it back
+    os.umask(umask)
     staged: list[tuple[str, str]] = []
     try:
         for path, text in payloads.items():
@@ -134,7 +125,11 @@ def _write_all_atomic(payloads: dict[str, str]) -> None:
             fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
             staged.append((tmp_path, path))
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                os.fchmod(handle.fileno(), 0o666 & ~umask)
                 handle.write(text)
+        while staged:
+            os.replace(*staged[0])
+            del staged[0]
     except OSError as exc:
         for tmp_path, _ in staged:
             try:
@@ -142,21 +137,18 @@ def _write_all_atomic(payloads: dict[str, str]) -> None:
             except OSError:
                 pass
         raise SimulationError(f"cannot write output: {exc}") from exc
-    for tmp_path, path in staged:
-        os.replace(tmp_path, path)
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     scenario = _load_scenario(args.config)
-    utilisation, ambient = _load_profiles(args.utilisation, args.weather)
+    utilisation = _parse_file(profiles.parse_utilisation_csv, args.utilisation)
+    ambient = _parse_file(profiles.parse_temperature_csv, args.weather)
     result = engine.simulate(utilisation, ambient, scenario)
     payloads = {args.out: profiles.write_results_csv(result)}
     if args.svg:
-        labels = list(engine.COMPONENT_NAMES)
-        rows = [[step.power.as_dict()[name] for name in labels]
-                for step in result.steps]
         payloads[args.svg] = svg.render_stacked_area(
-            labels, rows, title="Hourly power breakdown")
+            list(engine.COMPONENT_NAMES), list(zip(*result.components)),
+            title="Hourly power breakdown")
     _write_all_atomic(payloads)
     return 0
 
@@ -187,14 +179,10 @@ def _cmd_curtail(args: argparse.Namespace) -> int:
 def _cmd_curve(args: argparse.Namespace) -> int:
     scenario = _load_scenario(args.config, args.arch)
     curves = analysis.power_curve(args.temps, scenario, args.points)
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["temp_c", "utilisation", "total_w"])
-    for curve in curves:
-        for utilisation, total_w in curve.points:
-            writer.writerow([f"{curve.temperature_c:.10g}",
-                             f"{utilisation:.10g}", f"{total_w:.10g}"])
-    payloads = {args.out: out.getvalue()}
+    rows = [(curve.temperature_c, utilisation, total_w)
+            for curve in curves for utilisation, total_w in curve.points]
+    payloads = {args.out: profiles.format_csv(
+        ("temp_c", "utilisation", "total_w"), tuple(zip(*rows)))}
     if args.svg:
         series = [(f"{curve.temperature_c:g} C", list(curve.points))
                   for curve in curves]
@@ -206,31 +194,21 @@ def _cmd_curve(args: argparse.Namespace) -> int:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     scenario = _load_scenario(args.config)
-    utilisation, ambient = _load_profiles(args.utilisation, args.weather)
+    utilisation = _parse_file(profiles.parse_utilisation_csv, args.utilisation)
+    ambient = _parse_file(profiles.parse_temperature_csv, args.weather)
     comparison = analysis.compare_architectures(utilisation, ambient,
                                                 scenario)
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    base_col = f"{comparison.baseline.value}_cooling_w"
-    alt_col = f"{comparison.alternative.value}_cooling_w"
-    writer.writerow(["timestamp", "utilisation", "ambient_c",
-                     base_col, alt_col])
-    for i, stamp in enumerate(comparison.timestamps):
-        writer.writerow([stamp, f"{utilisation.values[i]:.10g}",
-                         f"{ambient.values[i]:.10g}",
-                         f"{comparison.baseline_cooling_w[i]:.10g}",
-                         f"{comparison.alternative_cooling_w[i]:.10g}"])
-    payloads = {args.out: out.getvalue()}
+    payloads = {args.out: profiles.format_csv(
+        ("timestamp", "utilisation", "ambient_c",
+         f"{comparison.baseline.value}_cooling_w",
+         f"{comparison.alternative.value}_cooling_w"),
+        (comparison.timestamps, utilisation.values, ambient.values,
+         comparison.baseline_cooling_w, comparison.alternative_cooling_w))}
     if args.svg:
-        hours = range(len(comparison.timestamps))
-        series = [
-            (comparison.baseline.value,
-             [(float(h), w) for h, w in zip(hours,
-                                            comparison.baseline_cooling_w)]),
-            (comparison.alternative.value,
-             [(float(h), w) for h, w in zip(hours,
-                                            comparison.alternative_cooling_w)]),
-        ]
+        series = [(comparison.baseline.value,
+                   list(enumerate(comparison.baseline_cooling_w))),
+                  (comparison.alternative.value,
+                   list(enumerate(comparison.alternative_cooling_w)))]
         payloads[args.svg] = svg.render_lines(
             series, title="Cooling power by architecture")
     _write_all_atomic(payloads)

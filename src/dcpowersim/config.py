@@ -19,6 +19,7 @@ scenario is built.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field, replace
 
 from . import cooling, power_chain, server_farm
@@ -54,7 +55,7 @@ class ScenarioConfig:
     consolidation: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.pump_fraction < 0.0 or self.misc_fraction < 0.0:
+        if not (self.pump_fraction >= 0.0 and self.misc_fraction >= 0.0):
             raise InvariantViolation("pump and misc fractions must be >= 0")
         if self.pump_fraction + self.misc_fraction >= 1.0:
             raise InvalidFractions(
@@ -63,6 +64,8 @@ class ScenarioConfig:
             )
         if not 0.0 <= self.consolidation <= 1.0:
             raise OutOfRange("consolidation must lie in [0, 1]")
+        if not math.isfinite(self.reference_ambient_c):
+            raise OutOfRange("reference_ambient_c must be finite")
 
     def with_architecture(self, architecture: CoolingArchitecture
                           ) -> "ScenarioConfig":
@@ -105,11 +108,15 @@ _KNOWN_KEYS = (frozenset(_SUPPLY_DEFAULTS) | frozenset(_FLOAT_DEFAULTS)
 
 def _parse_number(key: str, raw: str, line_no: int) -> float | int:
     try:
-        return int(raw) if key in _INT_KEYS else float(raw)
+        value = int(raw) if key in _INT_KEYS else float(raw)
     except ValueError:
         raise MalformedRow(
             f"line {line_no}: value for {key!r} is not a number: {raw!r}"
         ) from None
+    if not math.isfinite(value):
+        raise MalformedRow(
+            f"line {line_no}: value for {key!r} is not finite: {raw!r}")
+    return value
 
 
 def _parse_eer_table(raw: str, line_no: int) -> cooling.EerTable:
@@ -120,11 +127,15 @@ def _parse_eer_table(raw: str, line_no: int) -> cooling.EerTable:
             continue
         try:
             t_text, eer_text = pair.split(":")
-            breakpoints.append((float(t_text), float(eer_text)))
+            point = (float(t_text), float(eer_text))
         except ValueError:
             raise MalformedRow(
                 f"line {line_no}: eer.table entry {pair!r} is not 'T:EER'"
             ) from None
+        if not all(map(math.isfinite, point)):
+            raise MalformedRow(
+                f"line {line_no}: eer.table entry {pair!r} is not finite")
+        breakpoints.append(point)
     breakpoints.sort(key=lambda point: -point[0])
     return cooling.EerTable(breakpoints=tuple(breakpoints))
 

@@ -54,22 +54,23 @@ class ChillerSpec:
     """Quadratic utilisation fit for a chilled-water plant.
 
     The default coefficients come from curve fits over plants supplying
-    7.22 C chilled water; the supply temperature is informational only.
+    7.22 C chilled water; the model does not take that temperature.
     """
 
     alpha: float = 0.32
     beta: float = 0.11
     gamma: float = 0.63
     sizing_factor: float = 0.7
-    chilled_water_temp_c: float = 7.22
 
     def __post_init__(self) -> None:
-        if self.alpha < 0.0 or self.beta < 0.0:
-            raise InvariantViolation("alpha and beta must be nonnegative")
-        if self.gamma <= 0.0:
-            raise InvariantViolation("gamma must be positive")
-        if self.sizing_factor <= 0.0:
-            raise InvariantViolation("sizing_factor must be positive")
+        if not (0.0 <= self.alpha < math.inf and 0.0 <= self.beta < math.inf):
+            raise InvariantViolation(
+                "alpha and beta must be finite and nonnegative")
+        if not 0.0 < self.gamma < math.inf:
+            raise InvariantViolation("gamma must be positive and finite")
+        if not 0.0 < self.sizing_factor < math.inf:
+            raise InvariantViolation(
+                "sizing_factor must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -82,14 +83,17 @@ class CrahSpec:
     unit_airflow_cmh: float = 14000.0
 
     def __post_init__(self) -> None:
-        if self.idle_frac < 0.0:
-            raise InvariantViolation("idle_frac must be nonnegative")
+        if not 0.0 <= self.idle_frac < math.inf:
+            raise InvariantViolation(
+                "idle_frac must be finite and nonnegative")
         if not 0.0 < self.eta_heat <= 1.0:
             raise InvariantViolation("eta_heat must lie in (0, 1]")
-        if self.unit_capacity_kw <= 0.0:
-            raise InvariantViolation("unit_capacity_kw must be positive")
-        if self.unit_airflow_cmh < 0.0:
-            raise InvariantViolation("unit_airflow_cmh must be nonnegative")
+        if not 0.0 < self.unit_capacity_kw < math.inf:
+            raise InvariantViolation(
+                "unit_capacity_kw must be positive and finite")
+        if not 0.0 <= self.unit_airflow_cmh < math.inf:
+            raise InvariantViolation(
+                "unit_airflow_cmh must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -104,10 +108,11 @@ class CracSpec:
     cop: float = 6.0
 
     def __post_init__(self) -> None:
-        if self.idle_frac < 0.0:
-            raise InvariantViolation("idle_frac must be nonnegative")
-        if self.cop < 0.0:
-            raise InvariantViolation("cop must be nonnegative")
+        if not 0.0 <= self.idle_frac < math.inf:
+            raise InvariantViolation(
+                "idle_frac must be finite and nonnegative")
+        if not 0.0 <= self.cop < math.inf:
+            raise InvariantViolation("cop must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -130,8 +135,9 @@ class EerTable:
         previous_t = None
         previous_eer = None
         for ambient_c, eer in self.breakpoints:
-            if eer <= 0.0:
-                raise InvariantViolation("EER values must be positive")
+            if not (0.0 < eer < math.inf and math.isfinite(ambient_c)):
+                raise InvariantViolation(
+                    "EER values must be positive and finite, ambients finite")
             if previous_t is not None:
                 if ambient_c >= previous_t:
                     raise InvariantViolation(

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from operator import attrgetter
+from typing import Sequence
 
 from . import cooling
 from .config import CoolingArchitecture, ScenarioConfig
@@ -114,16 +114,24 @@ class PeakContext:
         scale = 1.0 - self.pump_fraction
         return (c0 + self.misc_constant_w) / scale, c1 / scale, c2 / scale
 
-    def breakdown(self, u: float, adjustment: float) -> PowerBreakdown:
-        """Every component at one utilisation and adjustment, unchecked."""
-        farm, pdu, ups, chiller, crah, crac = [
-            f0 + u * (f1 + u * f2) + adjustment * (r0 + u * (r1 + u * r2))
-            for (f0, f1, f2), (r0, r1, r2) in zip(self.fixed,
-                                                  self.refrigeration)]
-        misc_w, phi = self.misc_constant_w, self.pump_fraction
-        before_pumps_w = farm + pdu + ups + chiller + crah + crac + misc_w
-        return PowerBreakdown(farm, pdu, ups, chiller, crah, crac,
-                              phi * before_pumps_w / (1.0 - phi), misc_w)
+    def loads(self, us: Sequence[float], adjustments: Sequence[float]):
+        """Unchecked load columns, ``COMPONENT_NAMES`` order, per (U, a)."""
+        n = len(us)
+
+        def column(fixed: Quadratic, refrigeration: Quadratic) -> tuple:
+            (f0, f1, f2), (r0, r1, r2) = fixed, refrigeration
+            if refrigeration == _ZERO:   # a * 0 would add exactly 0
+                return ((0.0,) * n if fixed == _ZERO else
+                        tuple([f0 + u * (f1 + u * f2) for u in us]))
+            return tuple([f0 + u * (f1 + u * f2) + a * (r0 + u * (r1 + u * r2))
+                          for u, a in zip(us, adjustments)])
+
+        six = list(map(column, self.fixed, self.refrigeration))
+        misc, phi = self.misc_constant_w, self.pump_fraction
+        pumps = (0.0,) * n if phi == 0.0 else tuple([
+            phi * (farm + pdu + ups + chill + crah + crac + misc) / (1.0 - phi)
+            for farm, pdu, ups, chill, crah, crac in zip(*six)])
+        return (*six, pumps, (misc,) * n)
 
 
 @dataclass(frozen=True)
@@ -145,10 +153,42 @@ class EnergySummary:
 
 @dataclass(frozen=True)
 class SimulationResult:
-    steps: tuple[SimulationStep, ...]
-    energy_wh: dict[str, float]
-    shares: dict[str, float]
-    total_energy_wh: float
+    """A run as columns: the inputs and one load per component in
+    ``COMPONENT_NAMES`` order; totals and energy derive on construction."""
+
+    timestamps: tuple[str, ...]
+    utilisation: tuple[float, ...]
+    ambient_c: tuple[float, ...]
+    components: tuple[tuple[float, ...], ...]
+    total_w: tuple[float, ...] = field(init=False)
+    summary: EnergySummary = field(init=False)
+
+    def __post_init__(self) -> None:
+        columns = (self.timestamps, self.utilisation, self.ambient_c,
+                   *self.components)
+        if len(columns) != 11 or len(set(map(len, columns))) > 1:
+            raise InvariantViolation("3 input and 8 load columns, one length")
+        # Totals summed as PowerBreakdown sums them; 1-hour steps: W = Wh.
+        object.__setattr__(self, "total_w",
+                           tuple(map(sum, zip(*self.components))))
+        energy_wh = dict(zip(COMPONENT_NAMES, map(sum, self.components)))
+        total_wh = sum(energy_wh.values())
+        shares = {name: e / total_wh if total_wh > 0.0 else 0.0
+                  for name, e in energy_wh.items()}
+        object.__setattr__(self, "summary",
+                           EnergySummary(energy_wh, shares, total_wh))
+
+    energy_wh = property(lambda self: self.summary.energy_wh)
+    shares = property(lambda self: self.summary.shares)
+    total_energy_wh = property(lambda self: self.summary.total_energy_wh)
+
+    @property
+    def steps(self) -> tuple[SimulationStep, ...]:
+        """The run hour by hour, built on each access."""
+        return tuple(SimulationStep(stamp, u, t, PowerBreakdown(*parts))
+                     for stamp, u, t, *parts in zip(
+                         self.timestamps, self.utilisation, self.ambient_c,
+                         *self.components))
 
 
 def peak_context(scenario: ScenarioConfig) -> PeakContext:
@@ -184,10 +224,15 @@ def peak_context(scenario: ScenarioConfig) -> PeakContext:
     # keeps pump_fraction + misc_fraction below 1.
     total_peak_w = (sum(map(sum, fixed + refrigeration))
                     / (1.0 - phi - scenario.misc_fraction))
+    misc_constant_w = scenario.misc_fraction * total_peak_w
+    # Finite coefficients >= 0 give finite loads >= 0 for U in [0, 1], a > 0.
+    if not all(0.0 <= c < math.inf
+               for c in (misc_constant_w, *sum(fixed + refrigeration, ()))):
+        raise InvariantViolation("compiled coefficients must be finite, >= 0")
     return PeakContext(
         farm_peak_w=farm_peak_w,
         total_peak_w=total_peak_w,
-        misc_constant_w=scenario.misc_fraction * total_peak_w,
+        misc_constant_w=misc_constant_w,
         pump_fraction=phi,
         eer=scenario.eer,
         reference_eer=cooling.eer_lookup(scenario.reference_ambient_c,
@@ -203,18 +248,8 @@ def step_power(utilisation: float, ambient_c: float,
     if not 0.0 <= utilisation <= 1.0:
         raise OutOfRange(
             f"utilisation must lie in [0, 1], got {utilisation!r}")
-    return ctx.breakdown(utilisation, ctx.adjustment(ambient_c))
-
-
-def _summarize_steps(steps: tuple[SimulationStep, ...]) -> EnergySummary:
-    # 1-hour steps: W -> Wh directly.
-    energy_wh = {name: sum(map(attrgetter(f"power.{name}_w"), steps))
-                 for name in COMPONENT_NAMES}
-    total_wh = sum(energy_wh.values())
-    shares = {name: e / total_wh if total_wh > 0.0 else 0.0
-              for name, e in energy_wh.items()}
-    return EnergySummary(energy_wh=energy_wh, shares=shares,
-                         total_energy_wh=total_wh)
+    loads = ctx.loads((utilisation,), (ctx.adjustment(ambient_c),))
+    return PowerBreakdown(*(column[0] for column in loads))
 
 
 def simulate(utilisation: UtilisationProfile, ambient: AmbientProfile,
@@ -236,18 +271,13 @@ def simulate(utilisation: UtilisationProfile, ambient: AmbientProfile,
             raise OutOfRange(f"row {row}: utilisation must lie in [0, 1] and "
                              f"ambient be finite, got {u!r}, {t!r}")
     ctx = peak_context(scenario)
-    steps = tuple(
-        SimulationStep(stamp, u, t, ctx.breakdown(u, ctx.adjustment(t)))
-        for stamp, u, t in zip(utilisation.timestamps, utilisation.values,
-                               ambient.values))
-    summary = _summarize_steps(steps)
-    return SimulationResult(steps=steps, energy_wh=summary.energy_wh,
-                            shares=summary.shares,
-                            total_energy_wh=summary.total_energy_wh)
+    us, ts = utilisation.values, ambient.values
+    return SimulationResult(utilisation.timestamps, us, ts,
+                            ctx.loads(us, list(map(ctx.adjustment, ts))))
 
 
 def summarize_energy(result: SimulationResult) -> EnergySummary:
-    """Recompute per-component energy and shares from the stored steps."""
-    if not result.steps:
+    """Per-component energy and shares, as computed with the result."""
+    if not result.timestamps:
         raise EmptyResult("cannot summarize an empty simulation result")
-    return _summarize_steps(result.steps)
+    return result.summary

@@ -16,9 +16,11 @@ between the PDU quadratic and the UPS proportional term.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .errors import InfeasibleTarget, InvariantViolation, NegativeInput
+from .errors import (InfeasibleTarget, InvariantViolation, NegativeInput,
+                     OutOfRange)
 
 # Split of the proportional (non-idle) peak loss between PDU and UPS.
 _PDU_PROPORTIONAL_SHARE = 3.0 / 7.0
@@ -36,12 +38,13 @@ class SupplyChainSpec:
     lambda_ups: float           # proportional loss coefficient, dimensionless
 
     def __post_init__(self) -> None:
-        if self.pdu_count < 1:
-            raise InvariantViolation("pdu_count must be >= 1")
+        if not 1 <= self.pdu_count < math.inf:
+            raise InvariantViolation("pdu_count must be >= 1 and finite")
         for name in ("pdu_idle_total_w", "ups_idle_w",
                      "lambda_pdu_per_w", "lambda_ups"):
-            if getattr(self, name) < 0.0:
-                raise InvariantViolation(f"{name} must be nonnegative")
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise InvariantViolation(
+                    f"{name} must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -105,7 +108,10 @@ def calibrate_supply(farm_peak_w: float,
         )
     pdu_quad_peak_w = proportional_budget_w * _PDU_PROPORTIONAL_SHARE
     ups_lin_peak_w = proportional_budget_w * _UPS_PROPORTIONAL_SHARE
-    lambda_pdu = pdu_quad_peak_w * pdu_count / farm_peak_w ** 2
+    try:
+        lambda_pdu = pdu_quad_peak_w * pdu_count / farm_peak_w ** 2
+    except OverflowError:   # float ** raises where * would give inf
+        raise OutOfRange(f"farm peak {farm_peak_w!r} W is too large") from None
     pdu_loss_peak_w = pdu_idle_w + pdu_quad_peak_w
     lambda_ups = ups_lin_peak_w / (farm_peak_w + pdu_loss_peak_w)
     return SupplyChainSpec(

@@ -16,7 +16,7 @@ import csv
 import datetime as dt
 import io
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from .errors import (EmptyProfile, EmptyResult, GapInSeries, MalformedRow,
                      NonMonotonicTime, OutOfRange)
@@ -26,6 +26,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 _TIMESTAMP_FORMAT = "%Y-%m-%dT%H:%M"
 _ONE_HOUR = dt.timedelta(hours=1)
+_ONE_DAY = dt.timedelta(days=1)
+_NEXT_HOUR = {f"{h:02d}": f"{h + 1:02d}" for h in range(23)}   # within a day
 
 UTILISATION_HEADER = ("timestamp", "utilisation")
 TEMPERATURE_HEADER = ("timestamp", "temperature_c")
@@ -70,11 +72,21 @@ def _parse_timestamp(raw: str, row_no: int) -> dt.datetime:
         ) from None
 
 
+def _next_hour(stamp: str) -> str | None:
+    """Canonical ``stamp`` plus one hour, canonical; None past year 9999."""
+    hour = _NEXT_HOUR.get(stamp[11:13])
+    if hour is not None:
+        return stamp[:11] + hour + stamp[13:]
+    if stamp.startswith("9999-12-31"):
+        return None
+    return f"{dt.date.fromisoformat(stamp[:10]) + _ONE_DAY}T00{stamp[13:]}"
+
+
 def _parse_series(text: str, header: tuple[str, str],
-                  check_value: Callable[[float, int], None],
+                  low: float, high: float, out_of_range: str,
                   ) -> tuple[tuple[str, ...], tuple[float, ...]]:
-    reader = csv.reader(io.StringIO(text))
-    rows = list(reader)
+    # One leading byte-order mark, as spreadsheet exports write.
+    rows = list(csv.reader(io.StringIO(text.removeprefix("\ufeff"))))
     if not rows or tuple(cell.strip() for cell in rows[0]) != header:
         raise MalformedRow(
             f"expected header {','.join(header)!r}, got "
@@ -82,29 +94,35 @@ def _parse_series(text: str, header: tuple[str, str],
         )
     timestamps: list[str] = []
     values: list[float] = []
-    previous: dt.datetime | None = None
+    # A row spelling the previous row's time plus one hour canonically is
+    # accepted without strptime; any other stamp gets the full checks.
+    expected: str | None = None
     for row_no, row in enumerate(rows[1:], start=1):
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
         if len(row) != 2:
             raise MalformedRow(f"row {row_no}: expected 2 fields, got {len(row)}")
         stamp_text = row[0].strip()
-        parsed = _parse_timestamp(stamp_text, row_no)
+        canonical = stamp_text == expected
+        if not canonical:
+            parsed = _parse_timestamp(stamp_text, row_no)
         try:
             value = float(row[1])
         except ValueError:
             raise MalformedRow(
                 f"row {row_no}: bad number {row[1]!r}") from None
-        check_value(value, row_no)
-        if previous is not None:
-            delta = parsed - previous
+        if not low <= value <= high:
+            raise OutOfRange(f"row {row_no}: {out_of_range.format(value)}")
+        if not canonical and timestamps:
+            delta = parsed - _parse_timestamp(timestamps[-1], row_no - 1)
             if delta <= dt.timedelta(0):
                 raise NonMonotonicTime(
                     f"row {row_no}: timestamp {stamp_text!r} does not advance")
             if delta != _ONE_HOUR:
                 raise GapInSeries(
                     f"row {row_no}: spacing {delta} is not exactly one hour")
-        previous = parsed
+        expected = _next_hour(stamp_text if canonical else
+                              parsed.isoformat(timespec="minutes"))
         timestamps.append(stamp_text)
         values.append(value)
     if not timestamps:
@@ -114,55 +132,41 @@ def _parse_series(text: str, header: tuple[str, str],
 
 def parse_utilisation_csv(text: str) -> UtilisationProfile:
     """Parse a ``timestamp,utilisation`` CSV into a validated profile."""
-    def check(value: float, row_no: int) -> None:
-        if not 0.0 <= value <= 1.0:
-            raise OutOfRange(
-                f"row {row_no}: utilisation {value} outside [0, 1]")
-
-    timestamps, values = _parse_series(text, UTILISATION_HEADER, check)
-    return UtilisationProfile(timestamps=timestamps, values=values)
+    return UtilisationProfile(*_parse_series(
+        text, UTILISATION_HEADER, 0.0, 1.0, "utilisation {} outside [0, 1]"))
 
 
 def parse_temperature_csv(text: str) -> AmbientProfile:
     """Parse a ``timestamp,temperature_c`` CSV into a validated profile."""
     low, high = TEMPERATURE_BOUNDS_C
-
-    def check(value: float, row_no: int) -> None:
-        if not low <= value <= high:
-            raise OutOfRange(
-                f"row {row_no}: temperature {value} outside [{low}, {high}] C")
-
-    timestamps, values = _parse_series(text, TEMPERATURE_HEADER, check)
-    return AmbientProfile(timestamps=timestamps, values=values)
+    return AmbientProfile(*_parse_series(
+        text, TEMPERATURE_HEADER, low, high,
+        f"temperature {{}} outside [{low}, {high}] C"))
 
 
-def _format_number(value: float) -> str:
-    # 10 significant digits; parse(write(x)) agrees with x well past the
-    # 6-significant-digit contract.
-    return format(value, ".10g")
+def _csv_field(text: str) -> str:
+    # Quoted where csv.writer quotes; a CR too, as csv.writer does from 3.13.
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def format_csv(header: tuple[str, ...], columns: tuple) -> str:
+    """CSV of equal-length columns: ``timestamp`` verbatim, the rest to 10
+    significant digits (parse(write(x)) agrees with x well past the
+    6-significant-digit contract)."""
+    row = ",".join("%s" if name == "timestamp" else "%.10g"
+                   for name in header) + "\n"
+    columns = [map(_csv_field, column) if name == "timestamp" else column
+               for name, column in zip(header, columns)]
+    return ",".join(header) + "\n" + "".join(
+        [row % values for values in zip(*columns)])
 
 
 def write_results_csv(result: "SimulationResult") -> str:
     """Serialize a simulation result to CSV, one row per timestep."""
-    if not result.steps:
+    if not result.timestamps:
         raise EmptyResult("cannot serialize an empty simulation result")
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(RESULT_COLUMNS)
-    for step in result.steps:
-        power = step.power
-        writer.writerow([
-            step.timestamp,
-            _format_number(step.utilisation),
-            _format_number(step.ambient_c),
-            _format_number(power.server_farm_w),
-            _format_number(power.pdu_loss_w),
-            _format_number(power.ups_loss_w),
-            _format_number(power.chiller_w),
-            _format_number(power.crah_w),
-            _format_number(power.crac_w),
-            _format_number(power.pumps_w),
-            _format_number(power.misc_w),
-            _format_number(power.total_w),
-        ])
-    return out.getvalue()
+    return format_csv(RESULT_COLUMNS, (
+        result.timestamps, result.utilisation, result.ambient_c,
+        *result.components, result.total_w))

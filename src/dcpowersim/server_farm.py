@@ -19,6 +19,7 @@ root finding on top of it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -34,11 +35,11 @@ class ServerSpec:
     p_peak_w: float
 
     def __post_init__(self) -> None:
-        if self.count < 1:
-            raise InvariantViolation("server count must be >= 1")
-        if not 0.0 <= self.p_idle_w <= self.p_peak_w:
+        if not 1 <= self.count < math.inf:
+            raise InvariantViolation("server count must be >= 1 and finite")
+        if not 0.0 <= self.p_idle_w <= self.p_peak_w < math.inf:
             raise InvariantViolation(
-                "server power must satisfy 0 <= p_idle_w <= p_peak_w"
+                "server power must satisfy 0 <= p_idle_w <= p_peak_w < inf"
             )
 
     @property

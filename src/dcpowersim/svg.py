@@ -2,12 +2,13 @@
 
 Hand-rolled on purpose: the charts are a convenience view of the CSV data,
 only well-formedness is contractual, and string assembly keeps the output
-byte-for-byte reproducible.
+byte-for-byte reproducible.  Long series are decimated to the plot
+width: per pixel column, the first, lowest, highest and last point.
 """
 
 from __future__ import annotations
 
-from xml.sax.saxutils import escape
+from html import escape
 
 _WIDTH = 960
 _HEIGHT = 420
@@ -25,6 +26,20 @@ def _plot_box() -> tuple[float, float, float, float]:
             _HEIGHT - _MARGIN_BOTTOM)
 
 
+def _decimate(values: list[float]) -> list[int]:
+    """Indices to draw; index i falls in pixel column i * width // (n-1)."""
+    width, n = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT, len(values)
+    if n <= 2 * width:
+        return list(range(n))
+    keep = set()
+    for p in range(width + 1):
+        pixel = range(-(-p * (n - 1) // width),
+                      min(n, -(-(p + 1) * (n - 1) // width)))
+        keep.update((pixel[0], pixel[-1], min(pixel, key=values.__getitem__),
+                     max(pixel, key=values.__getitem__)))
+    return sorted(keep)
+
+
 def _scale(values_max: float) -> float:
     return values_max if values_max > 0.0 else 1.0
 
@@ -34,7 +49,7 @@ def _header(title: str) -> list[str]:
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
         f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
-        f'<title>{escape(title)}</title>',
+        f'<title>{escape(title, quote=False)}</title>',
         f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
     ]
 
@@ -44,8 +59,8 @@ def _axes(y_max: float, y_label: str) -> list[str]:
     parts = [
         f'<line x1="{x0}" y1="{y1}" x2="{x1}" y2="{y1}" stroke="black"/>',
         f'<line x1="{x0}" y1="{y0}" x2="{x0}" y2="{y1}" stroke="black"/>',
-        f'<text x="{x0}" y="{y0 - 6}" font-size="12">{escape(y_label)} '
-        f'(max {y_max:.4g})</text>',
+        f'<text x="{x0}" y="{y0 - 6}" font-size="12">'
+        f'{escape(y_label, quote=False)} (max {y_max:.4g})</text>',
     ]
     for tick in range(5):
         frac = tick / 4
@@ -65,7 +80,7 @@ def _legend(labels: list[str]) -> list[str]:
         parts.append(f'<rect x="{x}" y="{y - 9}" width="10" height="10" '
                      f'fill="{color}"/>')
         parts.append(f'<text x="{x + 14}" y="{y}" font-size="11">'
-                     f'{escape(label)}</text>')
+                     f'{escape(label, quote=False)}</text>')
     return parts
 
 
@@ -85,16 +100,15 @@ def render_stacked_area(labels: list[str], rows: list[list[float]],
     def y_at(value: float) -> float:
         return y1 - (y1 - y0) * value / y_max
 
-    lower = [0.0] * n
+    kept = _decimate(totals)
+    xs = [f"{x_at(i):.2f}," for i in kept]
+    level, lower = [0.0] * len(kept), [f"{x}{y_at(0.0):.2f}" for x in xs]
     for series_index, label in enumerate(labels):
-        upper = [lower[i] + rows[i][series_index] for i in range(n)]
-        forward = " ".join(
-            f"{x_at(i):.2f},{y_at(upper[i]):.2f}" for i in range(n))
-        backward = " ".join(
-            f"{x_at(i):.2f},{y_at(lower[i]):.2f}"
-            for i in range(n - 1, -1, -1))
+        level = [low + rows[i][series_index] for low, i in zip(level, kept)]
+        upper = [f"{x}{y_at(y):.2f}" for x, y in zip(xs, level)]
+        points = " ".join(upper + lower[::-1])
         color = _PALETTE[series_index % len(_PALETTE)]
-        parts.append(f'<polygon points="{forward} {backward}" fill="{color}" '
+        parts.append(f'<polygon points="{points}" fill="{color}" '
                      f'fill-opacity="0.85" stroke="none"/>')
         lower = upper
     parts += _legend(labels)
@@ -118,7 +132,8 @@ def render_lines(series: list[tuple[str, list[tuple[float, float]]]],
         coords = " ".join(
             f"{x0 + (x1 - x0) * (x - x_min) / x_span:.2f},"
             f"{y1 - (y1 - y0) * y / y_max:.2f}"
-            for x, y in points)
+            for x, y in map(points.__getitem__,
+                            _decimate([y for _, y in points])))
         parts.append(f'<polyline points="{coords}" fill="none" '
                      f'stroke="{color}" stroke-width="1.5"/>')
     parts += _legend([label for label, _ in series])

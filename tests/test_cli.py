@@ -1,6 +1,7 @@
 """CLI contract tests: exit codes, file outputs, atomicity, determinism."""
 
 import os
+import stat
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -217,3 +218,82 @@ def test_non_finite_input_is_data_error_without_traceback(tmp_path,
     assert "Traceback" not in done.stderr
     assert done.stderr.startswith("dcpowersim: error:")
     assert not (tmp_path / "curve.csv").exists()
+
+
+@pytest.mark.parametrize("line", ["chiller.alpha=nan", "pump_fraction=nan",
+                                  "server.p_peak_w=inf", "eer.table=30:nan",
+                                  "server.p_peak_w=1e300"])
+def test_non_finite_config_is_data_error_without_traceback(tmp_path, line):
+    config = tmp_path / "scenario.cfg"
+    config.write_text("\n".join(
+        kept for kept in CONFIG.splitlines()
+        if kept.split("=")[0] != line.split("=")[0]) + f"\n{line}\n")
+    done = run_process(["peak", "--config", str(config)])
+    assert done.returncode == 2
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith("dcpowersim: error:")
+    assert done.stdout == ""
+
+
+def simulate_args(tmp_path, *extra):
+    config, util, weather = write_inputs(tmp_path, hours=6)
+    return ["simulate", "--config", str(config), "--utilisation", str(util),
+            "--weather", str(weather), *extra]
+
+
+@pytest.mark.parametrize("mask", [0o022, 0o077])
+def test_outputs_respect_the_umask(tmp_path, mask):
+    out, chart = tmp_path / "result.csv", tmp_path / "result.svg"
+    previous = os.umask(mask)
+    try:
+        status = run(simulate_args(tmp_path, "--out", str(out),
+                                   "--svg", str(chart)))
+    finally:
+        os.umask(previous)
+    assert status == 0
+    for path in (out, chart):
+        assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~mask
+
+
+def test_failed_rename_removes_every_temp_and_exits_2(tmp_path, capsys,
+                                                     monkeypatch):
+    out, chart = tmp_path / "result.csv", tmp_path / "result.svg"
+    real_replace, calls = os.replace, []
+
+    def replace_failing_on_second(src, dst):
+        calls.append(dst)
+        if len(calls) == 2:
+            raise OSError(28, "No space left on device")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace_failing_on_second)
+    status = run(simulate_args(tmp_path, "--out", str(out),
+                               "--svg", str(chart)))
+    assert status == 2
+    assert "cannot write output" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.tmp"))
+    # The first output was renamed before the failure; the second was not.
+    assert out.read_text().startswith("timestamp,")
+    assert not chart.exists()
+
+
+def test_unwritable_second_output_leaves_nothing(tmp_path, capsys):
+    out = tmp_path / "result.csv"
+    status = run(simulate_args(tmp_path, "--out", str(out), "--svg",
+                               str(tmp_path / "no_dir" / "result.svg")))
+    assert status == 2
+    assert "cannot write output" in capsys.readouterr().err
+    assert not out.exists()
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_bom_prefixed_inputs_give_the_same_outputs(tmp_path):
+    args = simulate_args(tmp_path)
+    plain = tmp_path / "plain.csv"
+    assert run([*args, "--out", str(plain)]) == 0
+    for flag in ("--utilisation", "--weather"):
+        path = Path(args[args.index(flag) + 1])
+        path.write_text("\ufeff" + path.read_text(), encoding="utf-8")
+    bom = tmp_path / "bom.csv"
+    assert run([*args, "--out", str(bom)]) == 0
+    assert bom.read_bytes() == plain.read_bytes()

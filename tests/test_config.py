@@ -1,11 +1,18 @@
 """Scenario config parsing tests."""
 
-import pytest
+import math
+from dataclasses import replace
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dcpowersim import config, cooling, server_farm
 from dcpowersim.config import (CoolingArchitecture, default_scenario,
                                parse_scenario_config)
+from dcpowersim.engine import peak_context, step_power
 from dcpowersim.errors import (InvariantViolation, MalformedRow,
-                               MissingRequired, UnknownKey)
+                               MissingRequired, SimulationError, UnknownKey)
 
 MINIMAL = """\
 server.count=40000
@@ -130,3 +137,81 @@ def test_overrides_take_effect():
     assert scenario.crac.cop == 3.0
     assert scenario.consolidation == 0.5
     assert scenario.reference_ambient_c == 25.0
+
+
+# --- non-finite values ---
+
+FLOAT_KEYS = sorted(config._KNOWN_KEYS - config._INT_KEYS
+                    - {"architecture", "eer.table"})
+
+
+def with_value(key, raw):
+    lines = [line for line in MINIMAL.splitlines()
+             if not line.startswith(f"{key}=")]
+    return "\n".join([*lines, f"{key}={raw}"]) + "\n"
+
+
+@settings(max_examples=400, deadline=None)
+@given(key=st.sampled_from(FLOAT_KEYS),
+       value=st.floats(allow_nan=True, allow_infinity=True),
+       spelling=st.sampled_from([repr, lambda x: repr(x).upper(),
+                                 lambda x: f" +{x!r} ".replace("+-", "-")]))
+def test_every_numeric_key_rejects_non_finite(key, value, spelling):
+    text = with_value(key, spelling(value))
+    if not math.isfinite(value):
+        with pytest.raises(MalformedRow, match="not finite"):
+            parse_scenario_config(text)
+        return
+    # A finite value either fails as a data error or yields finite power.
+    try:
+        scenario = parse_scenario_config(text)
+        ctx = peak_context(scenario)
+        breakdown = step_power(1.0, scenario.reference_ambient_c, scenario,
+                               ctx)
+    except SimulationError:
+        return
+    assert math.isfinite(breakdown.total_w)
+
+
+@pytest.mark.parametrize("table", ["30:nan", "nan:3.5", "inf:3;20:4",
+                                   "30:3.5;20:inf"])
+def test_eer_table_rejects_non_finite(table):
+    with pytest.raises(MalformedRow, match="not finite"):
+        parse_scenario_config(MINIMAL + f"eer.table={table}\n")
+
+
+SUPPLY = default_scenario().supply
+SPEC_FIELDS = {
+    "chiller.alpha": lambda v: cooling.ChillerSpec(alpha=v),
+    "chiller.beta": lambda v: cooling.ChillerSpec(beta=v),
+    "chiller.gamma": lambda v: cooling.ChillerSpec(gamma=v),
+    "chiller.sizing_factor": lambda v: cooling.ChillerSpec(sizing_factor=v),
+    "crah.idle_frac": lambda v: cooling.CrahSpec(idle_frac=v),
+    "crah.eta_heat": lambda v: cooling.CrahSpec(eta_heat=v),
+    "crah.unit_capacity_kw": lambda v: cooling.CrahSpec(unit_capacity_kw=v),
+    "crah.unit_airflow_cmh": lambda v: cooling.CrahSpec(unit_airflow_cmh=v),
+    "crac.idle_frac": lambda v: cooling.CracSpec(idle_frac=v),
+    "crac.cop": lambda v: cooling.CracSpec(cop=v),
+    "eer.ambient": lambda v: cooling.EerTable(((v, 3.0),)),
+    "eer.eer": lambda v: cooling.EerTable(((30.0, v),)),
+    "server.count": lambda v: server_farm.ServerSpec(v, 1.0, 2.0),
+    "server.p_idle_w": lambda v: server_farm.ServerSpec(1, v, 2.0),
+    "server.p_peak_w": lambda v: server_farm.ServerSpec(1, 1.0, v),
+    "supply.pdu_count": lambda v: replace(SUPPLY, pdu_count=v),
+    "supply.pdu_idle_total_w": lambda v: replace(SUPPLY, pdu_idle_total_w=v),
+    "supply.ups_idle_w": lambda v: replace(SUPPLY, ups_idle_w=v),
+    "supply.lambda_pdu_per_w": lambda v: replace(SUPPLY, lambda_pdu_per_w=v),
+    "supply.lambda_ups": lambda v: replace(SUPPLY, lambda_ups=v),
+    "pump_fraction": lambda v: replace(default_scenario(), pump_fraction=v),
+    "misc_fraction": lambda v: replace(default_scenario(), misc_fraction=v),
+    "consolidation": lambda v: replace(default_scenario(), consolidation=v),
+    "reference_ambient_c":
+        lambda v: replace(default_scenario(), reference_ambient_c=v),
+}
+
+
+@pytest.mark.parametrize("field", sorted(SPEC_FIELDS))
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_specs_reject_non_finite(field, value):
+    with pytest.raises(SimulationError):
+        SPEC_FIELDS[field](value)

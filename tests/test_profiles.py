@@ -1,12 +1,20 @@
 """Profile CSV parsing and result serialization tests."""
 
+import csv
+import datetime as dt
+import io
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dcpowersim.config import default_scenario
-from dcpowersim.engine import simulate
+from dcpowersim.engine import SimulationResult, simulate
 from dcpowersim.errors import (EmptyProfile, EmptyResult, GapInSeries,
-                               MalformedRow, NonMonotonicTime, OutOfRange)
-from dcpowersim.profiles import (RESULT_COLUMNS, parse_temperature_csv,
+                               MalformedRow, NonMonotonicTime, OutOfRange,
+                               SimulationError)
+from dcpowersim.profiles import (RESULT_COLUMNS, UtilisationProfile,
+                                 parse_temperature_csv,
                                  parse_utilisation_csv, write_results_csv)
 
 
@@ -88,6 +96,159 @@ def test_long_clean_series():
     assert len(profile) == 48
 
 
+def test_bom_prefixed_utilisation_accepted():
+    text = hourly_csv("timestamp,utilisation", [0.25, 0.5])
+    assert parse_utilisation_csv("\ufeff" + text) == \
+        parse_utilisation_csv(text)
+
+
+def test_only_one_bom_accepted():
+    text = hourly_csv("timestamp,utilisation", [0.25])
+    with pytest.raises(MalformedRow):
+        parse_utilisation_csv("\ufeff\ufeff" + text)
+
+
+# --- timestamps without strptime, against the strptime-only parser ---
+
+def strptime_parse_utilisation(text):
+    """The utilisation parser as it was before canonical stamps skipped
+    strptime: every stamp parsed, every spacing checked as a timedelta."""
+    rows = list(csv.reader(io.StringIO(text)))
+    header = ("timestamp", "utilisation")
+    if not rows or tuple(cell.strip() for cell in rows[0]) != header:
+        raise MalformedRow(
+            f"expected header {','.join(header)!r}, got "
+            f"{','.join(rows[0]) if rows else ''!r}"
+        )
+    timestamps, values, previous = [], [], None
+    for row_no, row in enumerate(rows[1:], start=1):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) != 2:
+            raise MalformedRow(
+                f"row {row_no}: expected 2 fields, got {len(row)}")
+        stamp_text = row[0].strip()
+        try:
+            parsed = dt.datetime.strptime(stamp_text, "%Y-%m-%dT%H:%M")
+        except ValueError:
+            raise MalformedRow(
+                f"row {row_no}: bad timestamp {stamp_text!r}, expected "
+                f"YYYY-MM-DDTHH:MM") from None
+        try:
+            value = float(row[1])
+        except ValueError:
+            raise MalformedRow(
+                f"row {row_no}: bad number {row[1]!r}") from None
+        if not 0.0 <= value <= 1.0:
+            raise OutOfRange(
+                f"row {row_no}: utilisation {value} outside [0, 1]")
+        if previous is not None:
+            delta = parsed - previous
+            if delta <= dt.timedelta(0):
+                raise NonMonotonicTime(
+                    f"row {row_no}: timestamp {stamp_text!r} does not advance")
+            if delta != dt.timedelta(hours=1):
+                raise GapInSeries(
+                    f"row {row_no}: spacing {delta} is not exactly one hour")
+        previous = parsed
+        timestamps.append(stamp_text)
+        values.append(value)
+    if not timestamps:
+        raise EmptyProfile("profile has a header but no data rows")
+    return UtilisationProfile(tuple(timestamps), tuple(values))
+
+
+LAST_HOUR = dt.datetime(9999, 12, 31, 23, 0)
+STARTS = [dt.datetime(2016, 2, 28, 21), dt.datetime(2016, 2, 29, 22),
+          dt.datetime(2100, 2, 28, 22), dt.datetime(2016, 12, 31, 21),
+          dt.datetime(2016, 1, 31, 23), dt.datetime(999, 12, 31, 22),
+          dt.datetime(1, 1, 1), dt.datetime(9999, 12, 31, 20)]
+# Rows of each kind; "keep" is canonical and most common, "jump" moves
+# the clock by anything but one hour: a duplicate, a backward step, a
+# minute off, a 2 h gap, a day and an hour.
+KINDS = ["keep"] * 6 + ["unpadded", "spaces", "jump", "jump", "blank",
+                        "bad_value"]
+JUMPS_MIN = [0, -60, -1, 30, 59, 61, 90, 120, 24 * 60, 25 * 60]
+
+
+def spelled(when, kind):
+    if kind == "unpadded":   # strptime takes one-digit fields
+        return (f"{when.year:04d}-{when.month}-{when.day}T{when.hour}:"
+                f"{when.minute}")
+    stamp = when.isoformat(timespec="minutes")
+    return f"  {stamp} " if kind == "spaces" else stamp
+
+
+@st.composite
+def perturbed_series(draw):
+    start = draw(st.sampled_from(STARTS) | st.datetimes(
+        dt.datetime(1, 1, 1), LAST_HOUR).map(
+            lambda d: d.replace(second=0, microsecond=0)))
+    when = start.replace(minute=draw(st.sampled_from([0, 0, 30, 59])))
+    lines = ["timestamp,utilisation"]
+    for _ in range(draw(st.integers(1, 40))):
+        kind = draw(st.sampled_from(KINDS))
+        if kind == "blank":
+            lines.append("")
+            continue
+        shift = draw(st.sampled_from(JUMPS_MIN)) if kind == "jump" else 60
+        if len(lines) == 1:
+            shift = 0
+        try:
+            when += dt.timedelta(minutes=shift)
+        except OverflowError:   # past 9999-12-31: any row may follow
+            when = draw(st.sampled_from([LAST_HOUR, start]))
+        value = "1.5" if kind == "bad_value" else "0.5"
+        lines.append(f"{spelled(when, kind)},{value}")
+    return "\n".join(lines) + "\n"
+
+
+def outcome(parse, text):
+    try:
+        return parse(text)
+    except SimulationError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=600, deadline=None)
+@given(text=perturbed_series())
+def test_parse_matches_strptime_parser(text):
+    assert outcome(parse_utilisation_csv, text) == \
+        outcome(strptime_parse_utilisation, text)
+
+
+@pytest.mark.parametrize("rows, error", [
+    (["9999-12-31T23:00", "9999-12-31T23:00"], NonMonotonicTime),
+    (["9999-12-31T23:00", "2016-06-01T00:00"], NonMonotonicTime),
+    (["9999-12-31T22:00", "9999-12-31T23:00", "9999-12-31T23:59"],
+     GapInSeries),
+    (["2100-02-28T23:00", "2100-02-29T00:00"], MalformedRow),
+    (["2016-02-28T23:00", "2016-02-29T00:00", "2016-02-29T02:00"],
+     GapInSeries),
+    (["2016-02-28T23:00", "2016-03-01T00:00"], GapInSeries),
+    (["2016-12-31T23:00", "2017-01-02T00:00"], GapInSeries),
+    (["2016-06-01T10:30", "2016-06-01T11:00"], GapInSeries),
+    (["2016-06-01T10:30", "2016-06-01T11:30", "2016-06-01T11:30"],
+     NonMonotonicTime),
+])
+def test_edge_series_match_strptime_parser(rows, error):
+    text = "timestamp,utilisation\n" + "".join(f"{r},0.5\n" for r in rows)
+    got = outcome(parse_utilisation_csv, text)
+    assert got == outcome(strptime_parse_utilisation, text)
+    assert got[0] is error
+
+
+def test_canonical_rollovers_accepted():
+    rows = ["2016-02-28T23:00", "2016-02-29T00:00", "2016-12-31T23:30",
+            "2100-02-28T23:00", "9999-12-31T22:00"]
+    for first in rows:
+        when = dt.datetime.fromisoformat(first)
+        text = "timestamp,utilisation\n" + "".join(
+            f"{(when + dt.timedelta(hours=h)).isoformat(timespec='minutes')}"
+            f",0.5\n" for h in range(2))
+        assert parse_utilisation_csv(text) == strptime_parse_utilisation(text)
+
+
 # --- temperature parser ---
 
 def test_temperature_echo():
@@ -112,6 +273,12 @@ def test_negative_temperatures_accepted():
     profile = parse_temperature_csv(
         "timestamp,temperature_c\n2016-06-01T00:00,-12.5")
     assert profile.values == (-12.5,)
+
+
+def test_bom_prefixed_temperatures_accepted():
+    text = hourly_csv("timestamp,temperature_c", [-3.5, 12.0])
+    assert parse_temperature_csv("\ufeff" + text) == \
+        parse_temperature_csv(text)
 
 
 # --- results CSV ---
@@ -151,8 +318,8 @@ def test_component_columns_sum_to_total():
 
 def test_empty_result_rejected():
     result = run_constant(1)
-    empty = type(result)(steps=(), energy_wh={}, shares={},
-                         total_energy_wh=0.0)
+    empty = type(result)(timestamps=(), utilisation=(), ambient_c=(),
+                         components=((),) * 8)
     with pytest.raises(EmptyResult):
         write_results_csv(empty)
 
@@ -172,3 +339,55 @@ def test_round_trip_preserves_profile_columns():
             result.steps[i].utilisation, rel=1e-6)
         assert temp.values[i] == pytest.approx(
             result.steps[i].ambient_c, rel=1e-6)
+
+
+def csv_writer_text(result):
+    """The results CSV as csv.writer with .10g numbers used to write it."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(RESULT_COLUMNS)
+    for step in result.steps:
+        writer.writerow([step.timestamp,
+                         *(format(x, ".10g") for x in (
+                             step.utilisation, step.ambient_c,
+                             *step.power.values(), step.power.total_w))])
+    return out.getvalue()
+
+
+def hand_built(stamps):
+    n = len(stamps)
+    return SimulationResult(
+        stamps, (0.5,) * n, (30.0,) * n,
+        tuple((float(10 ** k) / 3,) * n for k in range(8)))
+
+
+def test_csv_quotes_timestamps_as_csv_writer_does():
+    result = hand_built(("2016-06-01T00:00", 'say "hi"', "a,b",
+                         "two\nlines", " padded ", ""))
+    assert write_results_csv(result) == csv_writer_text(result)
+
+
+def test_csv_quotes_a_carriage_return():
+    # csv.writer quotes a lone CR only from Python 3.13 on; the results CSV
+    # always does, so a reader gets the stamp back on every version.
+    stamps = ("a\rb", "c\r\nd", "e\r")
+    text = write_results_csv(hand_built(stamps))
+    rows = list(csv.reader(io.StringIO(text, newline="")))
+    assert tuple(row[0] for row in rows[1:]) == stamps
+
+
+# Text without a CR, whose quoting by csv.writer depends on the version.
+STAMP_TEXT = st.text(st.characters(blacklist_characters="\r"), max_size=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(
+    STAMP_TEXT, st.floats(0.0, 1.0),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.lists(st.floats(min_value=0.0, allow_infinity=False), min_size=8,
+             max_size=8)), min_size=1, max_size=20))
+def test_csv_matches_csv_writer(rows):
+    result = SimulationResult(
+        tuple(r[0] for r in rows), tuple(r[1] for r in rows),
+        tuple(r[2] for r in rows), tuple(zip(*(r[3] for r in rows))))
+    assert write_results_csv(result) == csv_writer_text(result)
