@@ -13,20 +13,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .config import CoolingArchitecture, ScenarioConfig
-from .engine import (COMPONENT_NAMES, PeakContext, peak_context, simulate,
-                     step_power)
+from .config import COMPONENTS, CoolingArchitecture, ScenarioConfig
+from .engine import PeakContext, peak_context, simulate, step_power
 from .errors import OutOfRange
 from .profiles import AmbientProfile, UtilisationProfile
 
 CURTAIL_RELATIVE_TOLERANCE = 1e-6
-
-# Which breakdown components constitute "cooling" for each architecture.
-_COOLING_COMPONENTS = {
-    CoolingArchitecture.CRAH_CHILLER: ("chiller", "crah", "pumps"),
-    CoolingArchitecture.CRAC: ("crac",),
-    CoolingArchitecture.FREE_AIR: ("crah",),
-}
 
 
 @dataclass(frozen=True)
@@ -57,6 +49,10 @@ class ArchitectureComparison:
 
     @property
     def relative_increase(self) -> float:
+        if self.baseline_cooling_energy_wh == 0.0:
+            raise OutOfRange(
+                f"baseline {self.baseline.value} draws no cooling energy; "
+                "the relative increase is undefined")
         return (self.alternative_cooling_energy_wh
                 / self.baseline_cooling_energy_wh - 1.0)
 
@@ -126,9 +122,10 @@ def compare_architectures(
     """
     def cooling_series(arch: CoolingArchitecture) -> tuple[float, ...]:
         run = simulate(utilisation, ambient, scenario.with_architecture(arch))
-        loads = dict(zip(COMPONENT_NAMES, run.components))
-        return tuple(map(sum, zip(*[loads[name] for name in
-                                    _COOLING_COMPONENTS[arch]])))
+        return tuple(map(sum, zip(*[
+            load for load, component in zip(run.components, COMPONENTS)
+            if component.group == "cooling"
+            and arch in component.architectures])))
 
     base_series, alt_series = map(cooling_series, (baseline, alternative))
     return ArchitectureComparison(

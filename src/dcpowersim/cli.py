@@ -17,9 +17,9 @@ outputs renamed before it with their new text and the rest untouched.
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
-import tempfile
 
 from . import analysis, engine, profiles, svg
 from .config import CoolingArchitecture, ScenarioConfig, parse_scenario_config
@@ -39,10 +39,12 @@ class _Parser(argparse.ArgumentParser):
 
 def _temps_list(raw: str) -> list[float]:
     try:
-        return [float(part) for part in raw.split(",") if part.strip()]
+        if temps := [float(part) for part in raw.split(",") if part.strip()]:
+            return temps
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"--temps expects a comma-separated list of numbers, got {raw!r}")
+        pass
+    raise argparse.ArgumentTypeError(
+        f"--temps expects a comma-separated list of numbers, got {raw!r}")
 
 
 def build_parser() -> _Parser:
@@ -116,16 +118,21 @@ def _load_scenario(path: str,
 
 def _write_all_atomic(payloads: dict[str, str]) -> None:
     """Stage every file as a temp, then rename them all (module docstring)."""
-    umask = os.umask(0)   # reading the umask means setting it; put it back
-    os.umask(umask)
     staged: list[tuple[str, str]] = []
     try:
         for path, text in payloads.items():
             directory = os.path.dirname(os.path.abspath(path))
-            fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
+            for n in itertools.count():   # the first name not yet taken
+                tmp_path = os.path.join(directory,
+                                        f"dcpowersim-{os.getpid()}-{n}.tmp")
+                try:   # created by the kernel, so the umask applies
+                    fd = os.open(tmp_path,
+                                 os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+                    break
+                except FileExistsError:
+                    pass
             staged.append((tmp_path, path))
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                os.fchmod(handle.fileno(), 0o666 & ~umask)
                 handle.write(text)
         while staged:
             os.replace(*staged[0])

@@ -9,18 +9,23 @@ namespaces, e.g.::
     architecture=crah_chiller
     consolidation=1.0
 
-Server sizing and the architecture are mandatory; everything else falls
-back to documented defaults.  Supply-loss coefficients are not configured
+Server sizing and the architecture are mandatory; every other key falls
+back to the default of the spec field it names (``chiller.alpha`` is
+``ChillerSpec.alpha``).  Supply-loss coefficients are not configured
 directly: the config carries the calibration targets (idle fractions and
-the peak loss fraction) and the concrete coefficients are solved when the
-scenario is built.
+the peak loss fraction) and ``power_chain.calibrate_supply`` solves the
+coefficients when the scenario is built.
+
+``COMPONENTS`` is the component table: each load's name, group and the
+cooling architectures that include it.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from typing import NamedTuple
 
 from . import cooling, power_chain, server_farm
 from .errors import (InvalidFractions, InvariantViolation, MalformedRow,
@@ -31,6 +36,28 @@ class CoolingArchitecture(enum.Enum):
     CRAH_CHILLER = "crah_chiller"
     CRAC = "crac"
     FREE_AIR = "free_air"
+
+
+class Component(NamedTuple):
+    name: str
+    group: str                  # "it", "supply", "cooling" or "overhead"
+    architectures: frozenset    # the CoolingArchitectures that include it
+
+
+_EVERY = frozenset(CoolingArchitecture)
+_CHILLED = frozenset({CoolingArchitecture.CRAH_CHILLER})
+
+# The eight loads, in the column order of every result.
+COMPONENTS = (
+    Component("server_farm", "it", _EVERY),
+    Component("pdu_loss", "supply", _EVERY),
+    Component("ups_loss", "supply", _EVERY),
+    Component("chiller", "cooling", _CHILLED),
+    Component("crah", "cooling", _CHILLED | {CoolingArchitecture.FREE_AIR}),
+    Component("crac", "cooling", frozenset({CoolingArchitecture.CRAC})),
+    Component("pumps", "cooling", _CHILLED),
+    Component("misc", "overhead", _EVERY),
+)
 
 
 @dataclass(frozen=True)
@@ -72,38 +99,30 @@ class ScenarioConfig:
         return replace(self, architecture=architecture)
 
 
-# Calibration targets for the supply chain; consumed at scenario build time.
-_SUPPLY_DEFAULTS = {
-    "supply.pdu_count": 100,
-    "supply.pdu_idle_total_frac": 0.015,
-    "supply.ups_idle_frac": 0.03,
-    "supply.peak_loss_frac": 0.15,
-}
+def _spec_keys(prefix: str, spec: type) -> dict[str, str]:
+    return {f"{prefix}.{f.name}": f.name for f in fields(spec)}
 
-_FLOAT_DEFAULTS = {
-    "consolidation": 1.0,
-    "chiller.alpha": 0.32,
-    "chiller.beta": 0.11,
-    "chiller.gamma": 0.63,
-    "chiller.sizing_factor": 0.7,
-    "crah.idle_frac": 0.08,
-    "crah.eta_heat": 1.0,
-    "crah.unit_capacity_kw": 7.5,
-    "crah.unit_airflow_cmh": 14000.0,
-    "crac.idle_frac": 0.25,
-    "crac.cop": 6.0,
-    "pump_fraction": 0.04,
-    "misc_fraction": 0.06,
-    "reference_ambient_c": 30.0,
+
+# Config key -> parameter, per target.  Only the keys present are passed,
+# so every default lives in its dataclass or in ``calibrate_supply``.
+_PARAMETERS = {
+    "server": _spec_keys("server", server_farm.ServerSpec),
+    "supply": {"supply.pdu_count": "pdu_count",
+               "supply.pdu_idle_total_frac": "pdu_idle_frac",
+               "supply.ups_idle_frac": "ups_idle_frac",
+               "supply.peak_loss_frac": "peak_loss_frac"},
+    "chiller": _spec_keys("chiller", cooling.ChillerSpec),
+    "crah": _spec_keys("crah", cooling.CrahSpec),
+    "crac": _spec_keys("crac", cooling.CracSpec),
+    "scenario": {key: key for key in ("architecture", "pump_fraction",
+                                      "misc_fraction", "reference_ambient_c",
+                                      "consolidation")} | {"eer.table": "eer"},
 }
 
 _INT_KEYS = frozenset({"server.count", "supply.pdu_count"})
 _REQUIRED_KEYS = ("server.count", "server.p_idle_w", "server.p_peak_w",
                   "architecture")
-_KNOWN_KEYS = (frozenset(_SUPPLY_DEFAULTS) | frozenset(_FLOAT_DEFAULTS)
-               | frozenset(_REQUIRED_KEYS)
-               | frozenset({"server.p_idle_w", "server.p_peak_w",
-                            "eer.table"}))
+_KNOWN_KEYS = frozenset().union(*_PARAMETERS.values())
 
 
 def _parse_number(key: str, raw: str, line_no: int) -> float | int:
@@ -143,7 +162,6 @@ def _parse_eer_table(raw: str, line_no: int) -> cooling.EerTable:
 def parse_scenario_config(text: str) -> ScenarioConfig:
     """Parse a key=value scenario description into a validated config."""
     values: dict[str, object] = {}
-    eer_table = None
     for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -154,7 +172,7 @@ def parse_scenario_config(text: str) -> ScenarioConfig:
         key, raw = (part.strip() for part in stripped.split("=", 1))
         if key not in _KNOWN_KEYS:
             raise UnknownKey(f"line {line_no}: unknown config key {key!r}")
-        if key in values or (key == "eer.table" and eer_table is not None):
+        if key in values:
             raise MalformedRow(f"line {line_no}: duplicate key {key!r}")
         if key == "architecture":
             try:
@@ -165,7 +183,7 @@ def parse_scenario_config(text: str) -> ScenarioConfig:
                     f"line {line_no}: architecture must be one of {names}, "
                     f"got {raw!r}") from None
         elif key == "eer.table":
-            eer_table = _parse_eer_table(raw, line_no)
+            values[key] = _parse_eer_table(raw, line_no)
         else:
             values[key] = _parse_number(key, raw, line_no)
 
@@ -173,48 +191,19 @@ def parse_scenario_config(text: str) -> ScenarioConfig:
         if key not in values:
             raise MissingRequired(f"missing required config key {key!r}")
 
-    def get(key: str) -> object:
-        if key in values:
-            return values[key]
-        return _SUPPLY_DEFAULTS.get(key, _FLOAT_DEFAULTS.get(key))
-
-    server = server_farm.ServerSpec(
-        count=int(values["server.count"]),
-        p_idle_w=float(values["server.p_idle_w"]),
-        p_peak_w=float(values["server.p_peak_w"]),
-    )
-    supply = power_chain.calibrate_supply(
-        farm_peak_w=server.farm_peak_w,
-        pdu_count=int(get("supply.pdu_count")),
-        pdu_idle_frac=float(get("supply.pdu_idle_total_frac")),
-        ups_idle_frac=float(get("supply.ups_idle_frac")),
-        peak_loss_frac=float(get("supply.peak_loss_frac")),
-    )
+    given = {target: {name: values[key] for key, name in keys.items()
+                      if key in values}
+             for target, keys in _PARAMETERS.items()}
+    server = server_farm.ServerSpec(**given["server"])
+    supply = power_chain.calibrate_supply(server.farm_peak_w,
+                                          **given["supply"])
     return ScenarioConfig(
         server=server,
         supply=supply,
-        architecture=values["architecture"],
-        chiller=cooling.ChillerSpec(
-            alpha=float(get("chiller.alpha")),
-            beta=float(get("chiller.beta")),
-            gamma=float(get("chiller.gamma")),
-            sizing_factor=float(get("chiller.sizing_factor")),
-        ),
-        crah=cooling.CrahSpec(
-            idle_frac=float(get("crah.idle_frac")),
-            eta_heat=float(get("crah.eta_heat")),
-            unit_capacity_kw=float(get("crah.unit_capacity_kw")),
-            unit_airflow_cmh=float(get("crah.unit_airflow_cmh")),
-        ),
-        crac=cooling.CracSpec(
-            idle_frac=float(get("crac.idle_frac")),
-            cop=float(get("crac.cop")),
-        ),
-        eer=eer_table if eer_table is not None else cooling.EerTable(),
-        pump_fraction=float(get("pump_fraction")),
-        misc_fraction=float(get("misc_fraction")),
-        reference_ambient_c=float(get("reference_ambient_c")),
-        consolidation=float(get("consolidation")),
+        chiller=cooling.ChillerSpec(**given["chiller"]),
+        crah=cooling.CrahSpec(**given["crah"]),
+        crac=cooling.CracSpec(**given["crac"]),
+        **given["scenario"],
     )
 
 

@@ -1,10 +1,8 @@
 """Cooling component models.
 
-Three alternative heat-removal stacks are covered:
-
-  * chilled-water plant feeding CRAH air handlers (chiller + CRAH),
-  * direct-expansion CRAC units with their own condensers (CRAC only),
-  * free-air ventilation (CRAH fans only, no refrigeration).
+A chilled-water plant, CRAH air handlers and direct-expansion CRAC units
+with their own condensers; which cooling architecture uses which is the
+component table, ``config.COMPONENTS``.
 
 Key relations, with U the farm utilisation and F the farm design peak:
 

@@ -1,8 +1,7 @@
 """Composition engine: a scenario compiled into quadratics, run per hour.
 
-Cooling per architecture: ``crah_chiller`` is a chiller, CRAH fans and
-water pumps, ``crac`` is CRAC units with their own condensers (no pumps),
-``free_air`` is CRAH fans only.
+Which loads a cooling architecture includes is read from the component
+table, ``config.COMPONENTS``; the loads it excludes are exactly 0.
 
 At one outdoor temperature every load is a quadratic c0 + c1*U + c2*U^2
 in utilisation U with every coefficient >= 0.  :func:`peak_context`
@@ -17,13 +16,13 @@ triples, with F the farm peak and L the consolidation:
 
 Outdoor temperature enters only through a = EER(reference) / EER(ambient),
 which multiplies the chiller and the CRAC condenser term, never the CRAC
-idle floor.  Absent components stay exactly 0.  The per-component
-functions of ``server_farm``, ``power_chain`` and ``cooling`` remain the
-reference model the compiled form is tested against.
+idle floor.  The per-component functions of ``server_farm``,
+``power_chain`` and ``cooling`` remain the reference model the compiled
+form is tested against.
 
-Misc load is a fraction mu of the design peak and pump load (chilled
-water only) a fraction phi of the instantaneous total.  With S the
-component sum at design conditions both resolve in closed form:
+Misc load is a fraction mu of the design peak and pump load a fraction
+phi of the instantaneous total.  With S the component sum at design
+conditions both resolve in closed form:
 
     total_peak = S / (1 - phi - mu)
     total(t)   = (components(t) + misc) / (1 - phi)
@@ -33,16 +32,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Sequence
 
 from . import cooling
-from .config import CoolingArchitecture, ScenarioConfig
+from .config import COMPONENTS, ScenarioConfig
 from .errors import (EmptyProfile, EmptyResult, InvariantViolation,
                      OutOfRange, ProfileMismatch)
 from .profiles import AmbientProfile, UtilisationProfile
 
-COMPONENT_NAMES = ("server_farm", "pdu_loss", "ups_loss", "chiller", "crah",
-                   "crac", "pumps", "misc")
+COMPONENT_NAMES = tuple(component.name for component in COMPONENTS)
 
 Quadratic = tuple[float, float, float]   # (c0, c1, c2) in U
 _ZERO: Quadratic = (0.0, 0.0, 0.0)
@@ -76,20 +75,21 @@ class PowerBreakdown:
 
     def values(self) -> tuple[float, ...]:
         """Components in the canonical order, without the total."""
-        return (self.server_farm_w, self.pdu_loss_w, self.ups_loss_w,
-                self.chiller_w, self.crah_w, self.crac_w, self.pumps_w,
-                self.misc_w)
+        return _COMPONENT_FIELDS(self)
 
     def as_dict(self) -> dict[str, float]:
         """Components by name in the canonical order, without the total."""
         return dict(zip(COMPONENT_NAMES, self.values()))
 
 
+_COMPONENT_FIELDS = attrgetter(*(f"{name}_w" for name in COMPONENT_NAMES))
+
+
 @dataclass(frozen=True)
 class PeakContext:
     """A scenario compiled into its quadratic form, plus its design peak.
 
-    Load i (farm, PDU, UPS, chiller, CRAH, CRAC) draws
+    Load i, the i-th of ``COMPONENT_NAMES`` before pumps and misc, draws
     ``fixed[i](U) + a * refrigeration[i](U)``: ``refrigeration`` holds the
     terms the ambient adjustment ``a`` scales.
     """
@@ -166,8 +166,10 @@ class SimulationResult:
     def __post_init__(self) -> None:
         columns = (self.timestamps, self.utilisation, self.ambient_c,
                    *self.components)
-        if len(columns) != 11 or len(set(map(len, columns))) > 1:
-            raise InvariantViolation("3 input and 8 load columns, one length")
+        if (len(columns) != 3 + len(COMPONENT_NAMES)
+                or len(set(map(len, columns))) > 1):
+            raise InvariantViolation(
+                f"3 input and {len(COMPONENT_NAMES)} load columns, one length")
         # Totals summed as PowerBreakdown sums them; 1-hour steps: W = Wh.
         object.__setattr__(self, "total_w",
                            tuple(map(sum, zip(*self.components))))
@@ -195,36 +197,40 @@ def peak_context(scenario: ScenarioConfig) -> PeakContext:
     """Compile a scenario: its quadratics in U and its design peak."""
     server, supply = scenario.server, scenario.supply
     farm_peak_w = server.farm_peak_w
-    chilled = scenario.architecture is CoolingArchitecture.CRAH_CHILLER
-    # Water pumps exist only alongside a chilled-water loop.
-    phi = scenario.pump_fraction if chilled else 0.0
+    included = {component.name for component in COMPONENTS
+                if scenario.architecture in component.architectures}
     idle_w = server.p_idle_w * scenario.consolidation
     farm = (server.count * idle_w, server.count * (server.p_peak_w - idle_w),
             0.0)
     k = supply.lambda_pdu_per_w / supply.pdu_count
-    pdu = (supply.pdu_idle_total_w + k * farm[0] ** 2,
-           2.0 * k * farm[0] * farm[1], k * farm[1] ** 2)
+    try:
+        pdu = (supply.pdu_idle_total_w + k * farm[0] ** 2,
+               2.0 * k * farm[0] * farm[1], k * farm[1] ** 2)
+    except OverflowError:   # float ** raises where * would give inf
+        raise OutOfRange(f"farm peak {farm_peak_w!r} W is too large") from None
     ups = (supply.ups_idle_w + supply.lambda_ups * (farm[0] + pdu[0]),
            supply.lambda_ups * (farm[1] + pdu[1]), supply.lambda_ups * pdu[2])
     # Fan power is proportional to U, so its slope is its draw at U = 1.
     fan_w = cooling.airflow_heat_power(1.0, farm_peak_w, scenario.crah)
-    crah = (scenario.crah.idle_frac * farm_peak_w, fan_w, 0.0)
-    fixed = [farm, pdu, ups, _ZERO, crah, _ZERO]
-    refrigeration = [_ZERO] * 6
-    if chilled:
-        size_w = scenario.chiller.sizing_factor * farm_peak_w
-        refrigeration[3] = (size_w * scenario.chiller.gamma,
-                            size_w * scenario.chiller.beta,
-                            size_w * scenario.chiller.alpha)
-    elif scenario.architecture is CoolingArchitecture.CRAC:
-        fixed[4] = _ZERO
-        fixed[5] = (scenario.crac.idle_frac * farm_peak_w, 0.0, 0.0)
-        refrigeration[5] = (0.0, (1.0 + scenario.crac.cop) * fan_w, 0.0)
+    chiller, crac = scenario.chiller, scenario.crac
+    size_w = chiller.sizing_factor * farm_peak_w
+    loads = {   # (fixed, refrigeration) per load, in table order
+        "server_farm": (farm, _ZERO), "pdu_loss": (pdu, _ZERO),
+        "ups_loss": (ups, _ZERO),
+        "chiller": (_ZERO, (size_w * chiller.gamma, size_w * chiller.beta,
+                            size_w * chiller.alpha)),
+        "crah": ((scenario.crah.idle_frac * farm_peak_w, fan_w, 0.0), _ZERO),
+        "crac": ((crac.idle_frac * farm_peak_w, 0.0, 0.0),
+                 (0.0, (1.0 + crac.cop) * fan_w, 0.0)),
+    }
+    fixed, refrigeration = zip(*(pair if name in included else (_ZERO, _ZERO)
+                                 for name, pair in loads.items()))
+    phi = scenario.pump_fraction if "pumps" in included else 0.0
+    mu = scenario.misc_fraction if "misc" in included else 0.0
     # At U = 1 and a = 1 each load is its coefficient sum; ScenarioConfig
     # keeps pump_fraction + misc_fraction below 1.
-    total_peak_w = (sum(map(sum, fixed + refrigeration))
-                    / (1.0 - phi - scenario.misc_fraction))
-    misc_constant_w = scenario.misc_fraction * total_peak_w
+    total_peak_w = sum(map(sum, fixed + refrigeration)) / (1.0 - phi - mu)
+    misc_constant_w = mu * total_peak_w
     # Finite coefficients >= 0 give finite loads >= 0 for U in [0, 1], a > 0.
     if not all(0.0 <= c < math.inf
                for c in (misc_constant_w, *sum(fixed + refrigeration, ()))):
@@ -237,8 +243,8 @@ def peak_context(scenario: ScenarioConfig) -> PeakContext:
         eer=scenario.eer,
         reference_eer=cooling.eer_lookup(scenario.reference_ambient_c,
                                          scenario.eer),
-        fixed=tuple(fixed),
-        refrigeration=tuple(refrigeration),
+        fixed=fixed,
+        refrigeration=refrigeration,
     )
 
 

@@ -18,6 +18,7 @@ import io
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from .config import COMPONENTS
 from .errors import (EmptyProfile, EmptyResult, GapInSeries, MalformedRow,
                      NonMonotonicTime, OutOfRange)
 
@@ -32,11 +33,9 @@ _NEXT_HOUR = {f"{h:02d}": f"{h + 1:02d}" for h in range(23)}   # within a day
 UTILISATION_HEADER = ("timestamp", "utilisation")
 TEMPERATURE_HEADER = ("timestamp", "temperature_c")
 
-RESULT_COLUMNS = (
-    "timestamp", "utilisation", "ambient_c", "server_farm_w", "pdu_loss_w",
-    "ups_loss_w", "chiller_w", "crah_w", "crac_w", "pumps_w", "misc_w",
-    "total_w",
-)
+RESULT_COLUMNS = ("timestamp", "utilisation", "ambient_c",
+                  *(f"{component.name}_w" for component in COMPONENTS),
+                  "total_w")
 
 TEMPERATURE_BOUNDS_C = (-60.0, 60.0)
 

@@ -12,6 +12,7 @@ from dcpowersim.analysis import (CURTAIL_RELATIVE_TOLERANCE,
                                  peak_breakdown, power_curve)
 from dcpowersim.config import (CoolingArchitecture, ScenarioConfig,
                                default_scenario)
+from dcpowersim.cooling import CrahSpec
 from dcpowersim.engine import peak_context, step_power
 from dcpowersim.errors import OutOfRange
 from dcpowersim.power_chain import SupplyChainSpec
@@ -242,3 +243,17 @@ def test_swapping_roles_negates_differences():
         backward_diff = (backward.alternative_cooling_w[i]
                          - backward.baseline_cooling_w[i])
         assert backward_diff == pytest.approx(-forward_diff, rel=1e-12)
+
+
+def test_zero_baseline_cooling_energy_is_out_of_range():
+    # Free air with no fan idle floor draws nothing at U = 0.
+    scenario = replace(SCENARIO, crah=CrahSpec(idle_frac=0.0))
+    utilisation, ambient = constant_profiles(1, 0.0, 30.0)
+    comparison = compare_architectures(
+        utilisation, ambient, scenario,
+        baseline=CoolingArchitecture.FREE_AIR,
+        alternative=CoolingArchitecture.CRAC)
+    assert comparison.baseline_cooling_energy_wh == 0.0
+    assert comparison.alternative_cooling_energy_wh > 0.0
+    with pytest.raises(OutOfRange, match="baseline free_air"):
+        comparison.relative_increase

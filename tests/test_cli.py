@@ -297,3 +297,26 @@ def test_bom_prefixed_inputs_give_the_same_outputs(tmp_path):
     bom = tmp_path / "bom.csv"
     assert run([*args, "--out", str(bom)]) == 0
     assert bom.read_bytes() == plain.read_bytes()
+
+
+@pytest.mark.parametrize("temps", [",", "", " , "])
+def test_empty_temperature_list_is_usage_error(tmp_path, temps):
+    config, _, _ = write_inputs(tmp_path)
+    out = tmp_path / "curve.csv"
+    done = run_process(["curve", "--config", str(config), "--temps", temps,
+                        "--out", str(out)])
+    assert done.returncode == 1
+    assert "--temps expects" in done.stderr
+    assert "Traceback" not in done.stderr
+    assert not out.exists()
+
+
+def test_temp_name_in_use_is_skipped(tmp_path):
+    # A temp left behind under the name this process would try first.
+    taken = tmp_path / f"dcpowersim-{os.getpid()}-0.tmp"
+    taken.write_text("someone else's\n")
+    out = tmp_path / "result.csv"
+    assert run(simulate_args(tmp_path, "--out", str(out))) == 0
+    assert out.read_text().startswith("timestamp,")
+    assert taken.read_text() == "someone else's\n"
+    assert list(tmp_path.glob("*.tmp")) == [taken]

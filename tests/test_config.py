@@ -1,7 +1,9 @@
 """Scenario config parsing tests."""
 
 import math
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -215,3 +217,10 @@ SPEC_FIELDS = {
 def test_specs_reject_non_finite(field, value):
     with pytest.raises(SimulationError):
         SPEC_FIELDS[field](value)
+
+
+def test_readme_config_block_parses_to_the_default_scenario():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"has defaults:\n\n```\n(.*?)```", readme, re.DOTALL)
+    assert block is not None
+    assert parse_scenario_config(block.group(1)) == default_scenario()

@@ -7,17 +7,18 @@ Design peak solves to (10 + 1.5 + 7.42 + 2.662) MW / 0.90 = 23.98 MW.
 """
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dcpowersim import cooling, power_chain, server_farm
+from dcpowersim.analysis import peak_breakdown, power_curve
 from dcpowersim.config import CoolingArchitecture, default_scenario
-from dcpowersim.engine import (PowerBreakdown, SimulationResult,
-                               peak_context, simulate, step_power,
-                               summarize_energy)
+from dcpowersim.engine import (COMPONENT_NAMES, PowerBreakdown,
+                               SimulationResult, peak_context, simulate,
+                               step_power, summarize_energy)
 from dcpowersim.errors import (EmptyProfile, EmptyResult, InvariantViolation,
                                OutOfRange, ProfileMismatch)
 from dcpowersim.profiles import AmbientProfile, UtilisationProfile
@@ -413,3 +414,90 @@ def test_summarize_rejects_empty():
                              components=((),) * 8)
     with pytest.raises(EmptyResult):
         summarize_energy(empty)
+
+
+# --- overflow ---
+
+@pytest.mark.parametrize("p_idle_w", [1e200, 0.0])
+def test_overflowing_farm_peak_is_out_of_range(p_idle_w):
+    # Built directly, so calibrate_supply never sees the farm peak.
+    scenario = replace(SCENARIO, server=server_farm.ServerSpec(
+        count=1, p_idle_w=p_idle_w, p_peak_w=1e200))
+    utilisation, ambient = profiles_from([0.5], [30.0])
+    for call in (lambda: peak_context(scenario),
+                 lambda: simulate(utilisation, ambient, scenario),
+                 lambda: power_curve([30.0], scenario, 3),
+                 lambda: peak_breakdown(scenario)):
+        with pytest.raises(OutOfRange, match="too large"):
+            call()
+
+
+# --- metamorphic properties, independent of both reference evaluations ---
+
+def test_breakdown_fields_follow_the_component_order():
+    names = [f.name for f in fields(PowerBreakdown) if f.init]
+    assert names == [f"{name}_w" for name in COMPONENT_NAMES]
+
+
+@st.composite
+def small_scenarios(draw):
+    p_peak_w = draw(st.floats(1.0, 1000.0))
+    p_idle_w = draw(st.floats(0.0, 1.0)) * p_peak_w
+    return replace(
+        default_scenario(draw(st.sampled_from(CoolingArchitecture)),
+                         count=draw(st.integers(1, 100_000)),
+                         p_idle_w=p_idle_w, p_peak_w=p_peak_w),
+        consolidation=draw(unit_interval()))
+
+
+hourly = st.lists(st.tuples(unit_interval(), st.floats(-60.0, 60.0)),
+                  min_size=1, max_size=24)
+
+
+@settings(max_examples=200, deadline=None)
+@given(scenario=small_scenarios(), k=st.integers(2, 1000), hours=hourly)
+def test_scaling_the_server_count_scales_every_column(scenario, k, hours):
+    server = scenario.server
+    scaled = replace(
+        default_scenario(scenario.architecture, count=server.count * k,
+                         p_idle_w=server.p_idle_w, p_peak_w=server.p_peak_w),
+        consolidation=scenario.consolidation)
+    utilisation, ambient = profiles_from(*zip(*hours))
+    one = simulate(utilisation, ambient, scenario)
+    many = simulate(utilisation, ambient, scaled)
+    for small, big in zip((*one.components, one.total_w),
+                          (*many.components, many.total_w)):
+        for x, y in zip(small, big):
+            assert math.isclose(y, k * x, rel_tol=1e-12, abs_tol=0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(scenario=small_scenarios(), table=eer_tables(), u=unit_interval(),
+       t=st.floats(-60.0, 60.0),
+       us=st.lists(unit_interval(), min_size=2, max_size=24),
+       ts=st.lists(st.floats(-60.0, 60.0), min_size=2, max_size=24))
+def test_total_is_nondecreasing_in_utilisation_and_ambient(scenario, table,
+                                                           u, t, us, ts):
+    scenario = replace(scenario, eer=table)
+    us, ts = sorted(us), sorted(ts)
+    by_u = simulate(*profiles_from(us, [t] * len(us)), scenario).total_w
+    by_t = simulate(*profiles_from([u] * len(ts), ts), scenario).total_w
+    assert all(b >= a for a, b in zip(by_u, by_u[1:])), by_u
+    # eer_lookup can rise by one ulp just past a breakpoint, so ambient
+    # gets a rounding allowance.
+    assert all(b >= a * (1.0 - 1e-12) for a, b in zip(by_t, by_t[1:])), by_t
+
+
+@settings(max_examples=200, deadline=None)
+@given(scenario=small_scenarios(), table=eer_tables(), hours=hourly)
+def test_architecture_leaves_it_and_supply_columns_bit_identical(
+        scenario, table, hours):
+    utilisation, ambient = profiles_from(*zip(*hours))
+    runs = [simulate(utilisation, ambient,
+                     replace(scenario, architecture=architecture, eer=table))
+            for architecture in CoolingArchitecture]
+    for run in runs[1:]:
+        for name in ("server_farm", "pdu_loss", "ups_loss"):
+            column = COMPONENT_NAMES.index(name)
+            assert [x.hex() for x in run.components[column]] == \
+                [x.hex() for x in runs[0].components[column]], name
