@@ -50,33 +50,32 @@ def _temps_list(raw: str) -> list[float]:
 def build_parser() -> _Parser:
     parser = _Parser(prog="dcpowersim",
                      description="Hourly data-centre power simulator")
-    sub = parser.add_subparsers(dest="command", parser_class=_Parser)
-    sub.required = True
+    sub = parser.add_subparsers(dest="command", parser_class=_Parser,
+                                required=True)
 
-    def add_config(p: _Parser) -> None:
+    def command(name: str, handler, help: str) -> _Parser:
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
         p.add_argument("--config", required=True, help="scenario config file")
+        return p
 
-    sim = sub.add_parser("simulate", help="simulate profiles to a CSV")
-    add_config(sim)
+    sim = command("simulate", _cmd_simulate, "simulate profiles to a CSV")
     sim.add_argument("--utilisation", required=True)
     sim.add_argument("--weather", required=True)
     sim.add_argument("--out", required=True)
     sim.add_argument("--svg", help="optional stacked-area chart")
 
-    peak = sub.add_parser("peak", help="print the design-peak breakdown")
-    add_config(peak)
+    peak = command("peak", _cmd_peak, "print the design-peak breakdown")
     peak.add_argument("--arch",
                       choices=[a.value for a in CoolingArchitecture])
 
-    curtail = sub.add_parser("curtail",
-                             help="solve utilisation for a power target")
-    add_config(curtail)
+    curtail = command("curtail", _cmd_curtail,
+                      "solve utilisation for a power target")
     curtail.add_argument("--ambient-c", type=float, required=True)
     curtail.add_argument("--target-w", type=float, required=True)
 
-    curve = sub.add_parser("curve",
-                           help="total power vs utilisation per temperature")
-    add_config(curve)
+    curve = command("curve", _cmd_curve,
+                    "total power vs utilisation per temperature")
     curve.add_argument("--temps", type=_temps_list, required=True)
     curve.add_argument("--points", type=int, default=21)
     curve.add_argument("--out", required=True)
@@ -84,9 +83,8 @@ def build_parser() -> _Parser:
     curve.add_argument("--arch",
                        choices=[a.value for a in CoolingArchitecture])
 
-    compare = sub.add_parser("compare",
-                             help="chilled-water vs CRAC cooling energy")
-    add_config(compare)
+    compare = command("compare", _cmd_compare,
+                      "chilled-water vs CRAC cooling energy")
     compare.add_argument("--utilisation", required=True)
     compare.add_argument("--weather", required=True)
     compare.add_argument("--out", required=True)
@@ -227,15 +225,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-_COMMANDS = {
-    "simulate": _cmd_simulate,
-    "peak": _cmd_peak,
-    "curtail": _cmd_curtail,
-    "curve": _cmd_curve,
-    "compare": _cmd_compare,
-}
-
-
 def run(argv: list[str]) -> int:
     """Parse ``argv`` and execute; returns the process exit status."""
     parser = build_parser()
@@ -244,7 +233,7 @@ def run(argv: list[str]) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](args)
+        return args.handler(args)
     except SimulationError as exc:
         print(f"dcpowersim: error: {exc}", file=sys.stderr)
         return _DATA_EXIT

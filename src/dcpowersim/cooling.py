@@ -23,7 +23,8 @@ import bisect
 import math
 from dataclasses import dataclass, field
 
-from .errors import InvariantViolation, InvertedTemperatures, OutOfRange
+from .errors import (FRACTION, NONNEGATIVE, POSITIVE, InvariantViolation,
+                     InvertedTemperatures, OutOfRange, check_fields)
 
 # Fan power per unit of (heat capacity / removal efficiency) and airflow,
 # in kW per (kW * CMH).  Together with the 14000 CMH standard flow of a
@@ -61,14 +62,8 @@ class ChillerSpec:
     sizing_factor: float = 0.7
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.alpha < math.inf and 0.0 <= self.beta < math.inf):
-            raise InvariantViolation(
-                "alpha and beta must be finite and nonnegative")
-        if not 0.0 < self.gamma < math.inf:
-            raise InvariantViolation("gamma must be positive and finite")
-        if not 0.0 < self.sizing_factor < math.inf:
-            raise InvariantViolation(
-                "sizing_factor must be positive and finite")
+        check_fields(self, alpha=NONNEGATIVE, beta=NONNEGATIVE,
+                     gamma=POSITIVE, sizing_factor=POSITIVE)
 
 
 @dataclass(frozen=True)
@@ -81,17 +76,8 @@ class CrahSpec:
     unit_airflow_cmh: float = 14000.0
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.idle_frac < math.inf:
-            raise InvariantViolation(
-                "idle_frac must be finite and nonnegative")
-        if not 0.0 < self.eta_heat <= 1.0:
-            raise InvariantViolation("eta_heat must lie in (0, 1]")
-        if not 0.0 < self.unit_capacity_kw < math.inf:
-            raise InvariantViolation(
-                "unit_capacity_kw must be positive and finite")
-        if not 0.0 <= self.unit_airflow_cmh < math.inf:
-            raise InvariantViolation(
-                "unit_airflow_cmh must be finite and nonnegative")
+        check_fields(self, idle_frac=NONNEGATIVE, eta_heat=FRACTION,
+                     unit_capacity_kw=POSITIVE, unit_airflow_cmh=NONNEGATIVE)
 
 
 @dataclass(frozen=True)
@@ -106,11 +92,7 @@ class CracSpec:
     cop: float = 6.0
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.idle_frac < math.inf:
-            raise InvariantViolation(
-                "idle_frac must be finite and nonnegative")
-        if not 0.0 <= self.cop < math.inf:
-            raise InvariantViolation("cop must be finite and nonnegative")
+        check_fields(self, idle_frac=NONNEGATIVE, cop=NONNEGATIVE)
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,8 @@ thing.  The CLI maps usage problems to exit code 1 and any
 ``SimulationError`` to exit code 2.
 """
 
+import math
+
 
 class SimulationError(ValueError):
     """Base class for all model, profile and configuration errors."""
@@ -53,6 +55,23 @@ class MissingRequired(SimulationError):
 
 class InvariantViolation(SimulationError):
     """A domain type's invariant would be violated."""
+
+
+# Field rules for the spec dataclasses: (holds, description).
+NONNEGATIVE = (lambda v: 0.0 <= v < math.inf, "finite and nonnegative")
+POSITIVE = (lambda v: 0.0 < v < math.inf, "positive and finite")
+AT_LEAST_ONE = (lambda v: 1 <= v < math.inf, ">= 1 and finite")
+FRACTION = (lambda v: 0.0 < v <= 1.0, "in (0, 1]")
+
+
+def check_fields(spec: object, **rules: tuple) -> None:
+    """Raise :class:`InvariantViolation` naming the first field of ``spec``
+    that breaks its rule, e.g. ``check_fields(self, cop=NONNEGATIVE)``."""
+    for name, (holds, description) in rules.items():
+        value = getattr(spec, name)
+        if not holds(value):
+            raise InvariantViolation(
+                f"{name} must be {description}, got {value!r}")
 
 
 # --- component models ---

@@ -16,11 +16,11 @@ between the PDU quadratic and the UPS proportional term.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .errors import (InfeasibleTarget, InvariantViolation, NegativeInput,
-                     OutOfRange)
+from .errors import (AT_LEAST_ONE, NONNEGATIVE, InfeasibleTarget,
+                     InvariantViolation, NegativeInput, OutOfRange,
+                     check_fields)
 
 # Split of the proportional (non-idle) peak loss between PDU and UPS.
 _PDU_PROPORTIONAL_SHARE = 3.0 / 7.0
@@ -38,13 +38,9 @@ class SupplyChainSpec:
     lambda_ups: float           # proportional loss coefficient, dimensionless
 
     def __post_init__(self) -> None:
-        if not 1 <= self.pdu_count < math.inf:
-            raise InvariantViolation("pdu_count must be >= 1 and finite")
-        for name in ("pdu_idle_total_w", "ups_idle_w",
-                     "lambda_pdu_per_w", "lambda_ups"):
-            if not 0.0 <= getattr(self, name) < math.inf:
-                raise InvariantViolation(
-                    f"{name} must be finite and nonnegative")
+        check_fields(self, pdu_count=AT_LEAST_ONE,
+                     pdu_idle_total_w=NONNEGATIVE, ups_idle_w=NONNEGATIVE,
+                     lambda_pdu_per_w=NONNEGATIVE, lambda_ups=NONNEGATIVE)
 
 
 @dataclass(frozen=True)

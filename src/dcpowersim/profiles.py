@@ -19,8 +19,9 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .config import COMPONENTS
-from .errors import (EmptyProfile, EmptyResult, GapInSeries, MalformedRow,
-                     NonMonotonicTime, OutOfRange)
+from .errors import (EmptyProfile, EmptyResult, GapInSeries,
+                     InvariantViolation, MalformedRow, NonMonotonicTime,
+                     OutOfRange)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .engine import SimulationResult
@@ -41,25 +42,26 @@ TEMPERATURE_BOUNDS_C = (-60.0, 60.0)
 
 
 @dataclass(frozen=True)
-class UtilisationProfile:
+class _HourlySeries:
+    timestamps: tuple[str, ...]
+    values: tuple[float, ...]
+
+    def __post_init__(self) -> None:
+        if len(self.timestamps) != len(self.values):
+            raise InvariantViolation(
+                f"{len(self.timestamps)} timestamps but "
+                f"{len(self.values)} values")
+
+    def __len__(self) -> int:
+        return len(self.timestamps)
+
+
+class UtilisationProfile(_HourlySeries):
     """Hourly aggregate utilisation series, values in [0, 1]."""
 
-    timestamps: tuple[str, ...]
-    values: tuple[float, ...]
 
-    def __len__(self) -> int:
-        return len(self.timestamps)
-
-
-@dataclass(frozen=True)
-class AmbientProfile:
+class AmbientProfile(_HourlySeries):
     """Hourly outdoor temperature series, degrees Celsius."""
-
-    timestamps: tuple[str, ...]
-    values: tuple[float, ...]
-
-    def __len__(self) -> int:
-        return len(self.timestamps)
 
 
 def _parse_timestamp(raw: str, row_no: int) -> dt.datetime:

@@ -23,7 +23,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import EmptyList, InvariantViolation, OutOfRange
+from .errors import (AT_LEAST_ONE, EmptyList, InvariantViolation, OutOfRange,
+                     check_fields)
 
 
 @dataclass(frozen=True)
@@ -35,8 +36,7 @@ class ServerSpec:
     p_peak_w: float
 
     def __post_init__(self) -> None:
-        if not 1 <= self.count < math.inf:
-            raise InvariantViolation("server count must be >= 1 and finite")
+        check_fields(self, count=AT_LEAST_ONE)
         if not 0.0 <= self.p_idle_w <= self.p_peak_w < math.inf:
             raise InvariantViolation(
                 "server power must satisfy 0 <= p_idle_w <= p_peak_w < inf"
@@ -110,8 +110,7 @@ def farm_state(total_utilisation: float, consolidation: float,
     return FarmState(
         aggregate_utilisation=total_utilisation,
         consolidation=consolidation,
-        per_server_utilisation=effective_server_utilisation(
-            total_utilisation, consolidation),
+        per_server_utilisation=total_utilisation / running_fraction,
         running_count=spec.count * running_fraction,
     )
 
@@ -120,6 +119,4 @@ def farm_power(total_utilisation: float, consolidation: float,
                spec: ServerSpec) -> float:
     """Total farm draw in watts; powered-off servers contribute nothing."""
     state = farm_state(total_utilisation, consolidation, spec)
-    if state.running_count == 0.0:
-        return 0.0
     return state.running_count * server_power(state.per_server_utilisation, spec)
