@@ -98,7 +98,11 @@ def _parse_file(parse, path: str):
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
     except OSError as exc:
-        raise SimulationError(f"{path}: cannot read {path}: {exc}") from exc
+        raise SimulationError(
+            f"{path}: cannot read: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:   # a ValueError, not a SimulationError
+        raise SimulationError(f"{path}: not UTF-8: {exc.reason} at byte "
+                              f"{exc.start}") from exc
     try:
         return parse(text)
     except SimulationError as exc:
@@ -230,6 +234,11 @@ def run(argv: list[str]) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        chart = getattr(args, "svg", None)
+        # One payload per path string would let one output silently
+        # replace the other.
+        if chart and os.path.realpath(chart) == os.path.realpath(args.out):
+            parser.error(f"--out and --svg name the same file: {chart!r}")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -68,7 +68,11 @@ class ChillerSpec:
 
 @dataclass(frozen=True)
 class CrahSpec:
-    """Air-handler bank: idle floor plus airflow-proportional fan power."""
+    """Air-handler bank: idle floor plus airflow-proportional fan power.
+
+    ``unit_capacity_kw`` cancels out of fan power: the bank has farm peak
+    over unit capacity units, each drawing in proportion to its capacity.
+    """
 
     idle_frac: float = 0.08            # of farm peak, typical range 0.07-0.10
     eta_heat: float = 1.0
@@ -214,9 +218,11 @@ def eer_lookup(ambient_c: float, table: EerTable) -> float:
         return eers[-1]
     # First segment whose upper breakpoint is >= ambient_c.
     hi = bisect.bisect_left(temps, ambient_c)
-    t_lo, eer_lo = temps[hi - 1], eers[hi - 1]
-    span = temps[hi] - t_lo
-    return eer_lo + (eers[hi] - eer_lo) * (ambient_c - t_lo) / span
+    t_lo, eer_lo, eer_hi = temps[hi - 1], eers[hi - 1], eers[hi]
+    eer = eer_lo + (eer_hi - eer_lo) * (ambient_c - t_lo) / (temps[hi] - t_lo)
+    # Rounding can land below eer_hi near temps[hi] (never above eer_lo),
+    # and EER must not rise as ambient rises.
+    return eer if eer >= eer_hi else eer_hi
 
 
 def ambient_adjustment(ambient_c: float, reference_c: float,

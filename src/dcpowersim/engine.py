@@ -235,7 +235,7 @@ def peak_context(scenario: ScenarioConfig) -> PeakContext:
     if not all(0.0 <= c < math.inf
                for c in (misc_constant_w, *sum(fixed + refrigeration, ()))):
         raise InvariantViolation("compiled coefficients must be finite, >= 0")
-    return PeakContext(
+    ctx = PeakContext(
         farm_peak_w=farm_peak_w,
         total_peak_w=total_peak_w,
         misc_constant_w=misc_constant_w,
@@ -246,6 +246,16 @@ def peak_context(scenario: ScenarioConfig) -> PeakContext:
         fixed=fixed,
         refrigeration=refrigeration,
     )
+    # The clamped lookup never goes below the table's smallest EER, and
+    # every load is non-decreasing in U and in a: a finite total here
+    # bounds every hour at every ambient.
+    min_eer = scenario.eer.ascending_eer[-1]
+    max_adjustment = ctx.reference_eer / min_eer
+    if not (math.isfinite(max_adjustment) and
+            math.isfinite(sum(ctx.total_quadratic(max_adjustment)))):
+        raise OutOfRange(f"EER table: its smallest EER, {min_eer!r}, makes "
+                         "the full-load total overflow")
+    return ctx
 
 
 def step_power(utilisation: float, ambient_c: float,
@@ -278,8 +288,11 @@ def simulate(utilisation: UtilisationProfile, ambient: AmbientProfile,
                              f"ambient be finite, got {u!r}, {t!r}")
     ctx = peak_context(scenario)
     us, ts = utilisation.values, ambient.values
-    return SimulationResult(utilisation.timestamps, us, ts,
-                            ctx.loads(us, list(map(ctx.adjustment, ts))))
+    result = SimulationResult(utilisation.timestamps, us, ts,
+                              ctx.loads(us, list(map(ctx.adjustment, ts))))
+    if not math.isfinite(result.total_energy_wh):
+        raise OutOfRange(f"total energy over {len(us)} hours overflows")
+    return result
 
 
 def summarize_energy(result: SimulationResult) -> EnergySummary:

@@ -320,3 +320,62 @@ def test_temp_name_in_use_is_skipped(tmp_path):
     assert out.read_text().startswith("timestamp,")
     assert taken.read_text() == "someone else's\n"
     assert list(tmp_path.glob("*.tmp")) == [taken]
+
+
+COMMANDS_WITH_CHART = {
+    "simulate": lambda tmp_path: simulate_args(tmp_path),
+    "curve": lambda tmp_path: ["curve", "--config",
+                               str(write_inputs(tmp_path)[0]),
+                               "--temps", "0,30"],
+    "compare": lambda tmp_path: ["compare", *simulate_args(tmp_path)[1:]],
+}
+
+
+@pytest.mark.parametrize("chart", ["o.txt", "./o.txt"])
+@pytest.mark.parametrize("command", sorted(COMMANDS_WITH_CHART))
+def test_out_and_svg_naming_one_file_is_usage_error(tmp_path, capsys,
+                                                    monkeypatch, command,
+                                                    chart):
+    monkeypatch.chdir(tmp_path)
+    args = COMMANDS_WITH_CHART[command](tmp_path)
+    assert run([*args, "--out", "o.txt", "--svg", chart]) == 1
+    assert "name the same file" in capsys.readouterr().err
+    assert not (tmp_path / "o.txt").exists()
+    # Rejected before any input is read.
+    args[args.index("--config") + 1] = str(tmp_path / "nope.cfg")
+    assert run([*args, "--out", "o.txt", "--svg", chart]) == 1
+
+
+def test_unreadable_input_names_its_path_once(tmp_path, capsys):
+    missing = tmp_path / "nope.cfg"
+    assert run(["peak", "--config", str(missing)]) == 2
+    assert capsys.readouterr().err.count(str(missing)) == 1
+
+
+def test_input_that_is_not_utf8_is_data_error_without_traceback(tmp_path):
+    config = tmp_path / "scenario.cfg"
+    config.write_bytes(b"\xff\xfe" + CONFIG.encode())
+    done = run_process(["peak", "--config", str(config)])
+    assert done.returncode == 2
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith(f"dcpowersim: error: {config}: not UTF-8")
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate", "--utilisation", "{util}", "--weather", "{weather}",
+     "--out", "{tmp}/out.csv"],
+    ["compare", "--utilisation", "{util}", "--weather", "{weather}",
+     "--out", "{tmp}/out.csv"],
+    ["curtail", "--ambient-c", "41", "--target-w", "15000000"],
+])
+def test_tiny_eer_is_data_error_without_traceback(tmp_path, command):
+    config, util, weather = write_inputs(tmp_path, hours=3, ambient=41.0)
+    config.write_text(CONFIG + "eer.table=41:1e-310;0:5\n")
+    args = [arg.format(tmp=tmp_path, util=util, weather=weather)
+            for arg in command]
+    done = run_process([args[0], "--config", str(config), *args[1:]])
+    assert done.returncode == 2
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith("dcpowersim: error:")
+    assert done.stdout == ""
+    assert not (tmp_path / "out.csv").exists()

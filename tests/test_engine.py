@@ -10,17 +10,18 @@ import math
 from dataclasses import fields, replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dcpowersim import cooling, power_chain, server_farm
-from dcpowersim.analysis import peak_breakdown, power_curve
+from dcpowersim.analysis import (compare_architectures, curtail,
+                                 peak_breakdown, power_curve)
 from dcpowersim.config import CoolingArchitecture, default_scenario
 from dcpowersim.engine import (COMPONENT_NAMES, PowerBreakdown,
                                SimulationResult, peak_context, simulate,
                                step_power, summarize_energy)
 from dcpowersim.errors import (EmptyProfile, EmptyResult, InvariantViolation,
-                               OutOfRange, ProfileMismatch)
+                               OutOfRange, ProfileMismatch, SimulationError)
 from dcpowersim.profiles import AmbientProfile, UtilisationProfile
 
 SCENARIO = default_scenario()
@@ -189,12 +190,12 @@ def reference_breakdown(u, ambient_c, scenario):
 
 
 @st.composite
-def eer_tables(draw):
+def eer_tables(draw, eers=st.floats(0.5, 10.0)):
     """Valid tables: strictly descending ambient, EER nonincreasing in it."""
     n = draw(st.integers(1, 40))
     temps = draw(st.lists(st.floats(-40.0, 50.0), min_size=n, max_size=n,
                           unique=True))
-    eers = draw(st.lists(st.floats(0.5, 10.0), min_size=n, max_size=n))
+    eers = draw(st.lists(eers, min_size=n, max_size=n))
     return cooling.EerTable(tuple(zip(sorted(temps, reverse=True),
                                       sorted(eers))))
 
@@ -476,6 +477,12 @@ def test_scaling_the_server_count_scales_every_column(scenario, k, hours):
        t=st.floats(-60.0, 60.0),
        us=st.lists(unit_interval(), min_size=2, max_size=24),
        ts=st.lists(st.floats(-60.0, 60.0), min_size=2, max_size=24))
+# EER used to dip one ulp just below this table's upper breakpoint.
+@example(scenario=default_scenario(CoolingArchitecture.CRAC),
+         table=cooling.EerTable(((4.662621963345, 0.777693613315),
+                                 (-24.405436, 6.39064))),
+         u=0.5, t=30.0, us=[0.0, 1.0],
+         ts=[math.nextafter(4.662621963345, -math.inf), 4.662621963345])
 def test_total_is_nondecreasing_in_utilisation_and_ambient(scenario, table,
                                                            u, t, us, ts):
     scenario = replace(scenario, eer=table)
@@ -483,9 +490,7 @@ def test_total_is_nondecreasing_in_utilisation_and_ambient(scenario, table,
     by_u = simulate(*profiles_from(us, [t] * len(us)), scenario).total_w
     by_t = simulate(*profiles_from([u] * len(ts), ts), scenario).total_w
     assert all(b >= a for a, b in zip(by_u, by_u[1:])), by_u
-    # eer_lookup can rise by one ulp just past a breakpoint, so ambient
-    # gets a rounding allowance.
-    assert all(b >= a * (1.0 - 1e-12) for a, b in zip(by_t, by_t[1:])), by_t
+    assert all(b >= a for a, b in zip(by_t, by_t[1:])), by_t
 
 
 @settings(max_examples=200, deadline=None)
@@ -501,3 +506,65 @@ def test_architecture_leaves_it_and_supply_columns_bit_identical(
             column = COMPONENT_NAMES.index(name)
             assert [x.hex() for x in run.components[column]] == \
                 [x.hex() for x in runs[0].components[column]], name
+
+
+# --- extreme EER tables ---
+
+TINY_EER = cooling.EerTable(((41.0, 1e-310), (0.0, 5.0)))
+
+
+def test_tiny_eer_is_out_of_range():
+    scenario = replace(SCENARIO, eer=TINY_EER)
+    with pytest.raises(OutOfRange, match="smallest EER"):
+        peak_context(scenario)
+
+
+def test_overflowing_energy_total_is_out_of_range():
+    # About 1e307 W at full load and 41 C: finite per hour, not summed.
+    scenario = replace(SCENARIO, eer=cooling.EerTable(
+        ((41.0, 1e-300), (0.0, 5.0))))
+    assert math.isfinite(sum(peak_context(scenario).total_quadratic(
+        peak_context(scenario).adjustment(41.0))))
+    with pytest.raises(OutOfRange, match="overflows"):
+        simulate(*profiles_from([1.0] * 40, [41.0] * 40), scenario)
+
+
+def finite_outputs(scenario, u, t, hours, target):
+    """Every number each public entry point returns, per entry point."""
+    def run():
+        result = simulate(*profiles_from(*zip(*hours)), scenario)
+        return (*sum(result.components, ()), *result.total_w,
+                *result.shares.values(), result.total_energy_wh)
+
+    def compared():
+        c = compare_architectures(*profiles_from(*zip(*hours)), scenario)
+        return (*c.baseline_cooling_w, *c.alternative_cooling_w,
+                c.baseline_cooling_energy_wh, c.alternative_cooling_energy_wh,
+                c.relative_increase)
+
+    def solved():
+        solution = curtail(target, t, scenario, peak_context(scenario))
+        return solution.required_utilisation, solution.achieved_total_w
+
+    return (run, compared, solved,
+            lambda: step_power(u, t, scenario, peak_context(scenario)).values(),
+            lambda: sum(power_curve([t], scenario, 3)[0].points, ()),
+            lambda: tuple(peak_breakdown(scenario).values()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(scenario=small_scenarios(),
+       table=eer_tables(st.floats(5e-324, allow_infinity=False)),
+       hours=hourly, target=st.floats(1.0, 1e308))
+@example(scenario=SCENARIO, table=TINY_EER, hours=[(0.5, 41.0)],
+         target=1e7)
+def test_extreme_eer_tables_give_finite_numbers_or_simulation_errors(
+        scenario, table, hours, target):
+    scenario = replace(scenario, eer=table)
+    u, t = hours[0]
+    for call in finite_outputs(scenario, u, t, hours, target):
+        try:
+            values = call()
+        except SimulationError:
+            continue
+        assert all(map(math.isfinite, values)), (call, values)

@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 from dcpowersim.config import default_scenario
 from dcpowersim.engine import SimulationResult, simulate
 from dcpowersim.errors import (EmptyProfile, EmptyResult, GapInSeries,
-                               MalformedRow, NonMonotonicTime, OutOfRange,
-                               SimulationError)
-from dcpowersim.profiles import (RESULT_COLUMNS, UtilisationProfile,
-                                 parse_temperature_csv,
+                               InvariantViolation, MalformedRow,
+                               NonMonotonicTime, OutOfRange, SimulationError)
+from dcpowersim.profiles import (RESULT_COLUMNS, AmbientProfile,
+                                 UtilisationProfile, parse_temperature_csv,
                                  parse_utilisation_csv, write_results_csv)
 
 
@@ -26,6 +26,12 @@ def hourly_csv(header: str, values) -> str:
 
 
 # --- utilisation parser ---
+
+@pytest.mark.parametrize("profile", [UtilisationProfile, AmbientProfile])
+def test_profile_columns_of_unequal_length_rejected(profile):
+    with pytest.raises(InvariantViolation, match="2 timestamps but 1 values"):
+        profile(("2016-06-01T00:00", "2016-06-01T01:00"), (0.5,))
+
 
 def test_single_row_echo():
     profile = parse_utilisation_csv(
