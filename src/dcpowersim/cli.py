@@ -53,8 +53,8 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", parser_class=_Parser,
                                 required=True)
 
-    def command(name: str, handler, help: str) -> _Parser:
-        p = sub.add_parser(name, help=help)
+    def command(name: str, handler, summary: str) -> _Parser:
+        p = sub.add_parser(name, help=summary)
         p.set_defaults(handler=handler)
         p.add_argument("--config", required=True, help="scenario config file")
         return p
