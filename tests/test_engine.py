@@ -523,14 +523,14 @@ def test_overflowing_energy_total_is_out_of_range():
     # About 1e307 W at full load and 41 C: finite per hour, not summed.
     scenario = replace(SCENARIO, eer=cooling.EerTable(
         ((41.0, 1e-300), (0.0, 5.0))))
-    assert math.isfinite(sum(peak_context(scenario).total_quadratic(
-        peak_context(scenario).adjustment(41.0))))
+    ctx = peak_context(scenario)
+    assert math.isfinite(sum(ctx.total_quadratic(ctx.adjustment(41.0))))
     with pytest.raises(OutOfRange, match="overflows"):
         simulate(*profiles_from([1.0] * 40, [41.0] * 40), scenario)
 
 
 def finite_outputs(scenario, u, t, hours, target):
-    """Every number each public entry point returns, per entry point."""
+    """One call per public entry point, each giving every number it returns."""
     def run():
         result = simulate(*profiles_from(*zip(*hours)), scenario)
         return (*sum(result.components, ()), *result.total_w,
@@ -546,8 +546,11 @@ def finite_outputs(scenario, u, t, hours, target):
         solution = curtail(target, t, scenario, peak_context(scenario))
         return solution.required_utilisation, solution.achieved_total_w
 
-    return (run, compared, solved,
-            lambda: step_power(u, t, scenario, peak_context(scenario)).values(),
+    def stepped():
+        breakdown = step_power(u, t, scenario, peak_context(scenario))
+        return *breakdown.values(), breakdown.total_w
+
+    return (run, compared, solved, stepped,
             lambda: sum(power_curve([t], scenario, 3)[0].points, ()),
             lambda: tuple(peak_breakdown(scenario).values()))
 
