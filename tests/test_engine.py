@@ -472,16 +472,28 @@ def test_scaling_the_server_count_scales_every_column(scenario, k, hours):
             assert math.isclose(y, k * x, rel_tol=1e-12, abs_tol=0.0)
 
 
+# EER used to dip one ulp just below this table's upper breakpoint.
+ROUNDING_EER = cooling.EerTable(((4.662621963345, 0.777693613315),
+                                 (-24.405436, 6.39064)))
+
+
+@given(table=eer_tables())
+@example(table=cooling.EerTable())
+@example(table=ROUNDING_EER)
+def test_eer_is_nonincreasing_across_every_breakpoint(table):
+    for t, _ in table.breakpoints:
+        below, at, above = (cooling.eer_lookup(x, table) for x in (
+            math.nextafter(t, -math.inf), t, math.nextafter(t, math.inf)))
+        assert below >= at >= above, t
+
+
 @settings(max_examples=200, deadline=None)
 @given(scenario=small_scenarios(), table=eer_tables(), u=unit_interval(),
        t=st.floats(-60.0, 60.0),
        us=st.lists(unit_interval(), min_size=2, max_size=24),
        ts=st.lists(st.floats(-60.0, 60.0), min_size=2, max_size=24))
-# EER used to dip one ulp just below this table's upper breakpoint.
 @example(scenario=default_scenario(CoolingArchitecture.CRAC),
-         table=cooling.EerTable(((4.662621963345, 0.777693613315),
-                                 (-24.405436, 6.39064))),
-         u=0.5, t=30.0, us=[0.0, 1.0],
+         table=ROUNDING_EER, u=0.5, t=30.0, us=[0.0, 1.0],
          ts=[math.nextafter(4.662621963345, -math.inf), 4.662621963345])
 def test_total_is_nondecreasing_in_utilisation_and_ambient(scenario, table,
                                                            u, t, us, ts):
