@@ -88,6 +88,9 @@ def peak_breakdown(scenario: ScenarioConfig) -> dict[str, float]:
     """Fractional component shares at full load and reference temperature."""
     ctx = peak_context(scenario)
     breakdown = step_power(1.0, scenario.reference_ambient_c, scenario, ctx)
+    if breakdown.total_w == 0.0:
+        raise OutOfRange("the design peak is 0 W; component shares of it "
+                         "are undefined")
     return {name: watts / breakdown.total_w
             for name, watts in breakdown.as_dict().items()}
 
@@ -122,10 +125,10 @@ def compare_architectures(
     """
     def cooling_series(arch: CoolingArchitecture) -> tuple[float, ...]:
         run = simulate(utilisation, ambient, scenario.with_architecture(arch))
+        # A load the architecture excludes is exact zeros; adding 0.0 is exact.
         return tuple(map(sum, zip(*[
             load for load, component in zip(run.components, COMPONENTS)
-            if component.group == "cooling"
-            and arch in component.architectures])))
+            if component.group == "cooling"])))
 
     base_series, alt_series = map(cooling_series, (baseline, alternative))
     return ArchitectureComparison(

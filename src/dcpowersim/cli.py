@@ -29,14 +29,6 @@ _USAGE_EXIT = 1
 _DATA_EXIT = 2
 
 
-class _Parser(argparse.ArgumentParser):
-    # argparse exits with status 2 on usage errors; the CLI contract
-    # reserves 2 for data errors, so remap to 1.
-    def error(self, message: str):  # noqa: D401 - argparse API
-        self.print_usage(sys.stderr)
-        self.exit(_USAGE_EXIT, f"{self.prog}: error: {message}\n")
-
-
 def _temps_list(raw: str) -> list[float]:
     try:
         if temps := [float(part) for part in raw.split(",") if part.strip()]:
@@ -47,13 +39,12 @@ def _temps_list(raw: str) -> list[float]:
         f"--temps expects a comma-separated list of numbers, got {raw!r}")
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="dcpowersim",
-                     description="Hourly data-centre power simulator")
-    sub = parser.add_subparsers(dest="command", parser_class=_Parser,
-                                required=True)
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="dcpowersim", description="Hourly data-centre power simulator")
+    sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name: str, handler, summary: str) -> _Parser:
+    def command(name: str, handler, summary: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=summary)
         p.set_defaults(handler=handler)
         p.add_argument("--config", required=True, help="scenario config file")
@@ -109,15 +100,6 @@ def _parse_file(parse, path: str):
         raise SimulationError(f"{path}: {exc}") from exc
 
 
-def _load_scenario(path: str,
-                   arch_override: str | None = None) -> ScenarioConfig:
-    scenario = _parse_file(parse_scenario_config, path)
-    if arch_override:
-        scenario = scenario.with_architecture(
-            CoolingArchitecture(arch_override))
-    return scenario
-
-
 def _write_all_atomic(payloads: dict[str, str]) -> None:
     """Stage every file as a temp, then rename them all (module docstring)."""
     staged: list[tuple[str, str]] = []
@@ -148,8 +130,7 @@ def _write_all_atomic(payloads: dict[str, str]) -> None:
         raise SimulationError(f"cannot write output: {exc}") from exc
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    scenario = _load_scenario(args.config)
+def _cmd_simulate(args: argparse.Namespace, scenario: ScenarioConfig) -> None:
     utilisation = _parse_file(profiles.parse_utilisation_csv, args.utilisation)
     ambient = _parse_file(profiles.parse_temperature_csv, args.weather)
     result = engine.simulate(utilisation, ambient, scenario)
@@ -159,11 +140,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             list(engine.COMPONENT_NAMES), list(zip(*result.components)),
             title="Hourly power breakdown")
     _write_all_atomic(payloads)
-    return 0
 
 
-def _cmd_peak(args: argparse.Namespace) -> int:
-    scenario = _load_scenario(args.config, args.arch)
+def _cmd_peak(args: argparse.Namespace, scenario: ScenarioConfig) -> None:
     ctx = engine.peak_context(scenario)
     breakdown = engine.step_power(1.0, scenario.reference_ambient_c,
                                   scenario, ctx)
@@ -171,22 +150,18 @@ def _cmd_peak(args: argparse.Namespace) -> int:
     for name, watts in breakdown.as_dict().items():
         print(f"{name},{watts:.10g},{watts / breakdown.total_w:.10g}")
     print(f"total,{breakdown.total_w:.10g},1")
-    return 0
 
 
-def _cmd_curtail(args: argparse.Namespace) -> int:
-    scenario = _load_scenario(args.config)
+def _cmd_curtail(args: argparse.Namespace, scenario: ScenarioConfig) -> None:
     ctx = engine.peak_context(scenario)
     solution = analysis.curtail(args.target_w, args.ambient_c, scenario, ctx)
     print(f"utilisation,{solution.required_utilisation:.10g}")
     print(f"achieved_total_w,{solution.achieved_total_w:.10g}")
     print(f"target_total_w,{solution.target_total_w:.10g}")
     print(f"feasible,{'true' if solution.feasible else 'false'}")
-    return 0
 
 
-def _cmd_curve(args: argparse.Namespace) -> int:
-    scenario = _load_scenario(args.config, args.arch)
+def _cmd_curve(args: argparse.Namespace, scenario: ScenarioConfig) -> None:
     curves = analysis.power_curve(args.temps, scenario, args.points)
     rows = [(curve.temperature_c, utilisation, total_w)
             for curve in curves for utilisation, total_w in curve.points]
@@ -198,11 +173,9 @@ def _cmd_curve(args: argparse.Namespace) -> int:
         payloads[args.svg] = svg.render_lines(
             series, title="Total power vs utilisation")
     _write_all_atomic(payloads)
-    return 0
 
 
-def _cmd_compare(args: argparse.Namespace) -> int:
-    scenario = _load_scenario(args.config)
+def _cmd_compare(args: argparse.Namespace, scenario: ScenarioConfig) -> None:
     utilisation = _parse_file(profiles.parse_utilisation_csv, args.utilisation)
     ambient = _parse_file(profiles.parse_temperature_csv, args.weather)
     comparison = analysis.compare_architectures(utilisation, ambient,
@@ -226,7 +199,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     print(f"alternative_cooling_energy_wh,"
           f"{comparison.alternative_cooling_energy_wh:.10g}")
     print(f"relative_increase,{comparison.relative_increase:.10g}")
-    return 0
 
 
 def run(argv: list[str]) -> int:
@@ -240,12 +212,17 @@ def run(argv: list[str]) -> int:
         if chart and os.path.realpath(chart) == os.path.realpath(args.out):
             parser.error(f"--out and --svg name the same file: {chart!r}")
     except SystemExit as exc:
-        return int(exc.code or 0)
+        # argparse exits 2 on a usage error; 2 is the data-error status here.
+        return _USAGE_EXIT if exc.code == 2 else int(exc.code or 0)
     try:
-        return args.handler(args)
+        scenario = _parse_file(parse_scenario_config, args.config)
+        if arch := getattr(args, "arch", None):
+            scenario = scenario.with_architecture(CoolingArchitecture(arch))
+        args.handler(args, scenario)
     except SimulationError as exc:
         print(f"dcpowersim: error: {exc}", file=sys.stderr)
         return _DATA_EXIT
+    return 0
 
 
 def main() -> None:

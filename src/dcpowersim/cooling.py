@@ -219,7 +219,10 @@ def eer_lookup(ambient_c: float, table: EerTable) -> float:
     # First segment whose upper breakpoint is >= ambient_c.
     hi = bisect.bisect_left(temps, ambient_c)
     t_lo, eer_lo, eer_hi = temps[hi - 1], eers[hi - 1], eers[hi]
-    eer = eer_lo + (eer_hi - eer_lo) * (ambient_c - t_lo) / (temps[hi] - t_lo)
+    span = temps[hi] - t_lo
+    eer = eer_lo + (eer_hi - eer_lo) * (ambient_c - t_lo) / span
+    if not math.isfinite(eer):   # the product overflowed: divide first
+        eer = eer_lo + (eer_hi - eer_lo) * ((ambient_c - t_lo) / span)
     # Rounding can land below eer_hi near temps[hi] (never above eer_lo),
     # and EER must not rise as ambient rises.
     return eer if eer >= eer_hi else eer_hi

@@ -88,6 +88,8 @@ def calibrate_supply(farm_peak_w: float,
     UPS proportional term, then each coefficient is solved in closed form.
     The result reproduces the target exactly:
     ``supply_loss(farm_peak_w).total_w == peak_loss_frac * farm_peak_w``.
+    ``pdu_count`` has no effect on any output: it multiplies ``lambda_pdu``
+    here, and the loss divides it out again.
     """
     if farm_peak_w <= 0.0:
         raise NegativeInput("farm peak must be positive")

@@ -156,6 +156,15 @@ def test_shares_invariant_under_farm_scaling():
         assert small[name] == pytest.approx(large[name], rel=1e-9, abs=1e-12)
 
 
+@pytest.mark.parametrize("architecture", list(CoolingArchitecture))
+def test_zero_design_peak_breakdown_is_out_of_range(architecture):
+    scenario = ScenarioConfig(server=ServerSpec(1, 0.0, 0.0),
+                              supply=SupplyChainSpec(1, 0.0, 0.0, 0.0, 0.0),
+                              architecture=architecture)
+    with pytest.raises(OutOfRange, match="design peak is 0 W"):
+        peak_breakdown(scenario)
+
+
 # --- power curve ---
 
 def test_two_point_curve_matches_endpoints():

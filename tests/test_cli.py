@@ -346,6 +346,32 @@ def test_out_and_svg_naming_one_file_is_usage_error(tmp_path, capsys,
     assert run([*args, "--out", "o.txt", "--svg", chart]) == 1
 
 
+@pytest.mark.parametrize("command", ["compare", "curve"])
+def test_line_chart_has_one_polyline_per_series_and_repeats(tmp_path,
+                                                            command):
+    args = COMMANDS_WITH_CHART[command](tmp_path)
+    chart = tmp_path / "chart.svg"
+    charts = []
+    for _ in range(2):
+        assert run([*args, "--out", str(tmp_path / "out.csv"),
+                    "--svg", str(chart)]) == 0
+        charts.append(chart.read_bytes())
+    root = ET.fromstring(charts[0])
+    # Two architectures for compare; two temperatures for curve.
+    assert len(list(root.iter("{http://www.w3.org/2000/svg}polyline"))) == 2
+    assert charts[0] == charts[1]
+
+
+def test_non_numeric_temperature_list_is_usage_error(tmp_path, capsys):
+    config, _, _ = write_inputs(tmp_path)
+    out = tmp_path / "curve.csv"
+    assert run(["curve", "--config", str(config), "--temps=a,b",
+                "--out", str(out)]) == 1
+    assert ("--temps expects a comma-separated list of numbers, got 'a,b'"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_unreadable_input_names_its_path_once(tmp_path, capsys):
     missing = tmp_path / "nope.cfg"
     assert run(["peak", "--config", str(missing)]) == 2

@@ -127,6 +127,11 @@ def test_custom_eer_table_sorted_descending():
     assert scenario.eer.breakpoints == ((40.0, 2.5), (20.0, 4.0), (0.0, 6.0))
 
 
+def test_empty_eer_table_entry_is_skipped():
+    assert (parse_scenario_config(MINIMAL + "eer.table=41:2.66;;0:5.82\n")
+            == parse_scenario_config(MINIMAL + "eer.table=41:2.66;0:5.82\n"))
+
+
 def test_bad_eer_pair():
     with pytest.raises(MalformedRow):
         parse_scenario_config(MINIMAL + "eer.table=40=2.5\n")

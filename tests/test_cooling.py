@@ -106,6 +106,12 @@ def test_fan_power_linear_in_utilisation():
             2.0 * airflow_heat_power(u, FARM_PEAK, CRAH)
 
 
+@pytest.mark.parametrize("u", [1.5, -0.1, float("nan")])
+def test_fan_power_rejects_utilisation_outside_unit_interval(u):
+    with pytest.raises(OutOfRange, match="utilisation must lie in"):
+        airflow_heat_power(u, FARM_PEAK, CRAH)
+
+
 def test_crac_full_load():
     # 2.5 MW idle + 7 * 1862 kW condenser+fan = 15.534 MW
     assert crac_power(1.0, FARM_PEAK, CRAC, CRAH) == pytest.approx(
@@ -153,6 +159,13 @@ def test_interpolation_midpoint():
 def test_clamping_outside_range():
     assert eer_lookup(50.0, EER) == 2.66
     assert eer_lookup(-10.0, EER) == 5.82
+
+
+def test_interpolation_between_eers_near_the_largest_float():
+    # (eer_hi - eer_lo) * (ambient_c - t_lo) overflows before the division.
+    table = EerTable(((40.0, 1e300), (0.0, 1.7e308)))
+    assert eer_lookup(20.0, table) == pytest.approx((1.7e308 + 1e300) / 2,
+                                                    rel=1e-12)
 
 
 @pytest.mark.parametrize("ambient_c", [float("nan"), float("inf"),

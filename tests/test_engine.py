@@ -153,6 +153,12 @@ def test_non_finite_ambient_rejected():
             step_power(0.5, ambient, SCENARIO, CTX)
 
 
+@pytest.mark.parametrize("u", [1.5, -0.1, math.nan])
+def test_utilisation_outside_unit_interval_rejected(u):
+    with pytest.raises(OutOfRange, match="utilisation must lie in"):
+        step_power(u, 30.0, SCENARIO, CTX)
+
+
 # --- compiled quadratics vs the per-component reference chain ---
 
 def reference_breakdown(u, ambient_c, scenario):

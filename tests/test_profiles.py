@@ -91,6 +91,15 @@ def test_bad_number_names_row():
     assert "row 2" in str(excinfo.value)
 
 
+@pytest.mark.parametrize("row, fields", [("2016-06-01T01:00,0.5,0.6", 3),
+                                         ("2016-06-01T01:00", 1)])
+def test_wrong_field_count_names_row(row, fields):
+    text = f"timestamp,utilisation\n2016-06-01T00:00,0.5\n{row}\n"
+    with pytest.raises(MalformedRow,
+                       match=f"^row 2: expected 2 fields, got {fields}$"):
+        parse_utilisation_csv(text)
+
+
 def test_empty_body():
     with pytest.raises(EmptyProfile):
         parse_utilisation_csv("timestamp,utilisation\n")
