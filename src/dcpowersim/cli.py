@@ -137,7 +137,7 @@ def _cmd_simulate(args: argparse.Namespace, scenario: ScenarioConfig) -> None:
     payloads = {args.out: profiles.write_results_csv(result)}
     if args.svg:
         payloads[args.svg] = svg.render_stacked_area(
-            list(engine.COMPONENT_NAMES), list(zip(*result.components)),
+            list(engine.COMPONENT_NAMES), result.components,
             title="Hourly power breakdown")
     _write_all_atomic(payloads)
 
@@ -168,10 +168,10 @@ def _cmd_curve(args: argparse.Namespace, scenario: ScenarioConfig) -> None:
     payloads = {args.out: profiles.format_csv(
         ("temp_c", "utilisation", "total_w"), tuple(zip(*rows)))}
     if args.svg:
-        series = [(f"{curve.temperature_c:g} C", list(curve.points))
-                  for curve in curves]
         payloads[args.svg] = svg.render_lines(
-            series, title="Total power vs utilisation")
+            [u for u, _ in curves[0].points],
+            [(f"{curve.temperature_c:g} C", [w for _, w in curve.points])
+             for curve in curves], title="Total power vs utilisation")
     _write_all_atomic(payloads)
 
 
@@ -187,12 +187,11 @@ def _cmd_compare(args: argparse.Namespace, scenario: ScenarioConfig) -> None:
         (comparison.timestamps, utilisation.values, ambient.values,
          comparison.baseline_cooling_w, comparison.alternative_cooling_w))}
     if args.svg:
-        series = [(comparison.baseline.value,
-                   list(enumerate(comparison.baseline_cooling_w))),
-                  (comparison.alternative.value,
-                   list(enumerate(comparison.alternative_cooling_w)))]
         payloads[args.svg] = svg.render_lines(
-            series, title="Cooling power by architecture")
+            range(len(comparison.timestamps)),
+            [(comparison.baseline.value, comparison.baseline_cooling_w),
+             (comparison.alternative.value, comparison.alternative_cooling_w)],
+            title="Cooling power by architecture")
     _write_all_atomic(payloads)
     print(f"baseline_cooling_energy_wh,"
           f"{comparison.baseline_cooling_energy_wh:.10g}")

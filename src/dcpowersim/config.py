@@ -132,7 +132,7 @@ def _parse_number(key: str, raw: str, line_no: int) -> float | int:
         raise MalformedRow(
             f"line {line_no}: value for {key!r} is not a number: {raw!r}"
         ) from None
-    if not math.isfinite(value):
+    if not math.isfinite(float(raw)):   # an int past 1e308 rounds to inf
         raise MalformedRow(
             f"line {line_no}: value for {key!r} is not finite: {raw!r}")
     return value

@@ -23,8 +23,9 @@ import bisect
 import math
 from dataclasses import dataclass, field
 
-from .errors import (FRACTION, NONNEGATIVE, POSITIVE, InvariantViolation,
-                     InvertedTemperatures, OutOfRange, check_fields)
+from .errors import (FINITE, FRACTION, NONNEGATIVE, POSITIVE, UNIT,
+                     InvariantViolation, InvertedTemperatures, OutOfRange,
+                     check, check_fields)
 
 # Fan power per unit of (heat capacity / removal efficiency) and airflow,
 # in kW per (kW * CMH).  Together with the 14000 CMH standard flow of a
@@ -145,23 +146,22 @@ def heat_load(m_dot_kg_s: float, containment: float, t_hot_c: float,
     ``containment`` is the fraction of supplied cold air actually ingested
     by the servers; 1 means no recirculation.
     """
-    if m_dot_kg_s < 0.0:
-        raise OutOfRange("mass flow must be nonnegative")
-    if not 0.0 < containment <= 1.0:
-        raise OutOfRange("containment must lie in (0, 1]")
+    check(OutOfRange, m_dot_kg_s=(m_dot_kg_s, NONNEGATIVE),
+          containment=(containment, FRACTION), t_hot_c=(t_hot_c, FINITE),
+          t_cold_c=(t_cold_c, FINITE), cp_air=(cp_air, NONNEGATIVE))
     if t_hot_c < t_cold_c:
         raise InvertedTemperatures(
             f"hot-side {t_hot_c} C below cold-side {t_cold_c} C")
-    return containment * m_dot_kg_s * cp_air * (t_hot_c - t_cold_c)
+    heat_w = containment * m_dot_kg_s * cp_air * (t_hot_c - t_cold_c)
+    check(OutOfRange, heat_load_w=(heat_w, NONNEGATIVE))
+    return heat_w
 
 
 def chiller_power(utilisation: float, farm_peak_w: float,
                   spec: ChillerSpec) -> float:
     """Chilled-water plant draw at one utilisation, watts."""
-    if not 0.0 <= utilisation <= 1.0:
-        raise OutOfRange("utilisation must lie in [0, 1]")
-    if farm_peak_w <= 0.0:
-        raise OutOfRange("farm peak must be positive")
+    check(OutOfRange, utilisation=(utilisation, UNIT),
+          farm_peak_w=(farm_peak_w, POSITIVE))
     curve = (spec.alpha * utilisation ** 2 + spec.beta * utilisation
              + spec.gamma)
     return spec.sizing_factor * farm_peak_w * curve
@@ -175,8 +175,8 @@ def airflow_heat_power(utilisation: float, farm_peak_w: float,
     so combined unit capacity matches the farm peak (unit count may be
     fractional).
     """
-    if not 0.0 <= utilisation <= 1.0:
-        raise OutOfRange("utilisation must lie in [0, 1]")
+    check(OutOfRange, utilisation=(utilisation, UNIT),
+          farm_peak_w=(farm_peak_w, NONNEGATIVE))
     farm_peak_kw = farm_peak_w / 1000.0
     unit_count = farm_peak_kw / spec.unit_capacity_kw
     airflow_cmh = spec.unit_airflow_cmh * utilisation
@@ -201,9 +201,12 @@ def crac_power(utilisation: float, farm_peak_w: float, spec: CracSpec,
     refrigeration term for off-reference outdoor temperature; the idle
     floor is never scaled.
     """
+    check(OutOfRange, condenser_adjustment=(condenser_adjustment, NONNEGATIVE))
     fan_w = airflow_heat_power(utilisation, farm_peak_w, airflow)
-    return (spec.idle_frac * farm_peak_w
-            + (1.0 + spec.cop) * fan_w * condenser_adjustment)
+    power_w = (spec.idle_frac * farm_peak_w
+               + (1.0 + spec.cop) * fan_w * condenser_adjustment)
+    check(OutOfRange, crac_power_w=(power_w, NONNEGATIVE))
+    return power_w
 
 
 def eer_lookup(ambient_c: float, table: EerTable) -> float:

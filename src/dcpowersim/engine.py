@@ -37,8 +37,8 @@ from typing import Sequence
 
 from . import cooling
 from .config import COMPONENTS, ScenarioConfig
-from .errors import (EmptyProfile, EmptyResult, InvariantViolation,
-                     OutOfRange, ProfileMismatch)
+from .errors import (UNIT, EmptyProfile, EmptyResult, InvariantViolation,
+                     OutOfRange, ProfileMismatch, check)
 from .profiles import AmbientProfile, UtilisationProfile
 
 COMPONENT_NAMES = tuple(component.name for component in COMPONENTS)
@@ -261,9 +261,7 @@ def peak_context(scenario: ScenarioConfig) -> PeakContext:
 def step_power(utilisation: float, ambient_c: float,
                scenario: ScenarioConfig, ctx: PeakContext) -> PowerBreakdown:
     """Power breakdown for one hour; ``ctx`` holds the compiled model."""
-    if not 0.0 <= utilisation <= 1.0:
-        raise OutOfRange(
-            f"utilisation must lie in [0, 1], got {utilisation!r}")
+    check(OutOfRange, utilisation=(utilisation, UNIT))
     loads = ctx.loads((utilisation,), (ctx.adjustment(ambient_c),))
     return PowerBreakdown(*(column[0] for column in loads))
 

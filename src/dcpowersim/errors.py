@@ -57,21 +57,28 @@ class InvariantViolation(SimulationError):
     """A domain type's invariant would be violated."""
 
 
-# Field rules for the spec dataclasses: (holds, description).
-NONNEGATIVE = (lambda v: 0.0 <= v < math.inf, "finite and nonnegative")
-POSITIVE = (lambda v: 0.0 < v < math.inf, "positive and finite")
-AT_LEAST_ONE = (lambda v: 1 <= v < math.inf, ">= 1 and finite")
-FRACTION = (lambda v: 0.0 < v <= 1.0, "in (0, 1]")
+# Rules for arguments and spec fields: (holds, requirement).
+NONNEGATIVE = (lambda v: 0.0 <= v < math.inf, "be finite and nonnegative")
+POSITIVE = (lambda v: 0.0 < v < math.inf, "be positive and finite")
+AT_LEAST_ONE = (lambda v: 1 <= v < math.inf, "be >= 1 and finite")
+FRACTION = (lambda v: 0.0 < v <= 1.0, "be in (0, 1]")
+UNIT = (lambda v: 0.0 <= v <= 1.0, "lie in [0, 1]")
+FINITE = (math.isfinite, "be finite")
+
+
+def check(error: type[SimulationError], **named: tuple) -> None:
+    """Raise ``error`` naming the first value that breaks its rule, e.g.
+    ``check(OutOfRange, utilisation=(u, UNIT))``."""
+    for name, (value, (holds, requirement)) in named.items():
+        if not holds(value):
+            raise error(f"{name} must {requirement}, got {value!r}")
 
 
 def check_fields(spec: object, **rules: tuple) -> None:
     """Raise :class:`InvariantViolation` naming the first field of ``spec``
     that breaks its rule, e.g. ``check_fields(self, cop=NONNEGATIVE)``."""
-    for name, (holds, description) in rules.items():
-        value = getattr(spec, name)
-        if not holds(value):
-            raise InvariantViolation(
-                f"{name} must be {description}, got {value!r}")
+    check(InvariantViolation, **{name: (getattr(spec, name), rule)
+                                 for name, rule in rules.items()})
 
 
 # --- component models ---

@@ -18,8 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (AT_LEAST_ONE, NONNEGATIVE, InfeasibleTarget,
-                     InvariantViolation, NegativeInput, OutOfRange,
+from .errors import (AT_LEAST_ONE, NONNEGATIVE, POSITIVE, InfeasibleTarget,
+                     InvariantViolation, NegativeInput, OutOfRange, check,
                      check_fields)
 
 # Split of the proportional (non-idle) peak loss between PDU and UPS.
@@ -55,19 +55,24 @@ class SupplyLoss:
 
 def pdu_loss(farm_power_w: float, spec: SupplyChainSpec) -> float:
     """Combined loss of all PDUs carrying ``farm_power_w``, watts."""
-    if farm_power_w < 0.0:
-        raise NegativeInput("farm power must be nonnegative")
-    per_pdu_load = farm_power_w / spec.pdu_count
-    return (spec.pdu_idle_total_w
-            + spec.pdu_count * spec.lambda_pdu_per_w * per_pdu_load ** 2)
+    check(NegativeInput, farm_power_w=(farm_power_w, NONNEGATIVE))
+    try:
+        loss_w = (spec.pdu_idle_total_w + spec.pdu_count * spec.lambda_pdu_per_w
+                  * (farm_power_w / spec.pdu_count) ** 2)
+    except OverflowError:   # float ** raises where * would give inf
+        raise OutOfRange(f"farm power {farm_power_w!r} W is too large") from None
+    check(OutOfRange, pdu_loss_w=(loss_w, NONNEGATIVE))
+    return loss_w
 
 
 def ups_loss(farm_power_w: float, pdu_loss_w: float,
              spec: SupplyChainSpec) -> float:
     """UPS loss in watts; throughput is the IT load plus PDU losses."""
-    if farm_power_w < 0.0 or pdu_loss_w < 0.0:
-        raise NegativeInput("power inputs must be nonnegative")
-    return spec.ups_idle_w + spec.lambda_ups * (farm_power_w + pdu_loss_w)
+    check(NegativeInput, farm_power_w=(farm_power_w, NONNEGATIVE),
+          pdu_loss_w=(pdu_loss_w, NONNEGATIVE))
+    loss_w = spec.ups_idle_w + spec.lambda_ups * (farm_power_w + pdu_loss_w)
+    check(OutOfRange, ups_loss_w=(loss_w, NONNEGATIVE))
+    return loss_w
 
 
 def supply_loss(farm_power_w: float, spec: SupplyChainSpec) -> SupplyLoss:
@@ -91,8 +96,7 @@ def calibrate_supply(farm_peak_w: float,
     ``pdu_count`` has no effect on any output: it multiplies ``lambda_pdu``
     here, and the loss divides it out again.
     """
-    if farm_peak_w <= 0.0:
-        raise NegativeInput("farm peak must be positive")
+    check(NegativeInput, farm_peak_w=(farm_peak_w, POSITIVE))
     if not 0.0 < peak_loss_frac < 1.0:
         raise InvariantViolation("peak_loss_frac must lie in (0, 1)")
     pdu_idle_w = pdu_idle_frac * farm_peak_w
@@ -110,6 +114,8 @@ def calibrate_supply(farm_peak_w: float,
         lambda_pdu = pdu_quad_peak_w * pdu_count / farm_peak_w ** 2
     except OverflowError:   # float ** raises where * would give inf
         raise OutOfRange(f"farm peak {farm_peak_w!r} W is too large") from None
+    except ZeroDivisionError:   # its square underflowed to 0
+        raise OutOfRange(f"farm peak {farm_peak_w!r} W is too small") from None
     pdu_loss_peak_w = pdu_idle_w + pdu_quad_peak_w
     lambda_ups = ups_lin_peak_w / (farm_peak_w + pdu_loss_peak_w)
     return SupplyChainSpec(

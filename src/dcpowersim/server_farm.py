@@ -23,8 +23,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import (AT_LEAST_ONE, EmptyList, InvariantViolation, OutOfRange,
-                     check_fields)
+from .errors import (AT_LEAST_ONE, UNIT, EmptyList, InvariantViolation,
+                     OutOfRange, check, check_fields)
 
 
 @dataclass(frozen=True)
@@ -58,18 +58,12 @@ class FarmState:
     running_count: float
 
 
-def _check_fraction(value: float, name: str) -> None:
-    if not 0.0 <= value <= 1.0:
-        raise OutOfRange(f"{name} must lie in [0, 1], got {value!r}")
-
-
 def aggregate_utilisation(per_server: Sequence[float]) -> float:
     """Arithmetic mean of per-server utilisations."""
     if len(per_server) == 0:
         raise EmptyList("cannot aggregate an empty utilisation list")
-    for i, u in enumerate(per_server):
-        if not 0.0 <= u <= 1.0:
-            raise OutOfRange(f"utilisation #{i} must lie in [0, 1], got {u!r}")
+    check(OutOfRange, **{f"utilisation #{i}": (u, UNIT)
+                         for i, u in enumerate(per_server)})
     return sum(per_server) / len(per_server)
 
 
@@ -81,8 +75,8 @@ def effective_server_utilisation(total_utilisation: float,
     limit along full consolidation is used, so an empty, fully packed
     farm reports zero per-server load.
     """
-    _check_fraction(total_utilisation, "utilisation")
-    _check_fraction(consolidation, "consolidation")
+    check(OutOfRange, utilisation=(total_utilisation, UNIT),
+          consolidation=(consolidation, UNIT))
     if total_utilisation == 0.0:
         return 0.0
     running_fraction = consolidation * (1.0 - total_utilisation) + total_utilisation
@@ -91,7 +85,7 @@ def effective_server_utilisation(total_utilisation: float,
 
 def server_power(utilisation: float, spec: ServerSpec) -> float:
     """Single-server draw in watts, linear between idle and peak."""
-    _check_fraction(utilisation, "utilisation")
+    check(OutOfRange, utilisation=(utilisation, UNIT))
     return spec.p_idle_w + (spec.p_peak_w - spec.p_idle_w) * utilisation
 
 
@@ -102,15 +96,12 @@ def farm_state(total_utilisation: float, consolidation: float,
     Conservation holds exactly: running_count * per_server_utilisation
     equals count * total_utilisation.
     """
-    _check_fraction(total_utilisation, "utilisation")
-    _check_fraction(consolidation, "consolidation")
-    if total_utilisation == 0.0 and consolidation == 0.0:
-        return FarmState(0.0, 0.0, 0.0, 0.0)
+    per_server = effective_server_utilisation(total_utilisation, consolidation)
     running_fraction = consolidation * (1.0 - total_utilisation) + total_utilisation
     return FarmState(
         aggregate_utilisation=total_utilisation,
         consolidation=consolidation,
-        per_server_utilisation=total_utilisation / running_fraction,
+        per_server_utilisation=per_server,
         running_count=spec.count * running_fraction,
     )
 

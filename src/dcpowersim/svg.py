@@ -9,6 +9,7 @@ width: per pixel column, the first, lowest, highest and last point.
 from __future__ import annotations
 
 from html import escape
+from typing import Sequence
 
 _WIDTH = 960
 _HEIGHT = 420
@@ -18,7 +19,7 @@ _PALETTE = ("#4878a8", "#e49444", "#d1605e", "#85b6b2", "#6a9f58",
             "#e7ca60", "#a87c9f", "#967662")
 
 
-def _decimate(values: list[float]) -> list[int]:
+def _decimate(values: Sequence[float]) -> list[int]:
     """Indices to draw; index i falls in pixel column i * width // (n-1)."""
     width, n = _X1 - _X0, len(values)
     if n <= 2 * width:
@@ -67,12 +68,11 @@ def _document(title: str, y_max: float, shapes: list[str],
     return "\n".join(parts) + "\n"
 
 
-def render_stacked_area(labels: list[str], rows: list[list[float]],
-                        title: str) -> str:
-    """Stacked-area chart of component series over row index (time)."""
-    n = len(rows)
-    totals = [sum(row) for row in rows]
-    y_max = _scale(max(totals, default=0.0))
+def render_stacked_area(labels: list[str],
+                        columns: Sequence[Sequence[float]], title: str) -> str:
+    """Stacked-area chart of component columns over row index (time)."""
+    totals = list(map(sum, zip(*columns)))
+    n, y_max = len(totals), _scale(max(totals, default=0.0))
 
     def x_at(i: int) -> float:
         return _X0 if n == 1 else _X0 + (_X1 - _X0) * i / (n - 1)
@@ -84,8 +84,8 @@ def render_stacked_area(labels: list[str], rows: list[list[float]],
     xs = [f"{x_at(i):.2f}," for i in kept]
     level, lower = [0.0] * len(kept), [f"{x}{y_at(0.0):.2f}" for x in xs]
     shapes = []
-    for series_index in range(len(labels)):
-        level = [low + rows[i][series_index] for low, i in zip(level, kept)]
+    for series_index, column in enumerate(columns):
+        level = [low + column[i] for low, i in zip(level, kept)]
         upper = [f"{x}{y_at(y):.2f}" for x, y in zip(xs, level)]
         points = " ".join(upper + lower[::-1])
         color = _PALETTE[series_index % len(_PALETTE)]
@@ -95,22 +95,18 @@ def render_stacked_area(labels: list[str], rows: list[list[float]],
     return _document(title, y_max, shapes, labels)
 
 
-def render_lines(series: list[tuple[str, list[tuple[float, float]]]],
-                 title: str) -> str:
-    """Line chart; each series is a label plus (x, y) points."""
-    all_points = [point for _, points in series for point in points]
-    x_min = min((p[0] for p in all_points), default=0.0)
-    x_max = max((p[0] for p in all_points), default=1.0)
+def render_lines(xs: Sequence[float],
+                 series: list[tuple[str, Sequence[float]]], title: str) -> str:
+    """Line chart; each series is a label plus its y values at ``xs``."""
+    x_min, x_max = min(xs, default=0.0), max(xs, default=1.0)
     x_span = (x_max - x_min) or 1.0
-    y_max = _scale(max((p[1] for p in all_points), default=0.0))
+    y_max = _scale(max((y for _, ys in series for y in ys), default=0.0))
     shapes = []
-    for series_index, (_, points) in enumerate(series):
+    for series_index, (_, ys) in enumerate(series):
         color = _PALETTE[series_index % len(_PALETTE)]
         coords = " ".join(
-            f"{_X0 + (_X1 - _X0) * (x - x_min) / x_span:.2f},"
-            f"{_Y1 - (_Y1 - _Y0) * y / y_max:.2f}"
-            for x, y in map(points.__getitem__,
-                            _decimate([y for _, y in points])))
+            f"{_X0 + (_X1 - _X0) * (xs[i] - x_min) / x_span:.2f},"
+            f"{_Y1 - (_Y1 - _Y0) * ys[i] / y_max:.2f}" for i in _decimate(ys))
         shapes.append(f'<polyline points="{coords}" fill="none" '
                       f'stroke="{color}" stroke-width="1.5"/>')
     return _document(title, y_max, shapes, [label for label, _ in series])

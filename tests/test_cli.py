@@ -405,3 +405,13 @@ def test_tiny_eer_is_data_error_without_traceback(tmp_path, command):
     assert done.stderr.startswith("dcpowersim: error:")
     assert done.stdout == ""
     assert not (tmp_path / "out.csv").exists()
+
+
+def test_farm_peak_whose_square_underflows_is_data_error(tmp_path):
+    config = tmp_path / "scenario.cfg"
+    config.write_text("server.count=1\nserver.p_idle_w=0\n"
+                      "server.p_peak_w=1e-200\narchitecture=crac\n")
+    done = run_process(["peak", "--config", str(config)])
+    assert done.returncode == 2
+    assert done.stderr == (f"dcpowersim: error: {config}: "
+                           "farm peak 1e-200 W is too small\n")

@@ -180,6 +180,12 @@ def test_every_numeric_key_rejects_non_finite(key, value, spelling):
     assert math.isfinite(breakdown.total_w)
 
 
+@pytest.mark.parametrize("key", ["server.count", "supply.pdu_count"])
+def test_int_key_past_the_float_range_is_not_finite(key):
+    with pytest.raises(MalformedRow, match="not finite"):
+        parse_scenario_config(with_value(key, "1" + "0" * 400))
+
+
 @pytest.mark.parametrize("table", ["30:nan", "nan:3.5", "inf:3;20:4",
                                    "30:3.5;20:inf"])
 def test_eer_table_rejects_non_finite(table):

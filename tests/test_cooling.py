@@ -1,5 +1,7 @@
 """Cooling model tests: chiller quadratic, fan power, CRAC, EER table."""
 
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -211,3 +213,44 @@ def test_table_validation():
         EerTable(breakpoints=((35.0, 3.1), (30.0, 2.9)))   # EER drops when colder
     with pytest.raises(InvariantViolation):
         EerTable(breakpoints=((35.0, 0.0),))
+
+
+# --- arguments outside the domain, and overflow ---
+
+@pytest.mark.parametrize("farm_peak_w", [-1e6, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("power", [
+    lambda peak: airflow_heat_power(0.5, peak, CRAH),
+    lambda peak: crah_power(0.5, peak, CRAH),
+    lambda peak: crac_power(0.5, peak, CRAC, CRAH),
+])
+def test_fan_powers_reject_bad_farm_peak(power, farm_peak_w):
+    with pytest.raises(OutOfRange,
+                       match="^farm_peak_w must be finite and nonnegative"):
+        power(farm_peak_w)
+
+
+@pytest.mark.parametrize("adjustment", [math.nan, math.inf, -math.inf, -1.0])
+def test_crac_rejects_bad_condenser_adjustment(adjustment):
+    with pytest.raises(OutOfRange, match="^condenser_adjustment must"):
+        crac_power(0.5, FARM_PEAK, CRAC, CRAH, adjustment)
+
+
+@pytest.mark.parametrize("name,value", [
+    ("t_hot_c", math.nan), ("t_hot_c", math.inf), ("t_hot_c", -math.inf),
+    ("t_cold_c", math.nan), ("t_cold_c", -math.inf),
+    ("cp_air", math.nan), ("cp_air", math.inf), ("cp_air", -1.0),
+])
+def test_heat_load_rejects_non_finite_temperature_or_bad_cp(name, value):
+    args = {"m_dot_kg_s": 1.0, "containment": 1.0, "t_hot_c": 35.0,
+            "t_cold_c": 25.0, name: value}
+    with pytest.raises(OutOfRange, match=f"^{name} must"):
+        heat_load(**args)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: crac_power(1.0, FARM_PEAK, CRAC, CRAH, condenser_adjustment=1e308),
+    lambda: heat_load(1e308, 1.0, 35.0, 25.0),
+])
+def test_overflowing_cooling_power_is_out_of_range(call):
+    with pytest.raises(OutOfRange, match="must be finite and nonnegative"):
+        call()

@@ -1,0 +1,99 @@
+"""Argument domains of the public component functions.
+
+Every float argument is drawn from all floats, NaN and +-inf included:
+each call returns only finite numbers >= 0 or raises a SimulationError.
+The messages of the shared rules are pinned in full.
+"""
+
+import dataclasses
+import math
+import re
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from dcpowersim.config import default_scenario
+from dcpowersim.cooling import (ChillerSpec, CracSpec, CrahSpec, EerTable,
+                                airflow_heat_power, ambient_adjustment,
+                                chiller_power, crac_power, crah_power,
+                                eer_lookup, heat_load)
+from dcpowersim.engine import peak_context, step_power
+from dcpowersim.errors import (InvariantViolation, OutOfRange,
+                               SimulationError)
+from dcpowersim.power_chain import (SupplyLoss, calibrate_supply, pdu_loss,
+                                    supply_loss, ups_loss)
+from dcpowersim.server_farm import (ServerSpec, aggregate_utilisation,
+                                    effective_server_utilisation, farm_power,
+                                    farm_state, server_power)
+
+SERVER = ServerSpec(40000, 120.0, 250.0)
+SUPPLY = calibrate_supply(SERVER.farm_peak_w)
+CHILLER, CRAH, CRAC, EER = ChillerSpec(), CrahSpec(), CracSpec(), EerTable()
+SCENARIO = default_scenario()
+
+F = st.floats()   # every float, NaN, +-inf and subnormals included
+
+# Each public component function with its specs bound, and a strategy
+# for each remaining argument.
+CALLS = {
+    "server_power": (lambda u: server_power(u, SERVER), [F]),
+    "farm_state": (lambda u, c: farm_state(u, c, SERVER), [F, F]),
+    "farm_power": (lambda u, c: farm_power(u, c, SERVER), [F, F]),
+    "effective_server_utilisation": (effective_server_utilisation, [F, F]),
+    "aggregate_utilisation": (aggregate_utilisation, [st.lists(F)]),
+    "pdu_loss": (lambda p: pdu_loss(p, SUPPLY), [F]),
+    "ups_loss": (lambda p, q: ups_loss(p, q, SUPPLY), [F, F]),
+    "supply_loss": (lambda p: supply_loss(p, SUPPLY), [F]),
+    "calibrate_supply": (calibrate_supply, [F, st.integers(), F, F, F]),
+    "chiller_power": (lambda u, f: chiller_power(u, f, CHILLER), [F, F]),
+    "airflow_heat_power": (lambda u, f: airflow_heat_power(u, f, CRAH),
+                           [F, F]),
+    "crah_power": (lambda u, f: crah_power(u, f, CRAH), [F, F]),
+    "crac_power": (lambda u, f, a: crac_power(u, f, CRAC, CRAH, a),
+                   [F, F, F]),
+    "heat_load": (heat_load, [F, F, F, F, F]),
+    "eer_lookup": (lambda t: eer_lookup(t, EER), [F]),
+    "ambient_adjustment": (lambda t, r: ambient_adjustment(t, r, EER),
+                           [F, F]),
+}
+
+
+def numbers(value) -> list:
+    """The numbers a result holds: itself, or its fields and total."""
+    if not dataclasses.is_dataclass(value):
+        return [value]
+    held = [getattr(value, f.name) for f in dataclasses.fields(value)]
+    return held + [value.total_w] if isinstance(value, SupplyLoss) else held
+
+
+@pytest.mark.parametrize("name", sorted(CALLS))
+@given(data=st.data())
+def test_component_gives_finite_nonnegative_numbers_or_raises(name, data):
+    function, strategies = CALLS[name]
+    args = [data.draw(strategy) for strategy in strategies]
+    try:
+        result = function(*args)
+    except SimulationError:
+        return
+    for number in numbers(result):
+        assert 0.0 <= number < math.inf, (args, result)
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: CracSpec(cop=-1.0), InvariantViolation,
+     "cop must be finite and nonnegative, got -1.0"),
+    (lambda: ChillerSpec(gamma=0.0), InvariantViolation,
+     "gamma must be positive and finite, got 0.0"),
+    (lambda: ServerSpec(0, 1.0, 2.0), InvariantViolation,
+     "count must be >= 1 and finite, got 0"),
+    (lambda: CrahSpec(eta_heat=2.0), InvariantViolation,
+     "eta_heat must be in (0, 1], got 2.0"),
+    (lambda: step_power(1.5, 30.0, SCENARIO, peak_context(SCENARIO)),
+     OutOfRange, "utilisation must lie in [0, 1], got 1.5"),
+    (lambda: farm_power(1.5, 0.5, SERVER), OutOfRange,
+     "utilisation must lie in [0, 1], got 1.5"),
+])
+def test_rule_messages(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()

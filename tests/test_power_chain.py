@@ -6,12 +6,15 @@ Hand-solved coefficients: lambda_pdu = 450 kW * 100 / (10 MW)^2 = 4.5e-7,
 lambda_ups = 600 kW / 10.6 MW.
 """
 
+import math
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from dcpowersim.errors import (InfeasibleTarget, InvariantViolation,
-                               NegativeInput)
+                               NegativeInput, OutOfRange)
 from dcpowersim.power_chain import (SupplyChainSpec, calibrate_supply,
                                     pdu_loss, supply_loss, ups_loss)
 
@@ -129,3 +132,32 @@ def test_spec_validation():
     with pytest.raises(InvariantViolation):
         SupplyChainSpec(pdu_count=1, pdu_idle_total_w=-5, ups_idle_w=0,
                         lambda_pdu_per_w=0, lambda_ups=0)
+
+
+@pytest.mark.parametrize("power_w", [math.nan, math.inf])
+def test_loss_functions_reject_non_finite_power(power_w):
+    for call in (lambda: pdu_loss(power_w, DEFAULT),
+                 lambda: ups_loss(power_w, 0.0, DEFAULT),
+                 lambda: ups_loss(0.0, power_w, DEFAULT),
+                 lambda: supply_loss(power_w, DEFAULT)):
+        with pytest.raises(NegativeInput, match="must be finite and nonneg"):
+            call()
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: pdu_loss(1e308, DEFAULT), "farm power 1e+308 W is too large"),
+    (lambda: supply_loss(1e308, DEFAULT), "farm power 1e+308 W is too large"),
+    (lambda: pdu_loss(1e10, SupplyChainSpec(1, 0.0, 0.0, 1e300, 0.0)),
+     "pdu_loss_w must be finite and nonnegative, got inf"),
+    (lambda: ups_loss(1.7e308, 1.7e308, DEFAULT),
+     "ups_loss_w must be finite and nonnegative, got inf"),
+])
+def test_overflowing_loss_is_out_of_range(call, message):
+    with pytest.raises(OutOfRange, match=f"^{re.escape(message)}$"):
+        call()
+
+
+@pytest.mark.parametrize("farm_peak_w", [1e-200, 5e-324])
+def test_calibration_rejects_a_farm_peak_whose_square_underflows(farm_peak_w):
+    with pytest.raises(OutOfRange, match="too small"):
+        calibrate_supply(farm_peak_w)

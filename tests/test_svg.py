@@ -34,7 +34,7 @@ def annual_chart():
     ambient = AmbientProfile(stamps, ts)
     result = simulate(utilisation, ambient, default_scenario())
     rows = list(zip(*result.components))
-    return rows, render_stacked_area(list(COMPONENT_NAMES), rows,
+    return rows, render_stacked_area(list(COMPONENT_NAMES), result.components,
                                      title="Hourly power <breakdown> & co")
 
 
@@ -60,14 +60,16 @@ def test_annual_stacked_chart_is_small_deterministic_and_well_formed():
 
 def test_short_stacked_series_keeps_every_point():
     rows = [[1.0 + (i % 7), 2.0] for i in range(2 * PLOT_WIDTH_PX)]
-    root = ET.fromstring(render_stacked_area(["a", "b"], rows, title="t"))
+    root = ET.fromstring(render_stacked_area(["a", "b"], list(zip(*rows)),
+                                             title="t"))
     for polygon in root.findall(f"{SVG}polygon"):
         assert len(points_of(polygon)) == 2 * len(rows)
 
 
 def test_short_line_series_keeps_every_point():
     points = [(float(i), math.sin(i / 5.0) + 2.0) for i in range(100)]
-    root = ET.fromstring(render_lines([("sine", points)], title="t"))
+    xs, ys = zip(*points)
+    root = ET.fromstring(render_lines(xs, [("sine", ys)], title="t"))
     assert len(points_of(root.find(f"{SVG}polyline"))) == 100
 
 
@@ -76,8 +78,10 @@ def test_long_line_series_is_decimated_per_pixel():
     points = [(float(i), 2.0 + math.sin(i * 0.37) + (i == 4321) * 5.0)
               for i in range(n)]
     mirrored = [(x, 4.0 - y) for x, y in points]
-    text = render_lines([("a", points), ("b", mirrored)], title="t")
-    assert render_lines([("a", points), ("b", mirrored)], title="t") == text
+    xs = [x for x, _ in points]
+    series = [("a", [y for _, y in points]), ("b", [y for _, y in mirrored])]
+    text = render_lines(xs, series, title="t")
+    assert render_lines(xs, series, title="t") == text
     lines = ET.fromstring(text).findall(f"{SVG}polyline")
     y_max = max(y for _, y in points)
 
