@@ -6,77 +6,47 @@ temperature profiles, with curtailment solving and cooling-architecture
 comparison on top.
 """
 
-from .analysis import (ArchitectureComparison, CurtailmentSolution,
-                       PowerCurve, compare_architectures, curtail,
-                       peak_breakdown, power_curve)
-from .config import (CoolingArchitecture, ScenarioConfig, default_scenario,
-                     parse_scenario_config)
-from .cooling import (ChillerSpec, CracSpec, CrahSpec, EerTable,
-                      ambient_adjustment, chiller_power, crac_power,
-                      crah_power, eer_lookup, heat_load)
-from .engine import (EnergySummary, PeakContext, PowerBreakdown,
-                     SimulationResult, SimulationStep, peak_context,
-                     simulate, step_power, summarize_energy)
-from .errors import SimulationError
-from .power_chain import (SupplyChainSpec, SupplyLoss, calibrate_supply,
-                          pdu_loss, supply_loss, ups_loss)
-from .profiles import (AmbientProfile, UtilisationProfile,
-                       parse_temperature_csv, parse_utilisation_csv,
-                       write_results_csv)
-from .server_farm import (FarmState, ServerSpec, aggregate_utilisation,
-                          effective_server_utilisation, farm_power,
-                          farm_state, server_power)
+import importlib
+
+# Where each public name lives; ``__getattr__`` imports its module on first
+# use (PEP 562), so ``import dcpowersim`` loads no submodule.
+_HOMES = {
+    "analysis": ("ArchitectureComparison", "CurtailmentSolution", "PowerCurve",
+                 "compare_architectures", "curtail", "peak_breakdown",
+                 "power_curve"),
+    "config": ("CoolingArchitecture", "ScenarioConfig", "default_scenario",
+               "parse_scenario_config"),
+    "cooling": ("ChillerSpec", "CracSpec", "CrahSpec", "EerTable",
+                "ambient_adjustment", "chiller_power", "crac_power",
+                "crah_power", "eer_lookup", "heat_load"),
+    "engine": ("EnergySummary", "PeakContext", "PowerBreakdown",
+               "SimulationResult", "SimulationStep", "peak_context",
+               "simulate", "step_power", "summarize_energy"),
+    "errors": ("SimulationError",),
+    "power_chain": ("SupplyChainSpec", "SupplyLoss", "calibrate_supply",
+                    "pdu_loss", "supply_loss", "ups_loss"),
+    "profiles": ("AmbientProfile", "UtilisationProfile",
+                 "parse_temperature_csv", "parse_utilisation_csv",
+                 "write_results_csv"),
+    "server_farm": ("FarmState", "ServerSpec", "aggregate_utilisation",
+                    "effective_server_utilisation", "farm_power",
+                    "farm_state", "server_power"),
+}
+_HOME = {name: module for module, names in _HOMES.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AmbientProfile",
-    "ArchitectureComparison",
-    "ChillerSpec",
-    "CoolingArchitecture",
-    "CracSpec",
-    "CrahSpec",
-    "CurtailmentSolution",
-    "EerTable",
-    "EnergySummary",
-    "FarmState",
-    "PeakContext",
-    "PowerBreakdown",
-    "PowerCurve",
-    "ScenarioConfig",
-    "ServerSpec",
-    "SimulationError",
-    "SimulationResult",
-    "SimulationStep",
-    "SupplyChainSpec",
-    "SupplyLoss",
-    "UtilisationProfile",
-    "aggregate_utilisation",
-    "ambient_adjustment",
-    "calibrate_supply",
-    "chiller_power",
-    "compare_architectures",
-    "crac_power",
-    "crah_power",
-    "curtail",
-    "default_scenario",
-    "eer_lookup",
-    "effective_server_utilisation",
-    "farm_power",
-    "farm_state",
-    "heat_load",
-    "parse_scenario_config",
-    "parse_temperature_csv",
-    "parse_utilisation_csv",
-    "pdu_loss",
-    "peak_breakdown",
-    "peak_context",
-    "power_curve",
-    "server_power",
-    "simulate",
-    "step_power",
-    "summarize_energy",
-    "supply_loss",
-    "ups_loss",
-    "write_results_csv",
-]
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

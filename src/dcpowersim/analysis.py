@@ -12,11 +12,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .config import COMPONENTS, CoolingArchitecture, ScenarioConfig
 from .engine import PeakContext, peak_context, simulate, step_power
 from .errors import OutOfRange
-from .profiles import AmbientProfile, UtilisationProfile
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .profiles import AmbientProfile, UtilisationProfile
 
 CURTAIL_RELATIVE_TOLERANCE = 1e-6
 

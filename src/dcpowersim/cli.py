@@ -12,6 +12,9 @@ Exit codes: 0 success, 1 usage error, 2 data or model error.  Output files
 are written via temp-then-rename, with mode 0o666 less the umask.  A failure
 leaves no temp file and exits 2; one partway through renaming leaves the
 outputs renamed before it with their new text and the rest untouched.
+
+Each handler imports the modules it uses, so a process loads only what
+its subcommand needs: ``curtail`` never loads the CSV or SVG code.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import itertools
 import os
 import sys
 
-from . import analysis, engine, profiles, svg
+from . import engine
 from .config import CoolingArchitecture, ScenarioConfig, parse_scenario_config
 from .errors import SimulationError
 
@@ -131,11 +134,13 @@ def _write_all_atomic(payloads: dict[str, str]) -> None:
 
 
 def _cmd_simulate(args: argparse.Namespace, scenario: ScenarioConfig) -> None:
+    from . import profiles
     utilisation = _parse_file(profiles.parse_utilisation_csv, args.utilisation)
     ambient = _parse_file(profiles.parse_temperature_csv, args.weather)
     result = engine.simulate(utilisation, ambient, scenario)
     payloads = {args.out: profiles.write_results_csv(result)}
     if args.svg:
+        from . import svg
         payloads[args.svg] = svg.render_stacked_area(
             list(engine.COMPONENT_NAMES), result.components,
             title="Hourly power breakdown")
@@ -153,6 +158,7 @@ def _cmd_peak(args: argparse.Namespace, scenario: ScenarioConfig) -> None:
 
 
 def _cmd_curtail(args: argparse.Namespace, scenario: ScenarioConfig) -> None:
+    from . import analysis
     ctx = engine.peak_context(scenario)
     solution = analysis.curtail(args.target_w, args.ambient_c, scenario, ctx)
     print(f"utilisation,{solution.required_utilisation:.10g}")
@@ -162,12 +168,14 @@ def _cmd_curtail(args: argparse.Namespace, scenario: ScenarioConfig) -> None:
 
 
 def _cmd_curve(args: argparse.Namespace, scenario: ScenarioConfig) -> None:
+    from . import analysis, profiles
     curves = analysis.power_curve(args.temps, scenario, args.points)
     rows = [(curve.temperature_c, utilisation, total_w)
             for curve in curves for utilisation, total_w in curve.points]
     payloads = {args.out: profiles.format_csv(
         ("temp_c", "utilisation", "total_w"), tuple(zip(*rows)))}
     if args.svg:
+        from . import svg
         payloads[args.svg] = svg.render_lines(
             [u for u, _ in curves[0].points],
             [(f"{curve.temperature_c:g} C", [w for _, w in curve.points])
@@ -176,6 +184,7 @@ def _cmd_curve(args: argparse.Namespace, scenario: ScenarioConfig) -> None:
 
 
 def _cmd_compare(args: argparse.Namespace, scenario: ScenarioConfig) -> None:
+    from . import analysis, profiles
     utilisation = _parse_file(profiles.parse_utilisation_csv, args.utilisation)
     ambient = _parse_file(profiles.parse_temperature_csv, args.weather)
     comparison = analysis.compare_architectures(utilisation, ambient,
@@ -187,6 +196,7 @@ def _cmd_compare(args: argparse.Namespace, scenario: ScenarioConfig) -> None:
         (comparison.timestamps, utilisation.values, ambient.values,
          comparison.baseline_cooling_w, comparison.alternative_cooling_w))}
     if args.svg:
+        from . import svg
         payloads[args.svg] = svg.render_lines(
             range(len(comparison.timestamps)),
             [(comparison.baseline.value, comparison.baseline_cooling_w),

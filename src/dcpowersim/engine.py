@@ -33,13 +33,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from . import cooling
 from .config import COMPONENTS, ScenarioConfig
 from .errors import (UNIT, EmptyProfile, EmptyResult, InvariantViolation,
                      OutOfRange, ProfileMismatch, check)
-from .profiles import AmbientProfile, UtilisationProfile
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .profiles import AmbientProfile, UtilisationProfile
 
 COMPONENT_NAMES = tuple(component.name for component in COMPONENTS)
 
@@ -68,9 +70,10 @@ class PowerBreakdown:
     def __post_init__(self) -> None:
         values = self.values()
         for name, value in zip(COMPONENT_NAMES, values):
-            if value < 0.0:
+            if not 0.0 <= value < math.inf:
                 raise InvariantViolation(
-                    f"component {name} is negative: {value}")
+                    f"component {name} must be finite and nonnegative, "
+                    f"got {value!r}")
         object.__setattr__(self, "total_w", sum(values))
 
     def values(self) -> tuple[float, ...]:
@@ -266,15 +269,8 @@ def step_power(utilisation: float, ambient_c: float,
     return PowerBreakdown(*(column[0] for column in loads))
 
 
-def simulate(utilisation: UtilisationProfile, ambient: AmbientProfile,
-             scenario: ScenarioConfig) -> SimulationResult:
-    """Run the full model over aligned hourly profiles, checked once."""
-    if len(utilisation) == 0 or len(ambient) == 0:
-        raise EmptyProfile("profiles must be non-empty")
-    if len(utilisation) != len(ambient):
-        raise ProfileMismatch(
-            f"profile lengths differ: {len(utilisation)} utilisation rows "
-            f"vs {len(ambient)} weather rows")
+def _check_rows(utilisation: UtilisationProfile,
+                ambient: AmbientProfile) -> None:
     rows = zip(utilisation.timestamps, ambient.timestamps,
                utilisation.values, ambient.values)
     for row, (stamp, other, u, t) in enumerate(rows, 1):
@@ -284,8 +280,25 @@ def simulate(utilisation: UtilisationProfile, ambient: AmbientProfile,
         if not (0.0 <= u <= 1.0 and math.isfinite(t)):
             raise OutOfRange(f"row {row}: utilisation must lie in [0, 1] and "
                              f"ambient be finite, got {u!r}, {t!r}")
-    ctx = peak_context(scenario)
+
+
+def simulate(utilisation: UtilisationProfile, ambient: AmbientProfile,
+             scenario: ScenarioConfig) -> SimulationResult:
+    """Run the full model over aligned hourly profiles, checked once."""
+    if len(utilisation) == 0 or len(ambient) == 0:
+        raise EmptyProfile("profiles must be non-empty")
+    if len(utilisation) != len(ambient):
+        raise ProfileMismatch(
+            f"profile lengths differ: {len(utilisation)} utilisation rows "
+            f"vs {len(ambient)} weather rows")
     us, ts = utilisation.values, ambient.values
+    # Checked as columns; the rows are searched only to name what failed.
+    # A NaN utilisation can hide from min and max, never from the sum.
+    if not (utilisation.timestamps == ambient.timestamps
+            and 0.0 <= min(us) and max(us) <= 1.0
+            and math.isfinite(sum(us)) and math.isfinite(sum(ts))):
+        _check_rows(utilisation, ambient)
+    ctx = peak_context(scenario)
     result = SimulationResult(utilisation.timestamps, us, ts,
                               ctx.loads(us, list(map(ctx.adjustment, ts))))
     if not math.isfinite(result.total_energy_wh):

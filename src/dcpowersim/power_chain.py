@@ -111,7 +111,11 @@ def calibrate_supply(farm_peak_w: float,
     pdu_quad_peak_w = proportional_budget_w * _PDU_PROPORTIONAL_SHARE
     ups_lin_peak_w = proportional_budget_w * _UPS_PROPORTIONAL_SHARE
     try:
-        lambda_pdu = pdu_quad_peak_w * pdu_count / farm_peak_w ** 2
+        count = float(pdu_count)
+    except OverflowError:   # an int past the float range, too long to print
+        raise OutOfRange("pdu_count is too large for a float") from None
+    try:
+        lambda_pdu = pdu_quad_peak_w * count / farm_peak_w ** 2
     except OverflowError:   # float ** raises where * would give inf
         raise OutOfRange(f"farm peak {farm_peak_w!r} W is too large") from None
     except ZeroDivisionError:   # its square underflowed to 0

@@ -16,6 +16,7 @@ import csv
 import datetime as dt
 import io
 from dataclasses import dataclass
+from itertools import repeat
 from typing import TYPE_CHECKING
 
 from .config import COMPONENTS
@@ -30,6 +31,9 @@ _TIMESTAMP_FORMAT = "%Y-%m-%dT%H:%M"
 _ONE_HOUR = dt.timedelta(hours=1)
 _ONE_DAY = dt.timedelta(days=1)
 _NEXT_HOUR = {f"{h:02d}": f"{h + 1:02d}" for h in range(23)}   # within a day
+_LAST_DAY = dt.date.max.toordinal()
+
+_Columns = tuple[tuple[str, ...], tuple[float, ...]]   # stamps, values
 
 UTILISATION_HEADER = ("timestamp", "utilisation")
 TEMPERATURE_HEADER = ("timestamp", "temperature_c")
@@ -83,11 +87,58 @@ def _next_hour(stamp: str) -> str | None:
     return f"{dt.date.fromisoformat(stamp[:10]) + _ONE_DAY}T00{stamp[13:]}"
 
 
-def _parse_series(text: str, header: tuple[str, str],
-                  low: float, high: float, out_of_range: str,
-                  ) -> tuple[tuple[str, ...], tuple[float, ...]]:
-    # One leading byte-order mark, as spreadsheet exports write.
-    rows = list(csv.reader(io.StringIO(text.removeprefix("\ufeff"))))
+def _hourly_run(first: dt.datetime, n: int) -> tuple[str, ...]:
+    """``n`` canonical stamps an hour apart from ``first``; fewer if they
+    would pass 9999-12-31."""
+    hours = [f"T{hour:02d}:{first.minute:02d}" for hour in range(24)]
+    day = first.toordinal()
+    days = range(day, min(day + (first.hour + n + 23) // 24, _LAST_DAY + 1))
+    run = [date + hour for date in map(str, map(dt.date.fromordinal, days))
+           for hour in hours]
+    return tuple(run[first.hour:first.hour + n])
+
+
+def _parse_columns(text: str, header: tuple[str, str],
+                   low: float, high: float) -> _Columns | None:
+    """The series checked as whole columns, or None when anything is off,
+    leaving the verdict and its message to :func:`_parse_rows`.
+
+    Without quotes or CRs, and with no line longer than the field limit,
+    the rows ``csv.reader`` yields are the lines split at commas.
+    """
+    if '"' in text or "\r" in text:
+        return None
+    lines = text.split("\n")
+    if (max(map(len, lines)) > csv.field_size_limit()
+            or tuple(cell.strip() for cell in lines[0].split(",")) != header):
+        return None
+    # Blank lines are skipped, as _parse_rows skips them; each other line
+    # holds one stamp and one value.
+    lines = list(filter(str.strip, lines[1:]))
+    if set(map(str.count, lines, repeat(","))) != {1}:
+        return None
+    cells = ",".join(lines).split(",")
+    stamps = tuple(map(str.strip, cells[0::2]))
+    try:
+        values = tuple(map(float, cells[1::2]))
+        first = dt.datetime.fromisoformat(stamps[0])
+    except ValueError:
+        return None
+    # NaN fails both comparisons.
+    if not (all(map(low.__le__, values)) and all(map(high.__ge__, values))
+            and stamps == _hourly_run(first, len(stamps))):
+        return None
+    return stamps, values
+
+
+def _parse_rows(text: str, header: tuple[str, str],
+                low: float, high: float, out_of_range: str) -> _Columns:
+    rows: list[list[str]] = []
+    try:
+        rows.extend(csv.reader(io.StringIO(text)))
+    except csv.Error as exc:   # a field longer than csv.field_size_limit()
+        where = f"row {len(rows)}" if rows else "header"
+        raise MalformedRow(f"{where}: {exc}") from None
     if not rows or tuple(cell.strip() for cell in rows[0]) != header:
         raise MalformedRow(
             f"expected header {','.join(header)!r}, got "
@@ -129,6 +180,14 @@ def _parse_series(text: str, header: tuple[str, str],
     if not timestamps:
         raise EmptyProfile("profile has a header but no data rows")
     return tuple(timestamps), tuple(values)
+
+
+def _parse_series(text: str, header: tuple[str, str],
+                  low: float, high: float, out_of_range: str) -> _Columns:
+    # One leading byte-order mark, as spreadsheet exports write.
+    text = text.removeprefix("\ufeff")
+    return (_parse_columns(text, header, low, high)
+            or _parse_rows(text, header, low, high, out_of_range))
 
 
 def parse_utilisation_csv(text: str) -> UtilisationProfile:

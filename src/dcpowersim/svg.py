@@ -8,7 +8,6 @@ width: per pixel column, the first, lowest, highest and last point.
 
 from __future__ import annotations
 
-from html import escape
 from typing import Sequence
 
 _WIDTH = 960
@@ -26,11 +25,18 @@ def _decimate(values: Sequence[float]) -> list[int]:
         return list(range(n))
     keep = set()
     for p in range(width + 1):
-        pixel = range(-(-p * (n - 1) // width),
-                      min(n, -(-(p + 1) * (n - 1) // width)))
-        keep.update((pixel[0], pixel[-1], min(pixel, key=values.__getitem__),
-                     max(pixel, key=values.__getitem__)))
+        lo = -(-p * (n - 1) // width)
+        hi = min(n, -(-(p + 1) * (n - 1) // width))
+        # index() finds the first occurrence, as min and max keep the first.
+        chunk = values[lo:hi]
+        keep.update((lo, hi - 1, lo + chunk.index(min(chunk)),
+                     lo + chunk.index(max(chunk))))
     return sorted(keep)
+
+
+def _escape(text: str) -> str:
+    """``html.escape(text, quote=False)``, without importing ``html``."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _scale(values_max: float) -> float:
@@ -44,7 +50,7 @@ def _document(title: str, y_max: float, shapes: list[str],
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
         f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
-        f'<title>{escape(title, quote=False)}</title>',
+        f'<title>{_escape(title)}</title>',
         f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
         f'<line x1="{_X0}" y1="{_Y1}" x2="{_X1}" y2="{_Y1}" stroke="black"/>',
         f'<line x1="{_X0}" y1="{_Y0}" x2="{_X0}" y2="{_Y1}" stroke="black"/>',
@@ -63,7 +69,7 @@ def _document(title: str, y_max: float, shapes: list[str],
         parts.append(f'<rect x="{x}" y="{y - 9}" width="10" height="10" '
                      f'fill="{_PALETTE[i % len(_PALETTE)]}"/>')
         parts.append(f'<text x="{x + 14}" y="{y}" font-size="11">'
-                     f'{escape(label, quote=False)}</text>')
+                     f'{_escape(label)}</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
@@ -77,16 +83,16 @@ def render_stacked_area(labels: list[str],
     def x_at(i: int) -> float:
         return _X0 if n == 1 else _X0 + (_X1 - _X0) * i / (n - 1)
 
-    def y_at(value: float) -> float:
-        return _Y1 - (_Y1 - _Y0) * value / y_max
-
     kept = _decimate(totals)
     xs = [f"{x_at(i):.2f}," for i in kept]
-    level, lower = [0.0] * len(kept), [f"{x}{y_at(0.0):.2f}" for x in xs]
+    # y at value v is bottom - height * v / y_max, so bottom at 0.
+    bottom, height = _Y1, _Y1 - _Y0
+    level, lower = [0.0] * len(kept), [f"{x}{bottom:.2f}" for x in xs]
     shapes = []
     for series_index, column in enumerate(columns):
         level = [low + column[i] for low, i in zip(level, kept)]
-        upper = [f"{x}{y_at(y):.2f}" for x, y in zip(xs, level)]
+        upper = [f"{x}{bottom - height * y / y_max:.2f}"
+                 for x, y in zip(xs, level)]
         points = " ".join(upper + lower[::-1])
         color = _PALETTE[series_index % len(_PALETTE)]
         shapes.append(f'<polygon points="{points}" fill="{color}" '
@@ -101,12 +107,13 @@ def render_lines(xs: Sequence[float],
     x_min, x_max = min(xs, default=0.0), max(xs, default=1.0)
     x_span = (x_max - x_min) or 1.0
     y_max = _scale(max((y for _, ys in series for y in ys), default=0.0))
+    left, width, bottom, height = _X0, _X1 - _X0, _Y1, _Y1 - _Y0
     shapes = []
     for series_index, (_, ys) in enumerate(series):
         color = _PALETTE[series_index % len(_PALETTE)]
         coords = " ".join(
-            f"{_X0 + (_X1 - _X0) * (xs[i] - x_min) / x_span:.2f},"
-            f"{_Y1 - (_Y1 - _Y0) * ys[i] / y_max:.2f}" for i in _decimate(ys))
+            f"{left + width * (xs[i] - x_min) / x_span:.2f},"
+            f"{bottom - height * ys[i] / y_max:.2f}" for i in _decimate(ys))
         shapes.append(f'<polyline points="{coords}" fill="none" '
                       f'stroke="{color}" stroke-width="1.5"/>')
     return _document(title, y_max, shapes, [label for label, _ in series])

@@ -1,5 +1,7 @@
-"""CLI contract tests: exit codes, file outputs, atomicity, determinism."""
+"""CLI contract tests: exit codes, file outputs, atomicity, determinism,
+and what each subcommand imports."""
 
+import json
 import os
 import stat
 import subprocess
@@ -193,15 +195,21 @@ def test_compare_writes_series_and_summary(tmp_path, capsys):
                                                                 abs=5e-4)
 
 
-def run_process(args):
-    """The CLI as a separate process, importing this checkout's package."""
+SRC = str(Path(dcpowersim.__file__).resolve().parents[1])
+
+
+def run_python(args):
+    """A fresh interpreter that imports this checkout's package."""
     env = dict(os.environ)
-    src = str(Path(dcpowersim.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "dcpowersim.cli", *args],
-                          capture_output=True, text=True, env=env,
-                          timeout=60)
+        filter(None, [SRC, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env, timeout=60)
+
+
+def run_process(args):
+    """The CLI as a separate process."""
+    return run_python(["-m", "dcpowersim.cli", *args])
 
 
 @pytest.mark.parametrize("command", [
@@ -415,3 +423,90 @@ def test_farm_peak_whose_square_underflows_is_data_error(tmp_path):
     assert done.returncode == 2
     assert done.stderr == (f"dcpowersim: error: {config}: "
                            "farm peak 1e-200 W is too small\n")
+
+
+def test_field_past_the_csv_limit_is_data_error_without_traceback(tmp_path):
+    config, util, weather = write_inputs(tmp_path, hours=1)
+    util.write_text("timestamp,utilisation\n2016-06-01T00:00," + "1" * 140_000)
+    done = run_process(["simulate", "--config", str(config),
+                        "--utilisation", str(util), "--weather", str(weather),
+                        "--out", str(tmp_path / "out.csv")])
+    assert done.returncode == 2
+    assert done.stderr == (f"dcpowersim: error: {util}: row 1: field larger "
+                           "than field limit (131072)\n")
+    assert not (tmp_path / "out.csv").exists()
+
+
+# --- what a process imports: each module it loads costs it time ---
+
+# Modules a subcommand could load without using them.
+WATCHED = ("csv", "html", "_strptime")
+
+
+def modules_after(code):
+    """Sorted package modules, and the WATCHED ones, that a fresh
+    interpreter holds after running ``code``."""
+    probe = (f"{code}\nimport json, sys\nprint(json.dumps(sorted("
+             f"name for name in sys.modules if name.startswith('dcpowersim')"
+             f" or name in {WATCHED!r})))")
+    done = run_python(["-c", probe])
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_importing_the_package_loads_no_submodule():
+    assert modules_after("import dcpowersim") == ["dcpowersim"]
+
+
+def test_star_import_resolves_every_public_name():
+    namespace = {}
+    exec("from dcpowersim import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == \
+        sorted(dcpowersim.__all__)
+    for name in dcpowersim.__all__:
+        assert namespace[name].__module__.startswith("dcpowersim.")
+        assert namespace[name] is getattr(dcpowersim, name)
+    assert set(dcpowersim.__all__) <= set(dir(dcpowersim))
+
+
+def test_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="has no attribute 'simulator'"):
+        getattr(dcpowersim, "simulator")
+
+
+CORE = ["config", "cooling", "engine", "errors", "power_chain",
+        "server_farm"]
+LOADED = {   # subcommand: its package modules beyond cli and CORE
+    "peak": [],
+    "curtail": ["analysis"],
+    "simulate": ["profiles", "svg"],
+    "curve": ["analysis", "profiles", "svg"],
+    "compare": ["analysis", "profiles", "svg"],
+}
+ARGS = {
+    "peak": [],
+    "curtail": ["--ambient-c", "20", "--target-w", "15000000"],
+    "simulate": ["--utilisation", "{util}", "--weather", "{weather}",
+                 "--out", "{tmp}/out.csv", "--svg", "{tmp}/out.svg"],
+    "curve": ["--temps", "10,30", "--out", "{tmp}/out.csv",
+              "--svg", "{tmp}/out.svg"],
+    "compare": ["--utilisation", "{util}", "--weather", "{weather}",
+                "--out", "{tmp}/out.csv", "--svg", "{tmp}/out.svg"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(LOADED))
+def test_each_subcommand_loads_only_what_it_uses(tmp_path, command):
+    config, util, weather = write_inputs(tmp_path)
+    argv = [command, "--config", str(config), *(
+        arg.format(tmp=tmp_path, util=util, weather=weather)
+        for arg in ARGS[command])]
+    loaded = modules_after(
+        f"from dcpowersim.cli import run\nassert run({argv!r}) == 0")
+    expected = ["dcpowersim", *(f"dcpowersim.{name}" for name in
+                                ["cli", *CORE, *LOADED[command]])]
+    # The parse reads canonical stamps without strptime, and the charts
+    # escape text without html; only the CSV parse needs csv.
+    if "profiles" in LOADED[command]:
+        expected.append("csv")
+    assert loaded == sorted(expected)

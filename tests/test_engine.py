@@ -147,6 +147,17 @@ def test_negative_component_rejected():
         PowerBreakdown(-1.0, 0, 0, 0, 0, 0, 0, 0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("index", range(len(COMPONENT_NAMES)))
+def test_non_finite_component_rejected(index, bad):
+    parts = [1.0] * len(COMPONENT_NAMES)
+    parts[index] = bad
+    with pytest.raises(InvariantViolation, match=(
+            f"^component {COMPONENT_NAMES[index]} must be finite and "
+            f"nonnegative, got {bad!r}$")):
+        PowerBreakdown(*parts)
+
+
 def test_non_finite_ambient_rejected():
     for ambient in (math.nan, math.inf, -math.inf):
         with pytest.raises(OutOfRange):
@@ -283,6 +294,57 @@ def test_non_finite_ambient_at_any_row_rejected(bad):
     utilisation, ambient = profiles_from([0.5] * 12, ts)
     with pytest.raises(OutOfRange, match="row 6:"):
         simulate(utilisation, ambient, SCENARIO)
+
+
+def simulate_checking_rows(utilisation, ambient, scenario):
+    """simulate with every row checked first, as it ran before it checked
+    whole columns."""
+    rows = zip(utilisation.timestamps, ambient.timestamps,
+               utilisation.values, ambient.values)
+    for row, (stamp, other, u, t) in enumerate(rows, 1):
+        if stamp != other:
+            raise ProfileMismatch(
+                f"row {row}: timestamps diverge ({stamp!r} vs {other!r})")
+        if not (0.0 <= u <= 1.0 and math.isfinite(t)):
+            raise OutOfRange(f"row {row}: utilisation must lie in [0, 1] and "
+                             f"ambient be finite, got {u!r}, {t!r}")
+    return simulate(utilisation, ambient, scenario)
+
+
+# Edge values, valid and not: 1e308 is finite, but two of them overflow
+# the column sum.
+EDGE_UTILISATIONS = [0.0, -0.0, 1.0, math.nan, math.inf, -math.inf, -1e-300,
+                     1.0000000000000002, 2.0]
+EDGE_AMBIENTS = [math.nan, math.inf, -math.inf, 1e308, -1e308, 1.7e308,
+                 -0.0, 60.0]
+
+
+@st.composite
+def defective_profiles(draw):
+    n = draw(st.integers(1, 12))
+    us = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+    ts = draw(st.lists(st.floats(-60.0, 60.0), min_size=n, max_size=n))
+    other = list(stamps(n))
+    for column, edges in ((us, EDGE_UTILISATIONS), (ts, EDGE_AMBIENTS),
+                          (other, ["2016-06-30T00:00", ""])):
+        for _ in range(draw(st.integers(0, 2))):
+            column[draw(st.integers(0, n - 1))] = draw(st.sampled_from(edges))
+    return (UtilisationProfile(stamps(n), tuple(us)),
+            AmbientProfile(tuple(other), tuple(ts)))
+
+
+def outcome(call, *args):
+    try:
+        return call(*args)
+    except SimulationError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(pair=defective_profiles())
+def test_column_check_agrees_with_the_row_checks(pair):
+    assert outcome(simulate, *pair, SCENARIO) == \
+        outcome(simulate_checking_rows, *pair, SCENARIO)
 
 
 def test_empty_profiles_rejected():

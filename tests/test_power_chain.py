@@ -161,3 +161,11 @@ def test_overflowing_loss_is_out_of_range(call, message):
 def test_calibration_rejects_a_farm_peak_whose_square_underflows(farm_peak_w):
     with pytest.raises(OutOfRange, match="too small"):
         calibrate_supply(farm_peak_w)
+
+
+def test_calibration_names_a_pdu_count_past_the_float_range():
+    # The int-to-float overflow once landed in the farm-peak handler.
+    for pdu_count in (10**400, 10**5000):   # repr fails past 4300 digits
+        with pytest.raises(OutOfRange,
+                           match="^pdu_count is too large for a float$"):
+            calibrate_supply(1e6, pdu_count=pdu_count)

@@ -3,6 +3,7 @@
 import csv
 import datetime as dt
 import io
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from dcpowersim.engine import SimulationResult, simulate
 from dcpowersim.errors import (EmptyProfile, EmptyResult, GapInSeries,
                                InvariantViolation, MalformedRow,
                                NonMonotonicTime, OutOfRange, SimulationError)
+from dcpowersim import profiles
 from dcpowersim.profiles import (RESULT_COLUMNS, AmbientProfile,
                                  UtilisationProfile, parse_temperature_csv,
                                  parse_utilisation_csv, write_results_csv)
@@ -262,6 +264,137 @@ def test_canonical_rollovers_accepted():
             f"{(when + dt.timedelta(hours=h)).isoformat(timespec='minutes')}"
             f",0.5\n" for h in range(2))
         assert parse_utilisation_csv(text) == strptime_parse_utilisation(text)
+
+
+# --- whole-column parse against the row loop ---
+
+FIELD_LIMIT = csv.field_size_limit()
+VALUES = {   # per parser: in-range values, then values of other kinds
+    "utilisation": (st.floats(0.0, 1.0),
+                    ["nan", "inf", "-inf", "1.5", "1.0000000000000002",
+                     "-1e-300", "-0.0", "1e-400", "abc", "", " 0.5 ",
+                     "0.5,1", "1_0", "0.5" + " " * FIELD_LIMIT]),
+    "temperature": (st.floats(-60.0, 60.0),
+                    ["nan", "-inf", "61", "-60.00000000000001", "-60.0",
+                     "60", "x", "", "\t12.5", "20,1",
+                     "20" + " " * (FIELD_LIMIT - 2)]),
+}
+# Each text is clean or clean but untidy, with up to two odd rows.
+ROW_KINDS = [["keep"], ["keep"] * 2 + ["spaces", "blank", "whitespace"]]
+ODD_KINDS = ["unpadded", "spaces", "jump", "blank", "whitespace",
+             "other_value", "quoted", "one_field"]
+
+
+@st.composite
+def profile_texts(draw):
+    """A profile CSV with defects of every kind the row loop names."""
+    kind = draw(st.sampled_from(sorted(VALUES)))
+    good, others = VALUES[kind]
+    header = draw(st.sampled_from([f"timestamp,{kind}"] * 12 + [
+        f" timestamp , {kind}", f"timestamp,{kind},", "timestamp",
+        f'"timestamp",{kind}', ""]))
+    header = header.replace("temperature", "temperature_c")
+    when = draw(st.sampled_from(STARTS) | st.datetimes(
+        dt.datetime(1, 1, 1), LAST_HOUR).map(
+            lambda d: d.replace(second=0, microsecond=0)))
+    n, kinds = draw(st.integers(0, 30)), draw(st.sampled_from(ROW_KINDS))
+    row_kinds = [draw(st.sampled_from(kinds)) for _ in range(n)]
+    for _ in range(draw(st.integers(0, 2)) if n else 0):
+        row_kinds[draw(st.integers(0, n - 1))] = draw(
+            st.sampled_from(ODD_KINDS))
+    lines = [header]
+    for row, row_kind in enumerate(row_kinds):
+        if row_kind in ("blank", "whitespace"):
+            lines.append("" if row_kind == "blank" else " \t ")
+            continue
+        shift = draw(st.sampled_from(JUMPS_MIN)) if row_kind == "jump" else 60
+        try:
+            when += dt.timedelta(minutes=shift if row else 0)
+        except OverflowError:   # past 9999-12-31: any row may follow
+            when = LAST_HOUR
+        stamp = spelled(when, row_kind)
+        value = (draw(st.sampled_from(others)) if row_kind == "other_value"
+                 else repr(draw(good)))
+        if row_kind == "quoted":
+            stamp = f'"{stamp}"'
+        lines.append(stamp if row_kind == "one_field" else f"{stamp},{value}")
+    newline = draw(st.sampled_from(["\n"] * 3 + ["\r\n"]))
+    text = newline.join(lines) + draw(st.sampled_from(["", newline, "\n\n"]))
+    return kind, draw(st.sampled_from(["", "\ufeff"])) + text
+
+
+PARSE = {"utilisation": parse_utilisation_csv,
+         "temperature": parse_temperature_csv}
+
+
+def by_rows(kind, text):
+    """The public parser with its whole-column pass turned off."""
+    with mock.patch.object(profiles, "_parse_columns", return_value=None):
+        return outcome(PARSE[kind], text)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(case=profile_texts())
+def test_column_parse_agrees_with_the_row_loop(case):
+    kind, text = case
+    assert outcome(PARSE[kind], text) == by_rows(kind, text)
+
+
+def stamps_from(first, n):
+    return [(first + dt.timedelta(hours=h)).isoformat(timespec="minutes")
+            for h in range(n)]
+
+
+@pytest.mark.parametrize("text", [
+    "timestamp,utilisation\n" + "".join(
+        f"{stamp},0.5\n" for stamp in stamps_from(dt.datetime(2016, 1, 1), 48)),
+    # Feb 29, padded cells, blank lines, no final newline
+    " timestamp ,utilisation\n\n 2016-02-28T23:30 , 1 \n   \n"
+    "2016-02-29T00:30,0\n2016-02-29T01:30,1e-3",
+    # the last hour there is
+    "timestamp,utilisation\n9999-12-31T22:00,0.5\n9999-12-31T23:00,0.5\n",
+    "timestamp,utilisation\n0001-01-01T00:00,0.5\n0001-01-01T01:00,0.5\n",
+], ids=["two-days", "untidy", "last-hours", "first-hours"])
+def test_clean_series_are_parsed_as_columns(text):
+    columns = profiles._parse_columns(text, profiles.UTILISATION_HEADER,
+                                      0.0, 1.0)
+    assert columns is not None
+    assert UtilisationProfile(*columns) == by_rows("utilisation", text)
+
+
+@pytest.mark.parametrize("text", [
+    "timestamp,utilisation\r\n2016-01-01T00:00,0.5\r\n",
+    'timestamp,utilisation\n"2016-01-01T00:00",0.5\n',
+    "timestamp,utilisation\n2016-1-1T0:0,0.5\n",   # strptime reads it
+    # one field, then three: right as cells, wrong as rows
+    "timestamp,utilisation\n2016-01-01T00:00\n0.5,2016-01-01T01:00,0.5\n",
+    "timestamp,utilisation\n2016-01-01T00:00,0.5\n2016-01-01T01:30,0.5\n",
+    "timestamp,utilisation\n2016-01-01T00:00,0.5" + " " * FIELD_LIMIT + "\n",
+], ids=["crlf", "quoted", "one-digit", "one-then-three-fields", "gap",
+        "long-line"])
+def test_other_series_are_left_to_the_row_loop(text):
+    assert profiles._parse_columns(text, profiles.UTILISATION_HEADER,
+                                   0.0, 1.0) is None
+
+
+@pytest.mark.parametrize("padding, accepted", [
+    (FIELD_LIMIT - 3, True), (FIELD_LIMIT - 2, False)],
+    ids=["at-limit", "past-limit"])
+def test_field_longer_than_the_csv_limit_is_a_malformed_row(padding,
+                                                            accepted):
+    text = ("timestamp,utilisation\n2016-01-01T00:00,0.5\n"
+            "2016-01-01T01:00,0.5" + " " * padding + "\n")
+    if accepted:
+        assert parse_utilisation_csv(text).values == (0.5, 0.5)
+    else:
+        with pytest.raises(MalformedRow, match=(
+                f"^row 2: field larger than field limit \\({FIELD_LIMIT}\\)$")):
+            parse_utilisation_csv(text)
+
+
+def test_over_long_header_field_is_a_malformed_row():
+    with pytest.raises(MalformedRow, match="^header: field larger"):
+        parse_utilisation_csv("t" * (FIELD_LIMIT + 1) + ",utilisation\n")
 
 
 # --- temperature parser ---

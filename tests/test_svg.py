@@ -1,13 +1,19 @@
 """SVG charts: well-formed, deterministic, decimated to the plot width."""
 
 import datetime as dt
+import html
 import math
+import random
 import xml.etree.ElementTree as ET
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dcpowersim.config import default_scenario
 from dcpowersim.engine import COMPONENT_NAMES, simulate
 from dcpowersim.profiles import AmbientProfile, UtilisationProfile
-from dcpowersim.svg import render_lines, render_stacked_area
+from dcpowersim.svg import (_decimate, _escape, render_lines,
+                            render_stacked_area)
 
 SVG = "{http://www.w3.org/2000/svg}"
 PLOT_WIDTH_PX = 740
@@ -96,3 +102,38 @@ def test_long_line_series_is_decimated_per_pixel():
         ys = [y for _, y in series]
         assert min(y for _, y in drawn) == pixel_y(max(ys))
         assert max(y for _, y in drawn) == pixel_y(min(ys))
+
+
+def decimate_by_key(values):
+    """_decimate as it was, with a key function per pixel."""
+    width, n = PLOT_WIDTH_PX, len(values)
+    if n <= 2 * width:
+        return list(range(n))
+    keep = set()
+    for p in range(width + 1):
+        pixel = range(-(-p * (n - 1) // width),
+                      min(n, -(-(p + 1) * (n - 1) // width)))
+        keep.update((pixel[0], pixel[-1], min(pixel, key=values.__getitem__),
+                     max(pixel, key=values.__getitem__)))
+    return sorted(keep)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2 * PLOT_WIDTH_PX - 3, 2 * PLOT_WIDTH_PX + 8)
+       | st.sampled_from([4 * PLOT_WIDTH_PX + 1, 8760]),
+       pool=st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, 1e300]),
+                     min_size=1, max_size=4),
+       seed=st.integers(0, 2**32 - 1), as_tuple=st.booleans())
+def test_decimate_keeps_the_points_the_key_search_kept(n, pool, seed,
+                                                       as_tuple):
+    # A small pool of values makes ties in every pixel; 0.0 and -0.0 tie.
+    rng = random.Random(seed)
+    values = [rng.choice(pool) for _ in range(n)]
+    if as_tuple:
+        values = tuple(values)
+    assert _decimate(values) == decimate_by_key(values)
+
+
+@given(text=st.text(alphabet=st.sampled_from('&<>"\'ab;#x\u00e9')))
+def test_escape_is_html_escape_without_quotes(text):
+    assert _escape(text) == html.escape(text, quote=False)
