@@ -142,7 +142,7 @@ def _cmd_simulate(args: argparse.Namespace, scenario: ScenarioConfig) -> None:
     if args.svg:
         from . import svg
         payloads[args.svg] = svg.render_stacked_area(
-            list(engine.COMPONENT_NAMES), result.components,
+            list(engine.COMPONENT_NAMES), result.components, result.total_w,
             title="Hourly power breakdown")
     _write_all_atomic(payloads)
 

@@ -164,7 +164,9 @@ def chiller_power(utilisation: float, farm_peak_w: float,
           farm_peak_w=(farm_peak_w, POSITIVE))
     curve = (spec.alpha * utilisation ** 2 + spec.beta * utilisation
              + spec.gamma)
-    return spec.sizing_factor * farm_peak_w * curve
+    power_w = spec.sizing_factor * farm_peak_w * curve
+    check(OutOfRange, chiller_power_w=(power_w, NONNEGATIVE))
+    return power_w
 
 
 def airflow_heat_power(utilisation: float, farm_peak_w: float,
@@ -182,14 +184,18 @@ def airflow_heat_power(utilisation: float, farm_peak_w: float,
     airflow_cmh = spec.unit_airflow_cmh * utilisation
     per_unit_kw = (FAN_POWER_COEFF
                    * (spec.unit_capacity_kw / spec.eta_heat) * airflow_cmh)
-    return unit_count * per_unit_kw * 1000.0
+    power_w = unit_count * per_unit_kw * 1000.0
+    check(OutOfRange, airflow_heat_power_w=(power_w, NONNEGATIVE))
+    return power_w
 
 
 def crah_power(utilisation: float, farm_peak_w: float,
                spec: CrahSpec) -> float:
     """Air-handler bank draw: idle floor plus fan power, watts."""
-    return (spec.idle_frac * farm_peak_w
-            + airflow_heat_power(utilisation, farm_peak_w, spec))
+    power_w = (spec.idle_frac * farm_peak_w
+               + airflow_heat_power(utilisation, farm_peak_w, spec))
+    check(OutOfRange, crah_power_w=(power_w, NONNEGATIVE))
+    return power_w
 
 
 def crac_power(utilisation: float, farm_peak_w: float, spec: CracSpec,

@@ -66,12 +66,20 @@ UNIT = (lambda v: 0.0 <= v <= 1.0, "lie in [0, 1]")
 FINITE = (math.isfinite, "be finite")
 
 
+def _shown(value: object) -> str:
+    """``repr(value)``, or the size of an int too long for ``repr``."""
+    try:
+        return repr(value)
+    except ValueError:   # past sys.get_int_max_str_digits()
+        return f"{'-' if value < 0 else ''}<int of {value.bit_length()} bits>"
+
+
 def check(error: type[SimulationError], **named: tuple) -> None:
     """Raise ``error`` naming the first value that breaks its rule, e.g.
     ``check(OutOfRange, utilisation=(u, UNIT))``."""
     for name, (value, (holds, requirement)) in named.items():
         if not holds(value):
-            raise error(f"{name} must {requirement}, got {value!r}")
+            raise error(f"{name} must {requirement}, got {_shown(value)}")
 
 
 def check_fields(spec: object, **rules: tuple) -> None:

@@ -78,7 +78,9 @@ def ups_loss(farm_power_w: float, pdu_loss_w: float,
 def supply_loss(farm_power_w: float, spec: SupplyChainSpec) -> SupplyLoss:
     """PDU and UPS losses for one farm power level."""
     p = pdu_loss(farm_power_w, spec)
-    return SupplyLoss(pdu_loss_w=p, ups_loss_w=ups_loss(farm_power_w, p, spec))
+    loss = SupplyLoss(pdu_loss_w=p, ups_loss_w=ups_loss(farm_power_w, p, spec))
+    check(OutOfRange, supply_loss_w=(loss.total_w, NONNEGATIVE))
+    return loss
 
 
 def calibrate_supply(farm_peak_w: float,

@@ -29,8 +29,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 _TIMESTAMP_FORMAT = "%Y-%m-%dT%H:%M"
 _ONE_HOUR = dt.timedelta(hours=1)
-_ONE_DAY = dt.timedelta(days=1)
-_NEXT_HOUR = {f"{h:02d}": f"{h + 1:02d}" for h in range(23)}   # within a day
 _LAST_DAY = dt.date.max.toordinal()
 
 _Columns = tuple[tuple[str, ...], tuple[float, ...]]   # stamps, values
@@ -75,16 +73,6 @@ def _parse_timestamp(raw: str, row_no: int) -> dt.datetime:
         raise MalformedRow(
             f"row {row_no}: bad timestamp {raw!r}, expected YYYY-MM-DDTHH:MM"
         ) from None
-
-
-def _next_hour(stamp: str) -> str | None:
-    """Canonical ``stamp`` plus one hour, canonical; None past year 9999."""
-    hour = _NEXT_HOUR.get(stamp[11:13])
-    if hour is not None:
-        return stamp[:11] + hour + stamp[13:]
-    if stamp.startswith("9999-12-31"):
-        return None
-    return f"{dt.date.fromisoformat(stamp[:10]) + _ONE_DAY}T00{stamp[13:]}"
 
 
 def _hourly_run(first: dt.datetime, n: int) -> tuple[str, ...]:
@@ -146,16 +134,18 @@ def _parse_rows(text: str, header: tuple[str, str],
         )
     timestamps: list[str] = []
     values: list[float] = []
-    # A row spelling the previous row's time plus one hour canonically is
-    # accepted without strptime; any other stamp gets the full checks.
-    expected: str | None = None
+    # Accepted rows are an hour apart, so the k-th is the first plus k
+    # hours: a row spelling run[k] is accepted without strptime, and any
+    # other stamp gets the full checks.
+    run: tuple[str, ...] = ()
     for row_no, row in enumerate(rows[1:], start=1):
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
         if len(row) != 2:
             raise MalformedRow(f"row {row_no}: expected 2 fields, got {len(row)}")
         stamp_text = row[0].strip()
-        canonical = stamp_text == expected
+        k = len(timestamps)
+        canonical = k < len(run) and stamp_text == run[k]
         if not canonical:
             parsed = _parse_timestamp(stamp_text, row_no)
         try:
@@ -173,8 +163,8 @@ def _parse_rows(text: str, header: tuple[str, str],
             if delta != _ONE_HOUR:
                 raise GapInSeries(
                     f"row {row_no}: spacing {delta} is not exactly one hour")
-        expected = _next_hour(stamp_text if canonical else
-                              parsed.isoformat(timespec="minutes"))
+        if not timestamps:
+            run = _hourly_run(parsed, len(rows))
         timestamps.append(stamp_text)
         values.append(value)
     if not timestamps:

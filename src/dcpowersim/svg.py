@@ -75,9 +75,10 @@ def _document(title: str, y_max: float, shapes: list[str],
 
 
 def render_stacked_area(labels: list[str],
-                        columns: Sequence[Sequence[float]], title: str) -> str:
-    """Stacked-area chart of component columns over row index (time)."""
-    totals = list(map(sum, zip(*columns)))
+                        columns: Sequence[Sequence[float]],
+                        totals: Sequence[float], title: str) -> str:
+    """Stacked-area chart of component columns over row index (time);
+    ``totals`` holds each row's sum of the columns."""
     n, y_max = len(totals), _scale(max(totals, default=0.0))
 
     def x_at(i: int) -> float:

@@ -1,15 +1,19 @@
 """CLI contract tests: exit codes, file outputs, atomicity, determinism,
 and what each subcommand imports."""
 
+import datetime as dt
 import json
 import os
 import stat
 import subprocess
 import sys
+import tempfile
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dcpowersim
 from dcpowersim.cli import run
@@ -510,3 +514,67 @@ def test_each_subcommand_loads_only_what_it_uses(tmp_path, command):
     if "profiles" in LOADED[command]:
         expected.append("csv")
     assert loaded == sorted(expected)
+
+
+# --- profile text through simulate and compare ---
+
+LAST_HOUR = dt.datetime(9999, 12, 31, 23)
+# Each row spells its hour canonically or as another stamp strptime reads,
+# or is blank, or holds a bad value.
+ROW_KINDS = ["canonical"] * 5 + ["unpadded", "spaced", "blank", "bad_value",
+                                 "jump"]
+
+
+def spell(when, kind):
+    if kind == "unpadded":
+        return f"{when.year}-{when.month}-{when.day}T{when.hour}:{when.minute}"
+    stamp = when.isoformat(timespec="minutes")
+    return f" {stamp}  " if kind == "spaced" else stamp
+
+
+@st.composite
+def profile_pairs(draw):
+    """Utilisation and weather texts over one drawn run of rows: CRLF or
+    LF, quoted stamps, a BOM, and the last hour there is."""
+    when = draw(st.sampled_from([dt.datetime(2016, 2, 28, 21, 30),
+                                 LAST_HOUR - dt.timedelta(hours=2)]))
+    rows = []
+    for row in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(ROW_KINDS))
+        if kind != "blank" and row:
+            try:
+                when += dt.timedelta(hours=2 if kind == "jump" else 1)
+            except OverflowError:   # past 9999-12-31: the last hour again
+                when = LAST_HOUR
+        rows.append((when, kind))
+    texts = []
+    for header, good, bad in (("timestamp,utilisation", "0.25", "1.5"),
+                              ("timestamp,temperature_c", "21", "nan")):
+        quote = '"' if draw(st.booleans()) else ""
+        lines = [header] + [
+            "" if kind == "blank" else
+            f"{quote}{spell(when, kind)}{quote},"
+            f"{bad if kind == 'bad_value' else good}"
+            for when, kind in rows]
+        newline = draw(st.sampled_from(["\n", "\r\n"]))
+        bom = draw(st.sampled_from(["", "\ufeff"]))
+        texts.append(bom + newline.join(lines) + newline)
+    return texts
+
+
+@settings(max_examples=100, deadline=None)
+@given(texts=profile_pairs(), command=st.sampled_from(["simulate",
+                                                       "compare"]))
+def test_profile_text_through_the_cli_exits_0_1_or_2(texts, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        config, util, weather = write_inputs(Path(tmp), hours=1)
+        util.write_bytes(texts[0].encode())
+        weather.write_bytes(texts[1].encode())
+        outputs = [Path(tmp, "out.csv"), Path(tmp, "out.svg")]
+        status = run([command, "--config", str(config), "--utilisation",
+                      str(util), "--weather", str(weather),
+                      "--out", str(outputs[0]), "--svg", str(outputs[1])])
+        assert status in (0, 1, 2)
+        if status == 2:
+            assert not any(path.exists() for path in outputs)
+            assert not list(Path(tmp).glob("*.tmp"))

@@ -250,6 +250,9 @@ def test_heat_load_rejects_non_finite_temperature_or_bad_cp(name, value):
 @pytest.mark.parametrize("call", [
     lambda: crac_power(1.0, FARM_PEAK, CRAC, CRAH, condenser_adjustment=1e308),
     lambda: heat_load(1e308, 1.0, 35.0, 25.0),
+    lambda: chiller_power(1.0, 1e10, ChillerSpec(sizing_factor=1e300)),
+    lambda: crah_power(1.0, 1e10, CrahSpec(idle_frac=1e300)),
+    lambda: airflow_heat_power(1.0, 1e10, CrahSpec(eta_heat=1e-300)),
 ])
 def test_overflowing_cooling_power_is_out_of_range(call):
     with pytest.raises(OutOfRange, match="must be finite and nonnegative"):

@@ -21,8 +21,9 @@ from dcpowersim.cooling import (ChillerSpec, CracSpec, CrahSpec, EerTable,
 from dcpowersim.engine import peak_context, step_power
 from dcpowersim.errors import (InvariantViolation, OutOfRange,
                                SimulationError)
-from dcpowersim.power_chain import (SupplyLoss, calibrate_supply, pdu_loss,
-                                    supply_loss, ups_loss)
+from dcpowersim.power_chain import (SupplyChainSpec, SupplyLoss,
+                                    calibrate_supply, pdu_loss, supply_loss,
+                                    ups_loss)
 from dcpowersim.server_farm import (ServerSpec, aggregate_utilisation,
                                     effective_server_utilisation, farm_power,
                                     farm_state, server_power)
@@ -93,6 +94,13 @@ def test_component_gives_finite_nonnegative_numbers_or_raises(name, data):
      OutOfRange, "utilisation must lie in [0, 1], got 1.5"),
     (lambda: farm_power(1.5, 0.5, SERVER), OutOfRange,
      "utilisation must lie in [0, 1], got 1.5"),
+    # repr of an int past 4300 digits raises a plain ValueError
+    (lambda: SupplyChainSpec(-10**5000, 0.0, 0.0, 0.0, 0.0),
+     InvariantViolation,
+     "pdu_count must be >= 1 and finite, got -<int of 16610 bits>"),
+    (lambda: ServerSpec(count=-10**5000, p_idle_w=1.0, p_peak_w=2.0),
+     InvariantViolation,
+     "count must be >= 1 and finite, got -<int of 16610 bits>"),
 ])
 def test_rule_messages(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):

@@ -151,6 +151,8 @@ def test_loss_functions_reject_non_finite_power(power_w):
      "pdu_loss_w must be finite and nonnegative, got inf"),
     (lambda: ups_loss(1.7e308, 1.7e308, DEFAULT),
      "ups_loss_w must be finite and nonnegative, got inf"),
+    (lambda: supply_loss(0.0, SupplyChainSpec(1, 1e308, 1e308, 0.0, 0.0)),
+     "supply_loss_w must be finite and nonnegative, got inf"),
 ])
 def test_overflowing_loss_is_out_of_range(call, message):
     with pytest.raises(OutOfRange, match=f"^{re.escape(message)}$"):

@@ -1,11 +1,13 @@
 """SVG charts: well-formed, deterministic, decimated to the plot width."""
 
 import datetime as dt
+import hashlib
 import html
 import math
 import random
 import xml.etree.ElementTree as ET
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -41,6 +43,7 @@ def annual_chart():
     result = simulate(utilisation, ambient, default_scenario())
     rows = list(zip(*result.components))
     return rows, render_stacked_area(list(COMPONENT_NAMES), result.components,
+                                     result.total_w,
                                      title="Hourly power <breakdown> & co")
 
 
@@ -67,7 +70,7 @@ def test_annual_stacked_chart_is_small_deterministic_and_well_formed():
 def test_short_stacked_series_keeps_every_point():
     rows = [[1.0 + (i % 7), 2.0] for i in range(2 * PLOT_WIDTH_PX)]
     root = ET.fromstring(render_stacked_area(["a", "b"], list(zip(*rows)),
-                                             title="t"))
+                                             list(map(sum, rows)), title="t"))
     for polygon in root.findall(f"{SVG}polygon"):
         assert len(points_of(polygon)) == 2 * len(rows)
 
@@ -137,3 +140,72 @@ def test_decimate_keeps_the_points_the_key_search_kept(n, pool, seed,
 @given(text=st.text(alphabet=st.sampled_from('&<>"\'ab;#x\u00e9')))
 def test_escape_is_html_escape_without_quotes(text):
     assert _escape(text) == html.escape(text, quote=False)
+
+
+# --- byte-for-byte pins on small fixed inputs ---
+
+def wave(n, k, scale):
+    """A fixed series with ties and jumps: k selects one of several."""
+    return [scale * ((i * 7919 + k * 104729) % 1000) / 8 for i in range(n)]
+
+
+def stacked(n, bands, scale=1.0):
+    columns = [wave(n, k, scale) for k in range(bands)]
+    return render_stacked_area([f"load {k} <&>" for k in range(bands)],
+                               columns, list(map(sum, zip(*columns))),
+                               title="Stacked & <pinned>")
+
+
+def lines(n, count, scale=1.0):
+    xs = [i * 0.5 - 3.0 for i in range(n)]
+    return render_lines(xs, [(f"series {k} <&>", wave(n, k, scale))
+                             for k in range(count)],
+                        title="Lines & <pinned>")
+
+
+# Nine bands and series wrap the eight-colour palette; an all-zero chart
+# and one peaking under 1 W keep their own scales; 1480 points is the most
+# drawn whole, 1481 the fewest decimated.
+CHARTS = {
+    "stacked-one-hour": lambda: stacked(1, 2),
+    "stacked-nine-bands": lambda: stacked(5, 9),
+    "stacked-all-zero": lambda: stacked(4, 2, scale=0.0),
+    "stacked-under-one-watt": lambda: stacked(4, 2, scale=1e-3),
+    "stacked-1480": lambda: stacked(2 * PLOT_WIDTH_PX, 2),
+    "stacked-1481": lambda: stacked(2 * PLOT_WIDTH_PX + 1, 2),
+    "lines-nine-series": lambda: lines(5, 9),
+    "lines-all-zero": lambda: lines(4, 2, scale=0.0),
+    "lines-under-one-watt": lambda: lines(4, 2, scale=1e-3),
+    "lines-1480": lambda: lines(2 * PLOT_WIDTH_PX, 2),
+    "lines-1481": lambda: lines(2 * PLOT_WIDTH_PX + 1, 2),
+}
+CHART_SHA256 = {
+    "lines-1480":
+        "9fea7fc1e9f3faa1092f4bd6e0cb61749e7e0e5429179c51c24e43a6359f6a9a",
+    "lines-1481":
+        "142f6ca947a7143d9b7e9059a79933b7e200d5e48153f2c8e9d42f36185ab822",
+    "lines-all-zero":
+        "13c20ca71812147f796aa54a12607e5213e9f63fc0ab0623bd713db96a4c0600",
+    "lines-nine-series":
+        "60e3a41ec949b9644d178d10e1b1b4b44222bb2d4ef9453a1e1c74f344d8c54f",
+    "lines-under-one-watt":
+        "7cd47c8a94b226fb8f0d5b6cd2744e9e81071a4a4ac5ef3e13b73d3c1fc32ed5",
+    "stacked-1480":
+        "90363bec8aa4d3ef7f84203fa07ca8777db8c24b5865912a826cba2e1f48fc51",
+    "stacked-1481":
+        "629f82c0bce2fd33b032603c1f986eb228f20c89505b349d7a4c578eb68bb584",
+    "stacked-all-zero":
+        "23b5d700dc30e463302c13058530f01b6b3ee5e1afeb9ef127bf23a760ed8ad6",
+    "stacked-nine-bands":
+        "8a62d95c53593bb97668ade8225f3b7b010adb1208614caf2a36a9c8afe23910",
+    "stacked-one-hour":
+        "cb81cbb28e272d7820b6941668d88fb51a9ad5be61e1f85c645c7f1bf24784d1",
+    "stacked-under-one-watt":
+        "5f773bb4004a9dbd5bb162e0169f52b29b143ae66eededdb544cf1509f740dc1",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHARTS))
+def test_chart_bytes_are_pinned(name):
+    text = CHARTS[name]()
+    assert hashlib.sha256(text.encode()).hexdigest() == CHART_SHA256[name]
