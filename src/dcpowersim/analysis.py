@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 
 from .config import COMPONENTS, CoolingArchitecture, ScenarioConfig
 from .engine import PeakContext, peak_context, simulate, step_power
-from .errors import OutOfRange
+from .errors import OutOfRange, check
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .profiles import AmbientProfile, UtilisationProfile
@@ -101,8 +101,8 @@ def peak_breakdown(scenario: ScenarioConfig) -> dict[str, float]:
 def power_curve(temps_c: list[float], scenario: ScenarioConfig,
                 n_points: int) -> list[PowerCurve]:
     """Facility total as a function of utilisation, one curve per temperature."""
-    if n_points < 2:
-        raise OutOfRange("a curve needs at least 2 points")
+    check(OutOfRange, n_points=(
+        n_points, (lambda n: isinstance(n, int) and n >= 2, "be an int >= 2")))
     ctx = peak_context(scenario)
     grid = [i / (n_points - 1) for i in range(n_points)]
     curves = []

@@ -82,6 +82,10 @@ class ScenarioConfig:
     consolidation: float = 1.0
 
     def __post_init__(self) -> None:
+        if not isinstance(self.architecture, CoolingArchitecture):
+            raise InvariantViolation(
+                "architecture must be a CoolingArchitecture, got "
+                f"{self.architecture!r}")
         if not (self.pump_fraction >= 0.0 and self.misc_fraction >= 0.0):
             raise InvariantViolation("pump and misc fractions must be >= 0")
         if self.pump_fraction + self.misc_fraction >= 1.0:

@@ -117,19 +117,18 @@ class EerTable:
     def __post_init__(self) -> None:
         if len(self.breakpoints) == 0:
             raise InvariantViolation("EER table needs at least one breakpoint")
-        previous_t = None
-        previous_eer = None
+        # The first point is checked against one hotter than any ambient.
+        previous_t, previous_eer = math.inf, 0.0
         for ambient_c, eer in self.breakpoints:
             if not (0.0 < eer < math.inf and math.isfinite(ambient_c)):
                 raise InvariantViolation(
                     "EER values must be positive and finite, ambients finite")
-            if previous_t is not None:
-                if ambient_c >= previous_t:
-                    raise InvariantViolation(
-                        "breakpoints must be in strictly descending ambient order")
-                if eer < previous_eer:
-                    raise InvariantViolation(
-                        "EER must be nonincreasing in ambient temperature")
+            if ambient_c >= previous_t:
+                raise InvariantViolation(
+                    "breakpoints must be in strictly descending ambient order")
+            if eer < previous_eer:
+                raise InvariantViolation(
+                    "EER must be nonincreasing in ambient temperature")
             previous_t, previous_eer = ambient_c, eer
         ascending = self.breakpoints[::-1]
         object.__setattr__(self, "ascending_c",

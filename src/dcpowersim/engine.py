@@ -32,7 +32,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from operator import attrgetter
+from functools import partial, reduce
+from operator import add, attrgetter
 from typing import TYPE_CHECKING, Sequence
 
 from . import cooling
@@ -131,9 +132,11 @@ class PeakContext:
 
         six = list(map(column, self.fixed, self.refrigeration))
         misc, phi = self.misc_constant_w, self.pump_fraction
+        # Summed left to right in every Python: from 3.12, sum() of floats
+        # is compensated and may round differently.
         pumps = (0.0,) * n if phi == 0.0 else tuple([
-            phi * (farm + pdu + ups + chill + crah + crac + misc) / (1.0 - phi)
-            for farm, pdu, ups, chill, crah, crac in zip(*six)])
+            phi * (load + misc) / (1.0 - phi)
+            for load in reduce(partial(map, add), six)])
         return (*six, pumps, (misc,) * n)
 
 
@@ -217,7 +220,7 @@ def peak_context(scenario: ScenarioConfig) -> PeakContext:
     fan_w = cooling.airflow_heat_power(1.0, farm_peak_w, scenario.crah)
     chiller, crac = scenario.chiller, scenario.crac
     size_w = chiller.sizing_factor * farm_peak_w
-    loads = {   # (fixed, refrigeration) per load, in table order
+    loads = {   # (fixed, refrigeration) per load before pumps and misc
         "server_farm": (farm, _ZERO), "pdu_loss": (pdu, _ZERO),
         "ups_loss": (ups, _ZERO),
         "chiller": (_ZERO, (size_w * chiller.gamma, size_w * chiller.beta,
@@ -226,8 +229,9 @@ def peak_context(scenario: ScenarioConfig) -> PeakContext:
         "crac": ((crac.idle_frac * farm_peak_w, 0.0, 0.0),
                  (0.0, (1.0 + crac.cop) * fan_w, 0.0)),
     }
-    fixed, refrigeration = zip(*(pair if name in included else (_ZERO, _ZERO)
-                                 for name, pair in loads.items()))
+    fixed, refrigeration = zip(*(
+        loads[component.name] if component.name in included else (_ZERO, _ZERO)
+        for component in COMPONENTS if component.name in loads))
     phi = scenario.pump_fraction if "pumps" in included else 0.0
     mu = scenario.misc_fraction if "misc" in included else 0.0
     # At U = 1 and a = 1 each load is its coefficient sum; ScenarioConfig

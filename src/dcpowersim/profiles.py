@@ -91,10 +91,12 @@ def _parse_columns(text: str, header: tuple[str, str],
     """The series checked as whole columns, or None when anything is off,
     leaving the verdict and its message to :func:`_parse_rows`.
 
-    Without quotes or CRs, and with no line longer than the field limit,
-    the rows ``csv.reader`` yields are the lines split at commas.
+    Without quotes or a CR outside a CRLF line end, and with no line
+    longer than the field limit, the rows ``csv.reader`` yields are the
+    lines split at commas; ``str.strip`` and ``float`` drop a line's CR.
     """
-    if '"' in text or "\r" in text:
+    if '"' in text or ("\r" in text
+                       and text.count("\r") != text.count("\r\n")):
         return None
     lines = text.split("\n")
     if (max(map(len, lines)) > csv.field_size_limit()
@@ -134,20 +136,13 @@ def _parse_rows(text: str, header: tuple[str, str],
         )
     timestamps: list[str] = []
     values: list[float] = []
-    # Accepted rows are an hour apart, so the k-th is the first plus k
-    # hours: a row spelling run[k] is accepted without strptime, and any
-    # other stamp gets the full checks.
-    run: tuple[str, ...] = ()
     for row_no, row in enumerate(rows[1:], start=1):
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
         if len(row) != 2:
             raise MalformedRow(f"row {row_no}: expected 2 fields, got {len(row)}")
         stamp_text = row[0].strip()
-        k = len(timestamps)
-        canonical = k < len(run) and stamp_text == run[k]
-        if not canonical:
-            parsed = _parse_timestamp(stamp_text, row_no)
+        parsed = _parse_timestamp(stamp_text, row_no)
         try:
             value = float(row[1])
         except ValueError:
@@ -155,16 +150,15 @@ def _parse_rows(text: str, header: tuple[str, str],
                 f"row {row_no}: bad number {row[1]!r}") from None
         if not low <= value <= high:
             raise OutOfRange(f"row {row_no}: {out_of_range.format(value)}")
-        if not canonical and timestamps:
-            delta = parsed - _parse_timestamp(timestamps[-1], row_no - 1)
+        if timestamps:
+            delta = parsed - previous
             if delta <= dt.timedelta(0):
                 raise NonMonotonicTime(
                     f"row {row_no}: timestamp {stamp_text!r} does not advance")
             if delta != _ONE_HOUR:
                 raise GapInSeries(
                     f"row {row_no}: spacing {delta} is not exactly one hour")
-        if not timestamps:
-            run = _hourly_run(parsed, len(rows))
+        previous = parsed
         timestamps.append(stamp_text)
         values.append(value)
     if not timestamps:

@@ -1,6 +1,7 @@
 """Curtailment, peak breakdown, power curves and architecture comparison."""
 
 import math
+import re
 from dataclasses import replace
 
 import pytest
@@ -196,6 +197,14 @@ def test_hotter_curve_dominates_colder():
 def test_curve_needs_two_points():
     with pytest.raises(OutOfRange):
         power_curve([30.0], SCENARIO, 1)
+
+
+@pytest.mark.parametrize("n_points", [math.nan, math.inf, -math.inf, 2.5,
+                                      2.0, 1])
+def test_curve_point_count_must_be_an_int_of_at_least_2(n_points):
+    with pytest.raises(OutOfRange, match=re.escape(
+            f"n_points must be an int >= 2, got {n_points!r}")):
+        power_curve([30.0], SCENARIO, n_points)
 
 
 @pytest.mark.parametrize("temp", [math.inf, -math.inf, math.nan])

@@ -16,7 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dcpowersim
+from dcpowersim.analysis import compare_architectures, power_curve
 from dcpowersim.cli import run
+from dcpowersim.config import CoolingArchitecture, default_scenario
+from dcpowersim.profiles import parse_temperature_csv, parse_utilisation_csv
 
 CONFIG = """\
 server.count=40000
@@ -197,6 +200,51 @@ def test_compare_writes_series_and_summary(tmp_path, capsys):
                    for line in capsys.readouterr().out.strip().split("\n"))
     assert float(summary["relative_increase"]) == pytest.approx(0.40691,
                                                                 abs=5e-4)
+
+
+def test_compare_prints_both_cooling_energies(tmp_path, capsys):
+    config, util, weather = write_inputs(tmp_path, hours=24, utilisation=0.7)
+    assert run(["compare", "--config", str(config), "--utilisation",
+                str(util), "--weather", str(weather),
+                "--out", str(tmp_path / "compare.csv")]) == 0
+    comparison = compare_architectures(
+        parse_utilisation_csv(util.read_text()),
+        parse_temperature_csv(weather.read_text()), default_scenario())
+    assert capsys.readouterr().out.splitlines()[:2] == [
+        f"baseline_cooling_energy_wh,"
+        f"{comparison.baseline_cooling_energy_wh:.10g}",
+        f"alternative_cooling_energy_wh,"
+        f"{comparison.alternative_cooling_energy_wh:.10g}"]
+
+
+def test_curtail_prints_its_target(tmp_path, capsys):
+    config, _, _ = write_inputs(tmp_path)
+    assert run(["curtail", "--config", str(config),
+                "--ambient-c", "30", "--target-w", "1.5e7"]) == 0
+    keys, values = zip(*(line.split(",") for line in
+                         capsys.readouterr().out.splitlines()))
+    assert keys == ("utilisation", "achieved_total_w", "target_total_w",
+                    "feasible")
+    assert values[2] == "15000000"
+
+
+def test_curve_arch_override(tmp_path):
+    config, _, _ = write_inputs(tmp_path)
+    out = tmp_path / "curve.csv"
+    assert run(["curve", "--config", str(config), "--temps", "0,41",
+                "--points", "3", "--out", str(out), "--arch", "crac"]) == 0
+    curves = power_curve([0.0, 41.0],
+                         default_scenario(CoolingArchitecture.CRAC), 3)
+    assert out.read_text().splitlines()[1:] == [
+        f"{curve.temperature_c:.10g},{u:.10g},{total_w:.10g}"
+        for curve in curves for u, total_w in curve.points]
+
+
+def test_repeated_eer_ambient_is_data_error(tmp_path, capsys):
+    config = tmp_path / "scenario.cfg"
+    config.write_text(CONFIG + "eer.table=30:3.5;30:3.5\n")
+    assert run(["peak", "--config", str(config)]) == 2
+    assert "strictly descending ambient order" in capsys.readouterr().err
 
 
 SRC = str(Path(dcpowersim.__file__).resolve().parents[1])
@@ -471,6 +519,14 @@ def test_star_import_resolves_every_public_name():
         assert namespace[name].__module__.startswith("dcpowersim.")
         assert namespace[name] is getattr(dcpowersim, name)
     assert set(dcpowersim.__all__) <= set(dir(dcpowersim))
+
+
+def test_each_public_name_resolves_on_first_access():
+    done = run_python(["-c", "import dcpowersim, json\nprint(json.dumps("
+                       "[getattr(dcpowersim, name).__name__ "
+                       "for name in dcpowersim.__all__]))"])
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == dcpowersim.__all__
 
 
 def test_unknown_name_is_an_attribute_error():

@@ -132,6 +132,11 @@ def test_empty_eer_table_entry_is_skipped():
             == parse_scenario_config(MINIMAL + "eer.table=41:2.66;0:5.82\n"))
 
 
+def test_blank_eer_table_entry_is_skipped():
+    assert (parse_scenario_config(MINIMAL + "eer.table=41:2.66; \t ;0:5.82\n")
+            == parse_scenario_config(MINIMAL + "eer.table=41:2.66;0:5.82\n"))
+
+
 def test_bad_eer_pair():
     with pytest.raises(MalformedRow):
         parse_scenario_config(MINIMAL + "eer.table=40=2.5\n")
@@ -230,8 +235,29 @@ def test_specs_reject_non_finite(field, value):
         SPEC_FIELDS[field](value)
 
 
+@pytest.mark.parametrize("architecture", ["crac", None, 1])
+def test_architecture_must_be_a_cooling_architecture(architecture):
+    with pytest.raises(InvariantViolation, match=re.escape(
+            f"architecture must be a CoolingArchitecture, got "
+            f"{architecture!r}")):
+        default_scenario().with_architecture(architecture)
+
+
 def test_readme_config_block_parses_to_the_default_scenario():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = re.search(r"has defaults:\n\n```\n(.*?)```", readme, re.DOTALL)
     assert block is not None
     assert parse_scenario_config(block.group(1)) == default_scenario()
+
+
+def test_readme_python_example_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"## Python API\n\n```python\n(.*?)```", readme,
+                      re.DOTALL)
+    assert block is not None
+    namespace = {}
+    exec(block.group(1), namespace)
+    assert len(capsys.readouterr().out.splitlines()) == 2
+    stated = re.search(r"design peak ([0-9.]+) MW", block.group(1))
+    assert round(namespace["ctx"].total_peak_w / 1e6, 2) == \
+        float(stated.group(1)) == 23.98

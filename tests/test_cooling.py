@@ -215,6 +215,17 @@ def test_table_validation():
         EerTable(breakpoints=((35.0, 0.0),))
 
 
+@pytest.mark.parametrize("breakpoints", [
+    ((30.0, 3.5), (35.0, 3.5)),   # ascending, EER flat
+    ((30.0, 3.5), (35.0, 3.1)),   # ascending, EER falling: order first
+    ((30.0, 3.5), (30.0, 3.5)),   # a repeated ambient
+])
+def test_table_ambients_must_strictly_descend(breakpoints):
+    with pytest.raises(InvariantViolation, match=(
+            "^breakpoints must be in strictly descending ambient order$")):
+        EerTable(breakpoints)
+
+
 # --- arguments outside the domain, and overflow ---
 
 @pytest.mark.parametrize("farm_peak_w", [-1e6, math.nan, math.inf, -math.inf])

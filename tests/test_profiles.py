@@ -266,6 +266,18 @@ def test_canonical_rollovers_accepted():
         assert parse_utilisation_csv(text) == strptime_parse_utilisation(text)
 
 
+def test_row_loop_parses_each_stamp_once():
+    # Unpadded stamps fail the column pass, so every row takes the loop.
+    first = dt.datetime(2016, 1, 1)
+    text = "timestamp,utilisation\n" + "".join(
+        f"{spelled(first + dt.timedelta(hours=h), 'unpadded')},0.5\n"
+        for h in range(8760))
+    with mock.patch.object(profiles, "_parse_timestamp",
+                           wraps=profiles._parse_timestamp) as parse:
+        assert len(parse_utilisation_csv(text)) == 8760
+    assert parse.call_count == 8760
+
+
 # --- whole-column parse against the row loop ---
 
 FIELD_LIMIT = csv.field_size_limit()
@@ -354,7 +366,8 @@ def stamps_from(first, n):
     # the last hour there is
     "timestamp,utilisation\n9999-12-31T22:00,0.5\n9999-12-31T23:00,0.5\n",
     "timestamp,utilisation\n0001-01-01T00:00,0.5\n0001-01-01T01:00,0.5\n",
-], ids=["two-days", "untidy", "last-hours", "first-hours"])
+    "timestamp,utilisation\r\n2016-01-01T00:00,0.5\r\n",
+], ids=["two-days", "untidy", "last-hours", "first-hours", "crlf"])
 def test_clean_series_are_parsed_as_columns(text):
     columns = profiles._parse_columns(text, profiles.UTILISATION_HEADER,
                                       0.0, 1.0)
@@ -363,14 +376,13 @@ def test_clean_series_are_parsed_as_columns(text):
 
 
 @pytest.mark.parametrize("text", [
-    "timestamp,utilisation\r\n2016-01-01T00:00,0.5\r\n",
     'timestamp,utilisation\n"2016-01-01T00:00",0.5\n',
     "timestamp,utilisation\n2016-1-1T0:0,0.5\n",   # strptime reads it
     # one field, then three: right as cells, wrong as rows
     "timestamp,utilisation\n2016-01-01T00:00\n0.5,2016-01-01T01:00,0.5\n",
     "timestamp,utilisation\n2016-01-01T00:00,0.5\n2016-01-01T01:30,0.5\n",
     "timestamp,utilisation\n2016-01-01T00:00,0.5" + " " * FIELD_LIMIT + "\n",
-], ids=["crlf", "quoted", "one-digit", "one-then-three-fields", "gap",
+], ids=["quoted", "one-digit", "one-then-three-fields", "gap",
         "long-line"])
 def test_other_series_are_left_to_the_row_loop(text):
     assert profiles._parse_columns(text, profiles.UTILISATION_HEADER,
