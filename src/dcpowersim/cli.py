@@ -215,6 +215,9 @@ def run(argv: list[str]) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        for flag in ("out", "svg"):
+            if getattr(args, flag, None) == "":
+                parser.error(f"--{flag} is empty; it must name a file")
         chart = getattr(args, "svg", None)
         # One payload per path string would let one output silently
         # replace the other.

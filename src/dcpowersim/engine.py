@@ -13,27 +13,26 @@ triples, with F the farm peak and L the consolidation:
     chiller   a * sizing * F * (gamma + beta * U + alpha * U^2)
     CRAH      idle_frac * F + fan * U
     CRAC      idle_frac * F + a * (1 + COP) * fan * U
+    misc      mu * total_peak, a constant
+    pumps     phi / (1 - phi) * (the sum of the other seven loads)
+
+Misc is a fraction mu of the design peak and pumps a fraction phi of the
+instantaneous total.  With S the sum of the first six loads at design
+conditions (U = 1, a = 1), total_peak = S / (1 - phi - mu), and the total
+of any hour is the sum of all eight loads.
 
 Outdoor temperature enters only through a = EER(reference) / EER(ambient),
-which multiplies the chiller and the CRAC condenser term, never the CRAC
-idle floor.  The per-component functions of ``server_farm``,
-``power_chain`` and ``cooling`` remain the reference model the compiled
-form is tested against.
-
-Misc load is a fraction mu of the design peak and pump load a fraction
-phi of the instantaneous total.  With S the component sum at design
-conditions both resolve in closed form:
-
-    total_peak = S / (1 - phi - mu)
-    total(t)   = (components(t) + misc) / (1 - phi)
+which multiplies the chiller, the CRAC condenser term and the pumps' share
+of both, never the CRAC idle floor.  The per-component functions of
+``server_farm``, ``power_chain`` and ``cooling`` remain the reference model
+the compiled form is tested against.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial, reduce
-from operator import add, attrgetter
+from operator import attrgetter
 from typing import TYPE_CHECKING, Sequence
 
 from . import cooling
@@ -54,8 +53,9 @@ _ZERO: Quadratic = (0.0, 0.0, 0.0)
 class PowerBreakdown:
     """Per-component power at one instant, watts.
 
-    The total is computed on construction as the plain left-to-right sum
-    of the eight components, so additivity is exact by construction.
+    The total is computed on construction as ``sum()`` of the eight
+    components (compensated from Python 3.12), so ``total_w`` equals
+    ``sum(values())`` by construction.
     """
 
     server_farm_w: float
@@ -93,15 +93,15 @@ _COMPONENT_FIELDS = attrgetter(*(f"{name}_w" for name in COMPONENT_NAMES))
 class PeakContext:
     """A scenario compiled into its quadratic form, plus its design peak.
 
-    Load i, the i-th of ``COMPONENT_NAMES`` before pumps and misc, draws
+    Load i, the i-th of ``COMPONENT_NAMES``, draws
     ``fixed[i](U) + a * refrigeration[i](U)``: ``refrigeration`` holds the
-    terms the ambient adjustment ``a`` scales.
+    terms the ambient adjustment ``a`` scales.  Misc is the constant
+    ``(mu * total_peak, 0, 0)``, and pumps are ``phi / (1 - phi)`` times
+    the sum of the other seven pairs.
     """
 
     farm_peak_w: float
     total_peak_w: float
-    misc_constant_w: float
-    pump_fraction: float
     eer: cooling.EerTable
     reference_eer: float
     fixed: tuple[Quadratic, ...]
@@ -113,10 +113,8 @@ class PeakContext:
 
     def total_quadratic(self, adjustment: float) -> Quadratic:
         """The facility total as (c0, c1, c2) in U at one adjustment."""
-        c0, c1, c2 = (sum(f) + adjustment * sum(r) for f, r in
-                      zip(zip(*self.fixed), zip(*self.refrigeration)))
-        scale = 1.0 - self.pump_fraction
-        return (c0 + self.misc_constant_w) / scale, c1 / scale, c2 / scale
+        return tuple(sum(f) + adjustment * sum(r) for f, r in
+                     zip(zip(*self.fixed), zip(*self.refrigeration)))
 
     def loads(self, us: Sequence[float], adjustments: Sequence[float]):
         """Unchecked load columns, ``COMPONENT_NAMES`` order, per (U, a)."""
@@ -125,19 +123,12 @@ class PeakContext:
         def column(fixed: Quadratic, refrigeration: Quadratic) -> tuple:
             (f0, f1, f2), (r0, r1, r2) = fixed, refrigeration
             if refrigeration == _ZERO:   # a * 0 would add exactly 0
-                return ((0.0,) * n if fixed == _ZERO else
+                return ((f0,) * n if f1 == f2 == 0.0 else
                         tuple([f0 + u * (f1 + u * f2) for u in us]))
             return tuple([f0 + u * (f1 + u * f2) + a * (r0 + u * (r1 + u * r2))
                           for u, a in zip(us, adjustments)])
 
-        six = list(map(column, self.fixed, self.refrigeration))
-        misc, phi = self.misc_constant_w, self.pump_fraction
-        # Summed left to right in every Python: from 3.12, sum() of floats
-        # is compensated and may round differently.
-        pumps = (0.0,) * n if phi == 0.0 else tuple([
-            phi * (load + misc) / (1.0 - phi)
-            for load in reduce(partial(map, add), six)])
-        return (*six, pumps, (misc,) * n)
+        return tuple(map(column, self.fixed, self.refrigeration))
 
 
 @dataclass(frozen=True)
@@ -220,7 +211,7 @@ def peak_context(scenario: ScenarioConfig) -> PeakContext:
     fan_w = cooling.airflow_heat_power(1.0, farm_peak_w, scenario.crah)
     chiller, crac = scenario.chiller, scenario.crac
     size_w = chiller.sizing_factor * farm_peak_w
-    loads = {   # (fixed, refrigeration) per load before pumps and misc
+    loads = {   # (fixed, refrigeration) per load; pumps and misc follow
         "server_farm": (farm, _ZERO), "pdu_loss": (pdu, _ZERO),
         "ups_loss": (ups, _ZERO),
         "chiller": (_ZERO, (size_w * chiller.gamma, size_w * chiller.beta,
@@ -229,24 +220,28 @@ def peak_context(scenario: ScenarioConfig) -> PeakContext:
         "crac": ((crac.idle_frac * farm_peak_w, 0.0, 0.0),
                  (0.0, (1.0 + crac.cop) * fan_w, 0.0)),
     }
-    fixed, refrigeration = zip(*(
-        loads[component.name] if component.name in included else (_ZERO, _ZERO)
-        for component in COMPONENTS if component.name in loads))
+
+    def pairs():   # the fixed and refrigeration sides, in table order
+        return zip(*(loads[c.name] if c.name in included else (_ZERO, _ZERO)
+                     for c in COMPONENTS if c.name in loads))
+
+    fixed, refrigeration = pairs()
     phi = scenario.pump_fraction if "pumps" in included else 0.0
     mu = scenario.misc_fraction if "misc" in included else 0.0
     # At U = 1 and a = 1 each load is its coefficient sum; ScenarioConfig
     # keeps pump_fraction + misc_fraction below 1.
     total_peak_w = sum(map(sum, fixed + refrigeration)) / (1.0 - phi - mu)
-    misc_constant_w = mu * total_peak_w
+    loads["misc"] = ((mu * total_peak_w, 0.0, 0.0), _ZERO)
+    ratio = phi / (1.0 - phi)
+    loads["pumps"] = tuple(tuple(ratio * sum(c) for c in zip(*side))
+                           for side in pairs())
+    fixed, refrigeration = pairs()
     # Finite coefficients >= 0 give finite loads >= 0 for U in [0, 1], a > 0.
-    if not all(0.0 <= c < math.inf
-               for c in (misc_constant_w, *sum(fixed + refrigeration, ()))):
+    if not all(0.0 <= c < math.inf for c in sum(fixed + refrigeration, ())):
         raise InvariantViolation("compiled coefficients must be finite, >= 0")
     ctx = PeakContext(
         farm_peak_w=farm_peak_w,
         total_peak_w=total_peak_w,
-        misc_constant_w=misc_constant_w,
-        pump_fraction=phi,
         eer=scenario.eer,
         reference_eer=cooling.eer_lookup(scenario.reference_ambient_c,
                                          scenario.eer),

@@ -3,6 +3,7 @@ and what each subcommand imports."""
 
 import datetime as dt
 import json
+import math
 import os
 import stat
 import subprocess
@@ -18,7 +19,8 @@ from hypothesis import strategies as st
 import dcpowersim
 from dcpowersim.analysis import compare_architectures, power_curve
 from dcpowersim.cli import run
-from dcpowersim.config import CoolingArchitecture, default_scenario
+from dcpowersim.config import (_KNOWN_KEYS, CoolingArchitecture,
+                              default_scenario)
 from dcpowersim.profiles import parse_temperature_csv, parse_utilisation_csv
 
 CONFIG = """\
@@ -406,6 +408,23 @@ def test_out_and_svg_naming_one_file_is_usage_error(tmp_path, capsys,
     assert run([*args, "--out", "o.txt", "--svg", chart]) == 1
 
 
+@pytest.mark.parametrize("flags", [["--out="], ["--out=o.txt", "--svg="]])
+@pytest.mark.parametrize("command", sorted(COMMANDS_WITH_CHART))
+def test_empty_output_path_is_usage_error(tmp_path, capsys, monkeypatch,
+                                          command, flags):
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    args = COMMANDS_WITH_CHART[command](tmp_path)
+    before = sorted(tmp_path.rglob("*"))
+    assert run([*args, *flags]) == 1
+    assert "is empty; it must name a file" in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == before
+    # Rejected before any input is read.
+    args[args.index("--config") + 1] = str(tmp_path / "nope.cfg")
+    assert run([*args, *flags]) == 1
+
+
 @pytest.mark.parametrize("command", ["compare", "curve"])
 def test_line_chart_has_one_polyline_per_series_and_repeats(tmp_path,
                                                             command):
@@ -634,3 +653,65 @@ def test_profile_text_through_the_cli_exits_0_1_or_2(texts, command):
         if status == 2:
             assert not any(path.exists() for path in outputs)
             assert not list(Path(tmp).glob("*.tmp"))
+
+
+# --- config text through every subcommand ---
+
+NUMBER_TEXT = (
+    st.integers(-10**400, 10**400).map(str)
+    | st.floats().map(repr)   # NaN, +-inf and subnormals included
+    | st.floats(0.0, 1.0).map(repr)
+    | st.sampled_from(["nan", "-NaN", "inf", "-Infinity", "+INF", "1e309",
+                       "5e-324", "2.225e-308", "\uff11\uff12\uff10",
+                       "\uff10.\uff15", "0x10", "1_000", ""]))
+EER_POINT = st.tuples(st.floats(-100.0, 100.0) | st.just(math.nan),
+                      st.floats(0.0, 1e308) | st.just(5e-324))
+EER_TEXT = st.lists(EER_POINT, max_size=4).map(
+    lambda points: ";".join(f"{t!r}:{eer!r}" for t, eer in points)) \
+    | st.sampled_from(["30:3.5;30:4", "30", "a:b", ""])
+ARCHITECTURE_TEXT = st.sampled_from(
+    [a.value for a in CoolingArchitecture] + ["CRAC", ""])
+
+
+def config_value(key):
+    return {"architecture": ARCHITECTURE_TEXT,
+            "eer.table": EER_TEXT}.get(key, NUMBER_TEXT)
+
+
+@st.composite
+def config_texts(draw):
+    """The minimal config with each line kept 9 times in 10, then drawn
+    lines for any key, an unknown one included, repeats allowed."""
+    lines = [line for line in CONFIG.splitlines()
+             if draw(st.integers(0, 9))]
+    keys = st.sampled_from(sorted(_KNOWN_KEYS) + ["server.speed"])
+    for key in draw(st.lists(keys, max_size=6)):
+        lines.append(f"{key}={draw(config_value(key))}")
+    return "\n".join(lines) + "\n"
+
+
+CONFIG_COMMANDS = {
+    "peak": [],
+    "curtail": ["--ambient-c=30", "--target-w=1.5e7"],
+    "curve": ["--temps=0,30", "--points=3", "--out={d}/curve.csv",
+              "--svg={d}/curve.svg"],
+    "simulate": ["--utilisation={d}/util.csv", "--weather={d}/weather.csv",
+                 "--out={d}/simulate.csv", "--svg={d}/simulate.svg"],
+    "compare": ["--utilisation={d}/util.csv", "--weather={d}/weather.csv",
+                "--out={d}/compare.csv", "--svg={d}/compare.svg"],
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(text=config_texts())
+def test_config_text_through_every_subcommand_exits_0_1_or_2(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        config = write_inputs(Path(tmp), hours=2)[0]
+        config.write_bytes(text.encode())
+        for command, flags in CONFIG_COMMANDS.items():
+            status = run([command, f"--config={config}",
+                          *(flag.format(d=tmp) for flag in flags)])
+            assert status in (0, 1, 2)
+            if status == 2:
+                assert not list(Path(tmp).glob(f"{command}.*"))
+                assert not list(Path(tmp).glob("*.tmp"))

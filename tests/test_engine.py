@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dcpowersim import cooling, power_chain, server_farm
+from dcpowersim import cooling, engine, power_chain, server_farm
 from dcpowersim.analysis import (compare_architectures, curtail,
                                  peak_breakdown, power_curve)
 from dcpowersim.config import CoolingArchitecture, default_scenario
@@ -46,8 +46,8 @@ def profiles_from(us, ts):
 def test_peak_context_hand_value():
     assert CTX.farm_peak_w == 10e6
     assert CTX.total_peak_w == pytest.approx(TOTAL_PEAK_W, rel=1e-9)
-    assert CTX.misc_constant_w == pytest.approx(0.06 * TOTAL_PEAK_W,
-                                                rel=1e-9)
+    misc = COMPONENT_NAMES.index("misc")
+    assert CTX.fixed[misc][0] == pytest.approx(0.06 * TOTAL_PEAK_W, rel=1e-9)
 
 
 def test_peak_context_without_self_referential_loads():
@@ -340,6 +340,13 @@ def outcome(call, *args):
         return type(exc), str(exc)
 
 
+def test_valid_profiles_at_both_bounds_skip_the_row_search(monkeypatch):
+    # The rows are searched only to name what failed.
+    monkeypatch.setattr(engine, "_check_rows", lambda *profiles: pytest.fail(
+        "searched the rows of valid profiles"))
+    simulate(*profiles_from([0.0, 1.0, 0.5], [-40.0, 50.0, 20.0]), SCENARIO)
+
+
 @settings(max_examples=400, deadline=None)
 @given(pair=defective_profiles())
 def test_column_check_agrees_with_the_row_checks(pair):
@@ -365,14 +372,9 @@ def test_determinism_bitwise():
 
 def parent_breakdown(ctx, u, adjustment):
     """One hour as the per-hour engine evaluated it before results were
-    stored as columns: the components, then pumps from their sum."""
-    farm, pdu, ups, chiller, crah, crac = [
-        f0 + u * (f1 + u * f2) + adjustment * (r0 + u * (r1 + u * r2))
-        for (f0, f1, f2), (r0, r1, r2) in zip(ctx.fixed, ctx.refrigeration)]
-    misc_w, phi = ctx.misc_constant_w, ctx.pump_fraction
-    before_pumps_w = farm + pdu + ups + chiller + crah + crac + misc_w
-    return [farm, pdu, ups, chiller, crah, crac,
-            phi * before_pumps_w / (1.0 - phi), misc_w]
+    stored as columns: each of the eight compiled pairs at (U, a)."""
+    return [f0 + u * (f1 + u * f2) + adjustment * (r0 + u * (r1 + u * r2))
+            for (f0, f1, f2), (r0, r1, r2) in zip(ctx.fixed, ctx.refrigeration)]
 
 
 @settings(max_examples=200, deadline=None)
@@ -467,6 +469,15 @@ def test_two_component_split():
     summary = summarize_energy(result)
     assert summary.shares["server_farm"] == pytest.approx(0.5)
     assert summary.total_energy_wh == pytest.approx(100.0)
+
+
+@pytest.mark.parametrize("watts", [0.0, 0.25])
+def test_shares_of_a_run_of_at_most_one_watt_hour(watts):
+    result = SimulationResult(
+        timestamps=("2016-06-01T00:00",), utilisation=(0.5,),
+        ambient_c=(30.0,), components=((watts,), (watts,)) + ((0.0,),) * 6)
+    want = 0.5 if watts else 0.0   # no energy: every share is 0
+    assert list(result.shares.values()) == [want, want] + [0.0] * 6
 
 
 def test_constant_run_shares_equal_single_step_shares():
