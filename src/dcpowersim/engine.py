@@ -226,15 +226,17 @@ def peak_context(scenario: ScenarioConfig) -> PeakContext:
                      for c in COMPONENTS if c.name in loads))
 
     fixed, refrigeration = pairs()
-    phi = scenario.pump_fraction if "pumps" in included else 0.0
-    mu = scenario.misc_fraction if "misc" in included else 0.0
+    # + 0.0 turns a fraction of -0.0 into 0.0, so no load prints as -0.
+    phi = scenario.pump_fraction + 0.0 if "pumps" in included else 0.0
+    mu = scenario.misc_fraction + 0.0 if "misc" in included else 0.0
     # At U = 1 and a = 1 each load is its coefficient sum; ScenarioConfig
     # keeps pump_fraction + misc_fraction below 1.
     total_peak_w = sum(map(sum, fixed + refrigeration)) / (1.0 - phi - mu)
     loads["misc"] = ((mu * total_peak_w, 0.0, 0.0), _ZERO)
+    seven = pairs()   # pumps are not in loads yet: the other seven loads
     ratio = phi / (1.0 - phi)
     loads["pumps"] = tuple(tuple(ratio * sum(c) for c in zip(*side))
-                           for side in pairs())
+                           for side in seven)
     fixed, refrigeration = pairs()
     # Finite coefficients >= 0 give finite loads >= 0 for U in [0, 1], a > 0.
     if not all(0.0 <= c < math.inf for c in sum(fixed + refrigeration, ())):

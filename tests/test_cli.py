@@ -163,6 +163,15 @@ def test_peak_arch_override(tmp_path, capsys):
     assert float(rows["chiller"].split(",")[0]) == 0.0
 
 
+def test_peak_prints_fractions_of_minus_zero_as_zero(tmp_path, capsys):
+    config, _, _ = write_inputs(tmp_path)
+    config.write_text(CONFIG + "pump_fraction=-0\nmisc_fraction=-0\n")
+    assert run(["peak", "--config", str(config)]) == 0
+    lines = capsys.readouterr().out.strip().split("\n")
+    assert "pumps,0,0" in lines
+    assert "misc,0,0" in lines
+
+
 def test_curtail_prints_solution(tmp_path, capsys):
     config, _, _ = write_inputs(tmp_path)
     status = run(["curtail", "--config", str(config),

@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 from dcpowersim import cooling, engine, power_chain, server_farm
 from dcpowersim.analysis import (compare_architectures, curtail,
                                  peak_breakdown, power_curve)
-from dcpowersim.config import CoolingArchitecture, default_scenario
+from dcpowersim.config import (COMPONENTS, CoolingArchitecture,
+                               default_scenario)
 from dcpowersim.engine import (COMPONENT_NAMES, PowerBreakdown,
                                SimulationResult, peak_context, simulate,
                                step_power, summarize_energy)
@@ -389,11 +390,25 @@ def test_columns_are_bit_identical_to_per_hour_evaluation(
     ctx = peak_context(scenario)
     utilisation, ambient = profiles_from(*zip(*hours))
     result = simulate(utilisation, ambient, scenario)
+    pumps = COMPONENT_NAMES.index("pumps")
+    phi = (scenario.pump_fraction
+           if architecture in COMPONENTS[pumps].architectures else 0.0)
     for h, (u, t) in enumerate(hours):
         want = parent_breakdown(ctx, u, ctx.adjustment(t))
         got = [column[h] for column in result.components]
         assert [x.hex() for x in got] == [x.hex() for x in want]
         assert result.total_w[h] == sum(want)
+        # The pump rule stated independently of the compiled pump pair.
+        others = want[:pumps] + want[pumps + 1:]
+        assert want[pumps] == pytest.approx(phi * sum(others) / (1.0 - phi),
+                                            rel=1e-12)
+
+
+def test_fractions_of_minus_zero_give_loads_of_plus_zero():
+    scenario = replace(SCENARIO, pump_fraction=-0.0, misc_fraction=-0.0)
+    power = step_power(0.5, 25.0, scenario, peak_context(scenario))
+    assert math.copysign(1.0, power.pumps_w) == 1.0
+    assert math.copysign(1.0, power.misc_w) == 1.0
 
 
 def test_steps_view_matches_step_power_every_hour():

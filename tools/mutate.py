@@ -23,9 +23,9 @@ they fail there, no mutant is run.  Example::
         --tests tests/test_engine.py tests/test_analysis.py
 
 With no file, every module of ``src/dcpowersim`` is mutated; with no
-``--tests``, the whole suite runs on each mutant.  ``--list`` prints the
-sites and runs nothing.  Each job is one pytest process: on a 2-CPU
-machine run at most two.
+``--tests``, the whole suite runs on each mutant.  A test run longer than
+``TIMEOUT_S`` counts as killed.  Each job is one pytest process: on a
+2-CPU machine run at most two.
 """
 
 from __future__ import annotations
@@ -45,6 +45,8 @@ from pathlib import Path
 SWAPS = {ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.Div,
          ast.Div: ast.Mult, ast.Lt: ast.LtE, ast.LtE: ast.Lt,
          ast.Gt: ast.GtE, ast.GtE: ast.Gt}
+ROOT = Path(__file__).resolve().parents[1]
+TIMEOUT_S = 600.0
 SKIP = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis",
                               ".pytest_cache", ".bench_work")
 
@@ -101,14 +103,13 @@ def mutated(source: str, index: int | None, slot: int = 0) -> str:
     return ast.unparse(tree)
 
 
-def run_tests(root: Path, files: dict[str, str], tests: list[str],
-              timeout: float) -> tuple[bool, float]:
-    """Copy ``root`` under the temp dir (``TMPDIR``), write ``files``
+def run_tests(files: dict[str, str], tests: list[str]) -> tuple[bool, float]:
+    """Copy this checkout under the temp dir (``TMPDIR``), write ``files``
     (path -> text) into the copy and run the tests there; returns
     (passed, seconds)."""
     with tempfile.TemporaryDirectory() as tmp:
         copy = Path(tmp, "tree")
-        shutil.copytree(root, copy, ignore=SKIP)
+        shutil.copytree(ROOT, copy, ignore=SKIP)
         for path, text in files.items():
             (copy / path).write_text(text, encoding="utf-8")
         pythonpath = os.pathsep.join(
@@ -121,7 +122,7 @@ def run_tests(root: Path, files: dict[str, str], tests: list[str],
                 [sys.executable, "-m", "pytest", "-x", "-q",
                  "-p", "no:cacheprovider", "--hypothesis-seed=0", *tests],
                 cwd=copy, env=env, stdout=subprocess.DEVNULL,
-                stderr=subprocess.DEVNULL, timeout=timeout)
+                stderr=subprocess.DEVNULL, timeout=TIMEOUT_S)
             passed = done.returncode == 0
         except subprocess.TimeoutExpired:
             passed = False
@@ -131,39 +132,23 @@ def run_tests(root: Path, files: dict[str, str], tests: list[str],
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("files", nargs="*",
-                        help="modules to mutate, relative to --root "
+                        help="modules to mutate, relative to the checkout "
                              "(default: every module of src/dcpowersim)")
-    parser.add_argument("--root", type=Path,
-                        default=Path(__file__).resolve().parents[1],
-                        help="the tree to copy (default: this checkout)")
     parser.add_argument("--tests", nargs="+", default=[],
                         help="test paths to run (default: the whole suite)")
     parser.add_argument("--jobs", type=int, default=1)
-    parser.add_argument("--timeout", type=float, default=600.0,
-                        help="seconds before a test run counts as killed")
-    parser.add_argument("--list", action="store_true",
-                        help="print the sites and run nothing")
     args = parser.parse_args(argv)
     if args.jobs < 1:
         parser.error("--jobs must be at least 1")
-    root = args.root.resolve()
     files = args.files or sorted(
-        str(path.relative_to(root))
-        for path in (root / "src" / "dcpowersim").glob("*.py"))
-    sources = {path: (root / path).read_text(encoding="utf-8")
+        str(path.relative_to(ROOT))
+        for path in (ROOT / "src" / "dcpowersim").glob("*.py"))
+    sources = {path: (ROOT / path).read_text(encoding="utf-8")
                for path in files}
     jobs = [(path, *site) for path in files for site in sites(sources[path])]
-    if args.list:
-        for path, _, _, where in jobs:
-            print(json.dumps({"file": path, **where}))
-        print(f"{len(jobs)} sites", file=sys.stderr)
-        return 0
-
-    def run(files: dict[str, str]) -> tuple[bool, float]:
-        return run_tests(root, files, args.tests, args.timeout)
-
-    passed, seconds = run({path: mutated(source, None)
-                           for path, source in sources.items()})
+    passed, seconds = run_tests({path: mutated(source, None)
+                                 for path, source in sources.items()},
+                                args.tests)
     if not passed:
         print(f"the tests fail on the unmutated modules ({seconds:.1f} s); "
               "no mutant was run", file=sys.stderr)
@@ -171,7 +156,8 @@ def main(argv: list[str]) -> int:
 
     def one(job: tuple[str, int, int, dict]) -> dict:
         path, index, slot, where = job
-        passed, seconds = run({path: mutated(sources[path], index, slot)})
+        passed, seconds = run_tests(
+            {path: mutated(sources[path], index, slot)}, args.tests)
         return {"file": path, **where, "killed": not passed,
                 "seconds": round(seconds, 2)}
 
