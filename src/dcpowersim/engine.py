@@ -19,7 +19,9 @@ triples, with F the farm peak and L the consolidation:
 Misc is a fraction mu of the design peak and pumps a fraction phi of the
 instantaneous total.  With S the sum of the first six loads at design
 conditions (U = 1, a = 1), total_peak = S / (1 - phi - mu), and the total
-of any hour is the sum of all eight loads.
+of any hour is the sum of all eight loads.  That total is itself one
+(fixed, refrigeration) pair, the column sums of the eight, compiled once
+per scenario; a curtail solve evaluates it at one a.
 
 Outdoor temperature enters only through a = EER(reference) / EER(ambient),
 which multiplies the chiller, the CRAC condenser term and the pumps' share
@@ -98,6 +100,9 @@ class PeakContext:
     terms the ambient adjustment ``a`` scales.  Misc is the constant
     ``(mu * total_peak, 0, 0)``, and pumps are ``phi / (1 - phi)`` times
     the sum of the other seven pairs.
+
+    The facility total is compiled once, on construction, into one pair
+    of column sums, ``total_fixed`` and ``total_refrigeration``.
     """
 
     farm_peak_w: float
@@ -106,15 +111,26 @@ class PeakContext:
     reference_eer: float
     fixed: tuple[Quadratic, ...]
     refrigeration: tuple[Quadratic, ...]
+    total_fixed: Quadratic = field(init=False, repr=False, compare=False)
+    total_refrigeration: Quadratic = field(init=False, repr=False,
+                                           compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "total_fixed",
+                           tuple(map(sum, zip(*self.fixed))))
+        object.__setattr__(self, "total_refrigeration",
+                           tuple(map(sum, zip(*self.refrigeration))))
 
     def adjustment(self, ambient_c: float) -> float:
         """EER(reference) / EER(ambient); rejects a non-finite ambient."""
         return self.reference_eer / cooling.eer_lookup(ambient_c, self.eer)
 
     def total_quadratic(self, adjustment: float) -> Quadratic:
-        """The facility total as (c0, c1, c2) in U at one adjustment."""
-        return tuple(sum(f) + adjustment * sum(r) for f, r in
-                     zip(zip(*self.fixed), zip(*self.refrigeration)))
+        """The facility total as (c0, c1, c2) in U at one adjustment: the
+        compiled total pair evaluated at ``adjustment``."""
+        (f0, f1, f2), (r0, r1, r2) = self.total_fixed, self.total_refrigeration
+        return (f0 + adjustment * r0, f1 + adjustment * r1,
+                f2 + adjustment * r2)
 
     def loads(self, us: Sequence[float], adjustments: Sequence[float]):
         """Unchecked load columns, ``COMPONENT_NAMES`` order, per (U, a)."""

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dcpowersim.analysis import (CURTAIL_RELATIVE_TOLERANCE,
-                                 compare_architectures, curtail,
-                                 peak_breakdown, power_curve)
+                                 CurtailmentSolution, compare_architectures,
+                                 curtail, peak_breakdown, power_curve)
 from dcpowersim.config import (CoolingArchitecture, ScenarioConfig,
                                default_scenario)
 from dcpowersim.cooling import CrahSpec
@@ -51,12 +51,29 @@ def test_target_below_floor_is_infeasible_with_nearest_bound():
     assert solution.achieved_total_w == pytest.approx(floor_total, rel=1e-12)
 
 
+def test_target_below_one_watt_is_infeasible_not_rejected():
+    solution = curtail(0.5, 30.0, SCENARIO, CTX)
+    assert (solution.feasible, solution.required_utilisation) == (False, 0.0)
+
+
 def test_target_above_peak_is_infeasible_with_nearest_bound():
     peak_total = step_power(1.0, 30.0, SCENARIO, CTX).total_w
     solution = curtail(2 * peak_total, 30.0, SCENARIO, CTX)
     assert not solution.feasible
     assert solution.required_utilisation == 1.0
     assert solution.achieved_total_w == pytest.approx(peak_total, rel=1e-12)
+
+
+@pytest.mark.parametrize("c0, u", [(999_999.0, 0.0), (999_997.0, 1.0)],
+                         ids=["floor", "peak"])
+def test_target_exactly_at_the_tolerance_snaps(c0, u):
+    # The total c0 + 2U puts a 1e6 W target exactly its tolerance, 1 W,
+    # from the floor (c0 = 999,999) or from the peak (c0 = 999,997).
+    assert CURTAIL_RELATIVE_TOLERANCE * 1e6 == 1.0
+    ctx = replace(CTX, fixed=((c0, 2.0, 0.0),),
+                  refrigeration=((0.0, 0.0, 0.0),))
+    assert curtail(1e6, 30.0, SCENARIO, ctx) == CurtailmentSolution(
+        1e6, u, c0 + 2.0 * u, True)
 
 
 def test_feasible_solution_hits_tolerance():

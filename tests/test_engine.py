@@ -411,6 +411,27 @@ def test_fractions_of_minus_zero_give_loads_of_plus_zero():
     assert math.copysign(1.0, power.misc_w) == 1.0
 
 
+FRACTIONS = st.floats(0.0, 0.45) | st.sampled_from([-0.0, 0.0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(architecture=st.sampled_from(CoolingArchitecture),
+       consolidation=unit_interval(), table=eer_tables(),
+       phi=FRACTIONS, mu=FRACTIONS, where=unit_interval())
+def test_compiled_total_is_bit_identical_to_the_per_pair_sum(
+        architecture, consolidation, table, phi, mu, where):
+    scenario = replace(default_scenario(architecture),
+                       consolidation=consolidation, eer=table,
+                       pump_fraction=phi, misc_fraction=mu)
+    ctx = peak_context(scenario)
+    # Every adjustment an ambient can give lies in [0, max_adjustment].
+    adjustment = where * (ctx.reference_eer / table.ascending_eer[-1])
+    want = [sum(f) + adjustment * sum(r) for f, r in
+            zip(zip(*ctx.fixed), zip(*ctx.refrigeration))]
+    got = ctx.total_quadratic(adjustment)
+    assert [c.hex() for c in got] == [c.hex() for c in want]
+
+
 def test_steps_view_matches_step_power_every_hour():
     us = [(h % 24) / 23 for h in range(72)]
     ts = [18.0 + 0.4 * (h % 24) for h in range(72)]
