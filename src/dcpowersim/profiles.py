@@ -86,40 +86,19 @@ def _hourly_run(first: dt.datetime, n: int) -> tuple[str, ...]:
     return tuple(run[first.hour:first.hour + n])
 
 
-def _unquoted(lines: list[str]) -> list[str] | None:
-    """The lines with the quote pair of each cell stripped, or None unless
-    every cell of every non-blank line is exactly one ``"..."`` pair with
-    no quote, comma or CR inside, as a quote-all export writes them."""
-    stripped = []
-    for line in lines:
-        line = line.removesuffix("\r")
-        if line.strip():
-            inner = line[1:-1]
-            if not (len(line) > 1 and line[0] == line[-1] == '"'
-                    and inner.count(",") == inner.count('","')):
-                return None
-            line = inner.replace('","', ",")
-            if '"' in line:
-                return None
-        stripped.append(line)
-    return stripped
-
-
 def _parse_columns(text: str, header: tuple[str, str],
                    low: float, high: float) -> _Columns | None:
     """The series checked as whole columns, or None when anything is off,
     leaving the verdict and its message to :func:`_parse_rows`.
 
-    Without a CR outside a CRLF line end, without quotes or with every
-    cell in one pair of them (stripped first), and with no line longer
-    than the field limit, the rows ``csv.reader`` yields are the lines
-    split at commas; ``str.strip`` and ``float`` drop a line's CR.
+    Without quotes or a CR outside a CRLF line end, and with no line
+    longer than the field limit, the rows ``csv.reader`` yields are the
+    lines split at commas; ``str.strip`` and ``float`` drop a line's CR.
     """
-    if "\r" in text and text.count("\r") != text.count("\r\n"):
+    if '"' in text or ("\r" in text
+                       and text.count("\r") != text.count("\r\n")):
         return None
     lines = text.split("\n")
-    if '"' in text and (lines := _unquoted(lines)) is None:
-        return None
     if (max(map(len, lines)) > csv.field_size_limit()
             or tuple(cell.strip() for cell in lines[0].split(",")) != header):
         return None
