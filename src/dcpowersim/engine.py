@@ -25,7 +25,11 @@ per scenario; a curtail solve evaluates it at one a.
 
 Outdoor temperature enters only through a = EER(reference) / EER(ambient),
 which multiplies the chiller, the CRAC condenser term and the pumps' share
-of both, never the CRAC idle floor.  The per-component functions of
+of both, never the CRAC idle floor.  When the compiled refrigeration total
+is zero (free air, or a CRAC without airflow), no load depends on a, and
+:func:`simulate` reads no EER table past the reference; its column check
+still rejects a non-finite ambient, as :func:`step_power` and
+``analysis.curtail`` do through the lookup.  The per-component functions of
 ``server_farm``, ``power_chain`` and ``cooling`` remain the reference model
 the compiled form is tested against.
 """
@@ -316,8 +320,11 @@ def simulate(utilisation: UtilisationProfile, ambient: AmbientProfile,
             and math.isfinite(sum(us)) and math.isfinite(sum(ts))):
         _check_rows(utilisation, ambient)
     ctx = peak_context(scenario)
+    # Coefficients are >= 0, so a zero total means no load reads a.
+    adjustments = (list(map(ctx.adjustment, ts))
+                   if ctx.total_refrigeration != _ZERO else ())
     result = SimulationResult(utilisation.timestamps, us, ts,
-                              ctx.loads(us, list(map(ctx.adjustment, ts))))
+                              ctx.loads(us, adjustments))
     if not math.isfinite(result.total_energy_wh):
         raise OutOfRange(f"total energy over {len(us)} hours overflows")
     return result

@@ -293,8 +293,11 @@ def test_non_finite_ambient_at_any_row_rejected(bad):
     ts = [30.0] * 12
     ts[5] = bad
     utilisation, ambient = profiles_from([0.5] * 12, ts)
-    with pytest.raises(OutOfRange, match="row 6:"):
-        simulate(utilisation, ambient, SCENARIO)
+    # Free air looks up no hourly EER: the column check is its only guard.
+    for architecture in CoolingArchitecture:
+        with pytest.raises(OutOfRange, match="row 6:"):
+            simulate(utilisation, ambient,
+                     SCENARIO.with_architecture(architecture))
 
 
 def simulate_checking_rows(utilisation, ambient, scenario):
@@ -351,8 +354,10 @@ def test_valid_profiles_at_both_bounds_skip_the_row_search(monkeypatch):
 @settings(max_examples=400, deadline=None)
 @given(pair=defective_profiles())
 def test_column_check_agrees_with_the_row_checks(pair):
-    assert outcome(simulate, *pair, SCENARIO) == \
-        outcome(simulate_checking_rows, *pair, SCENARIO)
+    for architecture in CoolingArchitecture:
+        scenario = SCENARIO.with_architecture(architecture)
+        assert outcome(simulate, *pair, scenario) == \
+            outcome(simulate_checking_rows, *pair, scenario)
 
 
 def test_empty_profiles_rejected():
@@ -402,6 +407,39 @@ def test_columns_are_bit_identical_to_per_hour_evaluation(
         others = want[:pumps] + want[pumps + 1:]
         assert want[pumps] == pytest.approx(phi * sum(others) / (1.0 - phi),
                                             rel=1e-12)
+
+
+NO_AIRFLOW_CRAC = replace(
+    SCENARIO.with_architecture(CoolingArchitecture.CRAC),
+    crah=replace(SCENARIO.crah, unit_airflow_cmh=0.0))
+
+
+@pytest.mark.parametrize("scenario, hourly", [
+    (SCENARIO.with_architecture(CoolingArchitecture.FREE_AIR), False),
+    (NO_AIRFLOW_CRAC, False),   # its condenser term is 0 * (1 + COP)
+    (SCENARIO, True),
+    (SCENARIO.with_architecture(CoolingArchitecture.CRAC), True),
+], ids=["free_air", "crac_without_airflow", "crah_chiller", "crac"])
+def test_simulate_looks_up_eer_only_when_a_load_is_refrigerated(
+        monkeypatch, scenario, hourly):
+    ts = [-40.0 + 7.0 * h for h in range(13)]   # never the 30 C reference
+    utilisation, ambient = profiles_from([h / 12 for h in range(13)], ts)
+    constant = simulate(utilisation, AmbientProfile(ambient.timestamps,
+                                                    (30.0,) * 13), scenario)
+    lookup, looked_up = cooling.eer_lookup, []
+
+    def eer_lookup(ambient_c, table):
+        looked_up.append(ambient_c)
+        return lookup(ambient_c, table)
+
+    monkeypatch.setattr(cooling, "eer_lookup", eer_lookup)
+    result = simulate(utilisation, ambient, scenario)
+    if hourly:   # peak_context's reference lookup, then one per hour
+        assert looked_up == [30.0, *ts]
+        assert result.components != constant.components
+    else:
+        assert looked_up == [30.0]
+        assert result.components == constant.components
 
 
 def test_fractions_of_minus_zero_give_loads_of_plus_zero():
