@@ -18,7 +18,7 @@ _HOMES = {
                "parse_scenario_config"),
     "cooling": ("ChillerSpec", "CracSpec", "CrahSpec", "EerTable",
                 "ambient_adjustment", "chiller_power", "crac_power",
-                "crah_power", "eer_lookup", "heat_load"),
+                "crah_power", "eer_lookup"),
     "engine": ("EnergySummary", "PeakContext", "PowerBreakdown",
                "SimulationResult", "SimulationStep", "peak_context",
                "simulate", "step_power", "summarize_energy"),
@@ -28,13 +28,12 @@ _HOMES = {
     "profiles": ("AmbientProfile", "UtilisationProfile",
                  "parse_temperature_csv", "parse_utilisation_csv",
                  "write_results_csv"),
-    "server_farm": ("FarmState", "ServerSpec", "aggregate_utilisation",
-                    "effective_server_utilisation", "farm_power",
-                    "farm_state", "server_power"),
+    "server_farm": ("FarmState", "ServerSpec", "effective_server_utilisation",
+                    "farm_power", "farm_state", "server_power"),
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = sorted(_HOME)
 

@@ -23,9 +23,8 @@ import bisect
 import math
 from dataclasses import dataclass, field
 
-from .errors import (FINITE, FRACTION, NONNEGATIVE, POSITIVE, UNIT,
-                     InvariantViolation, InvertedTemperatures, OutOfRange,
-                     check, check_fields)
+from .errors import (FRACTION, NONNEGATIVE, POSITIVE, UNIT,
+                     InvariantViolation, OutOfRange, check, check_fields)
 
 # Fan power per unit of (heat capacity / removal efficiency) and airflow,
 # in kW per (kW * CMH).  Together with the 14000 CMH standard flow of a
@@ -45,8 +44,6 @@ DEFAULT_EER_BREAKPOINTS = (
     (5.0, 5.49),
     (0.0, 5.82),
 )
-
-SPECIFIC_HEAT_AIR_J_PER_KG_C = 1005.0
 
 
 @dataclass(frozen=True)
@@ -135,25 +132,6 @@ class EerTable:
                            tuple(t for t, _ in ascending))
         object.__setattr__(self, "ascending_eer",
                            tuple(eer for _, eer in ascending))
-
-
-def heat_load(m_dot_kg_s: float, containment: float, t_hot_c: float,
-              t_cold_c: float,
-              cp_air: float = SPECIFIC_HEAT_AIR_J_PER_KG_C) -> float:
-    """Heat carried off by an air stream, watts.  Diagnostic only.
-
-    ``containment`` is the fraction of supplied cold air actually ingested
-    by the servers; 1 means no recirculation.
-    """
-    check(OutOfRange, m_dot_kg_s=(m_dot_kg_s, NONNEGATIVE),
-          containment=(containment, FRACTION), t_hot_c=(t_hot_c, FINITE),
-          t_cold_c=(t_cold_c, FINITE), cp_air=(cp_air, NONNEGATIVE))
-    if t_hot_c < t_cold_c:
-        raise InvertedTemperatures(
-            f"hot-side {t_hot_c} C below cold-side {t_cold_c} C")
-    heat_w = containment * m_dot_kg_s * cp_air * (t_hot_c - t_cold_c)
-    check(OutOfRange, heat_load_w=(heat_w, NONNEGATIVE))
-    return heat_w
 
 
 def chiller_power(utilisation: float, farm_peak_w: float,

@@ -35,10 +35,6 @@ class EmptyProfile(SimulationError):
     """A profile contains no data rows."""
 
 
-class EmptyList(SimulationError):
-    """An aggregate was requested over an empty collection."""
-
-
 class EmptyResult(SimulationError):
     """A summary or serialization was requested for an empty result."""
 
@@ -63,7 +59,6 @@ POSITIVE = (lambda v: 0.0 < v < math.inf, "be positive and finite")
 AT_LEAST_ONE = (lambda v: 1 <= v < math.inf, "be >= 1 and finite")
 FRACTION = (lambda v: 0.0 < v <= 1.0, "be in (0, 1]")
 UNIT = (lambda v: 0.0 <= v <= 1.0, "lie in [0, 1]")
-FINITE = (math.isfinite, "be finite")
 
 
 def _shown(value: object) -> str:
@@ -97,10 +92,6 @@ class NegativeInput(SimulationError):
 
 class InfeasibleTarget(SimulationError):
     """Supply-loss calibration target is below the idle losses alone."""
-
-
-class InvertedTemperatures(SimulationError):
-    """Hot-side temperature below cold-side temperature."""
 
 
 # --- engine ---

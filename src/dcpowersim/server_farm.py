@@ -21,10 +21,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
-from .errors import (AT_LEAST_ONE, UNIT, EmptyList, InvariantViolation,
-                     OutOfRange, check, check_fields)
+from .errors import (AT_LEAST_ONE, UNIT, InvariantViolation, OutOfRange,
+                     check, check_fields)
 
 
 @dataclass(frozen=True)
@@ -52,19 +51,8 @@ class ServerSpec:
 class FarmState:
     """Operating point of the farm for one aggregate utilisation figure."""
 
-    aggregate_utilisation: float
-    consolidation: float
     per_server_utilisation: float
     running_count: float
-
-
-def aggregate_utilisation(per_server: Sequence[float]) -> float:
-    """Arithmetic mean of per-server utilisations."""
-    if len(per_server) == 0:
-        raise EmptyList("cannot aggregate an empty utilisation list")
-    check(OutOfRange, **{f"utilisation #{i}": (u, UNIT)
-                         for i, u in enumerate(per_server)})
-    return sum(per_server) / len(per_server)
 
 
 def effective_server_utilisation(total_utilisation: float,
@@ -99,8 +87,6 @@ def farm_state(total_utilisation: float, consolidation: float,
     per_server = effective_server_utilisation(total_utilisation, consolidation)
     running_fraction = consolidation * (1.0 - total_utilisation) + total_utilisation
     return FarmState(
-        aggregate_utilisation=total_utilisation,
-        consolidation=consolidation,
         per_server_utilisation=per_server,
         running_count=spec.count * running_fraction,
     )

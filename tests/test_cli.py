@@ -5,6 +5,7 @@ import datetime as dt
 import json
 import math
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -560,6 +561,13 @@ def test_each_public_name_resolves_on_first_access():
 def test_unknown_name_is_an_attribute_error():
     with pytest.raises(AttributeError, match="has no attribute 'simulator'"):
         getattr(dcpowersim, "simulator")
+
+
+def test_package_version_matches_pyproject():
+    pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    declared = re.search(r'^version = "(.+)"$', pyproject, re.MULTILINE)
+    assert declared is not None
+    assert declared.group(1) == dcpowersim.__version__
 
 
 CORE = ["config", "cooling", "engine", "errors", "power_chain",

@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 from dcpowersim.cooling import (ChillerSpec, CracSpec, CrahSpec, EerTable,
                                 airflow_heat_power, ambient_adjustment,
                                 chiller_power, crac_power, crah_power,
-                                eer_lookup, heat_load)
-from dcpowersim.errors import (InvariantViolation, InvertedTemperatures,
-                               OutOfRange)
+                                eer_lookup)
+from dcpowersim.errors import InvariantViolation, OutOfRange
 
 FARM_PEAK = 10e6
 CHILLER = ChillerSpec()
@@ -22,33 +21,6 @@ EER = EerTable()
 TABLE_I = ((41.0, 2.66), (35.0, 3.12), (30.0, 3.52), (25.0, 3.93),
            (20.0, 4.34), (15.0, 4.74), (10.0, 5.13), (5.0, 5.49),
            (0.0, 5.82))
-
-
-# --- heat load diagnostic ---
-
-def test_heat_load_zero_delta():
-    assert heat_load(2.0, 1.0, 25.0, 25.0) == 0.0
-
-
-def test_heat_load_hand_value():
-    assert heat_load(1.0, 1.0, 35.0, 25.0, cp_air=1005.0) == pytest.approx(
-        10050.0, rel=1e-12)
-
-
-def test_heat_load_linear_in_containment():
-    assert heat_load(1.0, 0.5, 35.0, 25.0, cp_air=1005.0) == pytest.approx(
-        5025.0, rel=1e-12)
-
-
-def test_heat_load_validation():
-    with pytest.raises(InvertedTemperatures):
-        heat_load(1.0, 1.0, 20.0, 25.0)
-    with pytest.raises(OutOfRange):
-        heat_load(1.0, 0.0, 35.0, 25.0)
-    with pytest.raises(OutOfRange):
-        heat_load(1.0, 1.2, 35.0, 25.0)
-    with pytest.raises(OutOfRange):
-        heat_load(-1.0, 1.0, 35.0, 25.0)
 
 
 # --- chiller ---
@@ -246,21 +218,8 @@ def test_crac_rejects_bad_condenser_adjustment(adjustment):
         crac_power(0.5, FARM_PEAK, CRAC, CRAH, adjustment)
 
 
-@pytest.mark.parametrize("name,value", [
-    ("t_hot_c", math.nan), ("t_hot_c", math.inf), ("t_hot_c", -math.inf),
-    ("t_cold_c", math.nan), ("t_cold_c", -math.inf),
-    ("cp_air", math.nan), ("cp_air", math.inf), ("cp_air", -1.0),
-])
-def test_heat_load_rejects_non_finite_temperature_or_bad_cp(name, value):
-    args = {"m_dot_kg_s": 1.0, "containment": 1.0, "t_hot_c": 35.0,
-            "t_cold_c": 25.0, name: value}
-    with pytest.raises(OutOfRange, match=f"^{name} must"):
-        heat_load(**args)
-
-
 @pytest.mark.parametrize("call", [
     lambda: crac_power(1.0, FARM_PEAK, CRAC, CRAH, condenser_adjustment=1e308),
-    lambda: heat_load(1e308, 1.0, 35.0, 25.0),
     lambda: chiller_power(1.0, 1e10, ChillerSpec(sizing_factor=1e300)),
     lambda: crah_power(1.0, 1e10, CrahSpec(idle_frac=1e300)),
     lambda: airflow_heat_power(1.0, 1e10, CrahSpec(eta_heat=1e-300)),

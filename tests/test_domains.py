@@ -17,16 +17,15 @@ from dcpowersim.config import default_scenario
 from dcpowersim.cooling import (ChillerSpec, CracSpec, CrahSpec, EerTable,
                                 airflow_heat_power, ambient_adjustment,
                                 chiller_power, crac_power, crah_power,
-                                eer_lookup, heat_load)
+                                eer_lookup)
 from dcpowersim.engine import peak_context, step_power
 from dcpowersim.errors import (InvariantViolation, OutOfRange,
                                SimulationError)
 from dcpowersim.power_chain import (SupplyChainSpec, SupplyLoss,
                                     calibrate_supply, pdu_loss, supply_loss,
                                     ups_loss)
-from dcpowersim.server_farm import (ServerSpec, aggregate_utilisation,
-                                    effective_server_utilisation, farm_power,
-                                    farm_state, server_power)
+from dcpowersim.server_farm import (ServerSpec, effective_server_utilisation,
+                                    farm_power, farm_state, server_power)
 
 SERVER = ServerSpec(40000, 120.0, 250.0)
 SUPPLY = calibrate_supply(SERVER.farm_peak_w)
@@ -42,7 +41,6 @@ CALLS = {
     "farm_state": (lambda u, c: farm_state(u, c, SERVER), [F, F]),
     "farm_power": (lambda u, c: farm_power(u, c, SERVER), [F, F]),
     "effective_server_utilisation": (effective_server_utilisation, [F, F]),
-    "aggregate_utilisation": (aggregate_utilisation, [st.lists(F)]),
     "pdu_loss": (lambda p: pdu_loss(p, SUPPLY), [F]),
     "ups_loss": (lambda p, q: ups_loss(p, q, SUPPLY), [F, F]),
     "supply_loss": (lambda p: supply_loss(p, SUPPLY), [F]),
@@ -53,7 +51,6 @@ CALLS = {
     "crah_power": (lambda u, f: crah_power(u, f, CRAH), [F, F]),
     "crac_power": (lambda u, f, a: crac_power(u, f, CRAC, CRAH, a),
                    [F, F, F]),
-    "heat_load": (heat_load, [F, F, F, F, F]),
     "eer_lookup": (lambda t: eer_lookup(t, EER), [F]),
     "ambient_adjustment": (lambda t, r: ambient_adjustment(t, r, EER),
                            [F, F]),

@@ -8,9 +8,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dcpowersim.errors import EmptyList, InvariantViolation, OutOfRange
+from dcpowersim.errors import InvariantViolation, OutOfRange
 from dcpowersim.server_farm import (FarmState, ServerSpec,
-                                    aggregate_utilisation,
                                     effective_server_utilisation, farm_power,
                                     farm_state, server_power)
 
@@ -38,24 +37,6 @@ def brute_force_farm_power(utilisation: float, consolidation: float,
         raise AssertionError("brute force covers the two pure policies only")
     return sum(spec.p_idle_w + (spec.p_peak_w - spec.p_idle_w) * u
                for u in per_server)
-
-
-# --- aggregate_utilisation ---
-
-def test_aggregate_is_arithmetic_mean():
-    assert aggregate_utilisation([0.2, 0.4, 0.6]) == pytest.approx(0.4)
-
-
-def test_aggregate_zero_and_saturated():
-    assert aggregate_utilisation([0.0, 0.0, 0.0]) == 0.0
-    assert aggregate_utilisation([1.0, 1.0]) == 1.0
-
-
-def test_aggregate_rejects_empty_and_out_of_range():
-    with pytest.raises(EmptyList):
-        aggregate_utilisation([])
-    with pytest.raises(OutOfRange):
-        aggregate_utilisation([0.5, 1.2])
 
 
 # --- effective_server_utilisation ---
@@ -189,4 +170,4 @@ def test_spec_validation():
 
 def test_farm_state_is_plain_record():
     state = farm_state(0.5, 0.5, SPEC)
-    assert state == FarmState(0.5, 0.5, 2.0 / 3.0, 30000.0)
+    assert state == FarmState(2.0 / 3.0, 30000.0)
