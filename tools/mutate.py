@@ -4,6 +4,7 @@ Each mutant changes one site of one module with one of these operators:
 
     Add->Sub, Sub->Add, Mult->Div, Div->Mult   swap an arithmetic operator
     Lt->LtE, LtE->Lt, Gt->GtE, GtE->Gt         move a comparison's boundary
+    Eq->NotEq, NotEq->Eq                       negate an equality test
     const+1                                    add 1 to an int or float
     drop-not                                   replace ``not x`` with ``x``
 
@@ -44,7 +45,8 @@ from pathlib import Path
 
 SWAPS = {ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.Div,
          ast.Div: ast.Mult, ast.Lt: ast.LtE, ast.LtE: ast.Lt,
-         ast.Gt: ast.GtE, ast.GtE: ast.Gt}
+         ast.Gt: ast.GtE, ast.GtE: ast.Gt, ast.Eq: ast.NotEq,
+         ast.NotEq: ast.Eq}
 ROOT = Path(__file__).resolve().parents[1]
 TIMEOUT_S = 600.0
 SKIP = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis",
