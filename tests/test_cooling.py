@@ -21,6 +21,9 @@ EER = EerTable()
 TABLE_I = ((41.0, 2.66), (35.0, 3.12), (30.0, 3.52), (25.0, 3.93),
            (20.0, 4.34), (15.0, 4.74), (10.0, 5.13), (5.0, 5.49),
            (0.0, 5.82))
+# Interpolated at its end breakpoints, this table lands one ulp above the
+# breakpoint's EER: only the clamps give the exact value there.
+ROUNDING_TABLE = ((40.0, 1.03), (20.0, 3.04), (0.0, 3.06))
 
 
 # --- chiller ---
@@ -122,8 +125,11 @@ def test_cooling_units_nondecreasing_in_utilisation(u, step):
 # --- EER table ---
 
 def test_every_breakpoint_reproduced_exactly():
-    for ambient_c, eer in TABLE_I:
-        assert eer_lookup(ambient_c, EER) == eer
+    assert EER.breakpoints == TABLE_I
+    for breakpoints in (TABLE_I, ROUNDING_TABLE):
+        table = EerTable(breakpoints)
+        for ambient_c, eer in breakpoints:
+            assert eer_lookup(ambient_c, table) == eer
 
 
 def test_interpolation_midpoint():
@@ -137,9 +143,11 @@ def test_clamping_outside_range():
 
 def test_interpolation_between_eers_near_the_largest_float():
     # (eer_hi - eer_lo) * (ambient_c - t_lo) overflows before the division.
+    midpoint = (1.7e308 + 1e300) / 2
     table = EerTable(((40.0, 1e300), (0.0, 1.7e308)))
-    assert eer_lookup(20.0, table) == pytest.approx((1.7e308 + 1e300) / 2,
-                                                    rel=1e-12)
+    assert eer_lookup(20.0, table) == pytest.approx(midpoint, rel=1e-12)
+    table = EerTable(((50.0, 1e300), (10.0, 1.7e308)))
+    assert eer_lookup(30.0, table) == pytest.approx(midpoint, rel=1e-12)
 
 
 @pytest.mark.parametrize("ambient_c", [float("nan"), float("inf"),
@@ -185,6 +193,8 @@ def test_table_validation():
         EerTable(breakpoints=((35.0, 3.1), (30.0, 2.9)))   # EER drops when colder
     with pytest.raises(InvariantViolation):
         EerTable(breakpoints=((35.0, 0.0),))
+    with pytest.raises(InvariantViolation):
+        EerTable(breakpoints=((35.0, math.inf),))
 
 
 @pytest.mark.parametrize("breakpoints", [

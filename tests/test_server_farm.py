@@ -4,6 +4,8 @@ Frozen expected values are hand evaluations of the closed-form expressions;
 the brute-force check rebuilds the farm server by server.
 """
 
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -166,6 +168,12 @@ def test_spec_validation():
         ServerSpec(count=10, p_idle_w=260.0, p_peak_w=250.0)
     with pytest.raises(InvariantViolation):
         ServerSpec(count=10, p_idle_w=-1.0, p_peak_w=250.0)
+    with pytest.raises(InvariantViolation):
+        ServerSpec(count=10, p_idle_w=120.0, p_peak_w=math.inf)
+    # Both power bounds are inclusive: no idle draw, and idle at peak.
+    for p_idle_w in (0.0, 250.0):
+        spec = ServerSpec(count=10, p_idle_w=p_idle_w, p_peak_w=250.0)
+        assert spec.farm_peak_w == 2500.0
 
 
 def test_farm_state_is_plain_record():
