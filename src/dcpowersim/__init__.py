@@ -19,9 +19,9 @@ _HOMES = {
     "cooling": ("ChillerSpec", "CracSpec", "CrahSpec", "EerTable",
                 "ambient_adjustment", "chiller_power", "crac_power",
                 "crah_power", "eer_lookup"),
-    "engine": ("EnergySummary", "PeakContext", "PowerBreakdown",
-               "SimulationResult", "SimulationStep", "peak_context",
-               "simulate", "step_power", "summarize_energy"),
+    "engine": ("PeakContext", "PowerBreakdown", "SimulationResult",
+               "SimulationStep", "peak_context", "simulate", "step_power",
+               "summarize_energy"),
     "errors": ("SimulationError",),
     "power_chain": ("SupplyChainSpec", "SupplyLoss", "calibrate_supply",
                     "pdu_loss", "supply_loss", "ups_loss"),
@@ -33,7 +33,7 @@ _HOMES = {
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 __all__ = sorted(_HOME)
 

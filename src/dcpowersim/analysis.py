@@ -83,7 +83,7 @@ def curtail(target_total_w: float, ambient_c: float,
     if target_total_w > peak_w:
         return CurtailmentSolution(target_total_w, 1.0, peak_w, False)
     d = target_total_w - c0
-    u = min(2.0 * d / (c1 + math.sqrt(c1 * c1 + 4.0 * c2 * d)), 1.0)
+    u = 2.0 * d / (c1 + math.sqrt(c1 * c1 + 4.0 * c2 * d))
     return CurtailmentSolution(target_total_w, u, c0 + u * (c1 + u * c2), True)
 
 

@@ -160,25 +160,19 @@ class SimulationStep:
 
 
 @dataclass(frozen=True)
-class EnergySummary:
-    """Per-component energy over a run, watt-hours, plus shares of total."""
-
-    energy_wh: dict[str, float]
-    shares: dict[str, float]
-    total_energy_wh: float
-
-
-@dataclass(frozen=True)
 class SimulationResult:
-    """A run as columns: the inputs and one load per component in
-    ``COMPONENT_NAMES`` order; totals and energy derive on construction."""
+    """A run of at least one hour as columns: the inputs and one load per
+    component in ``COMPONENT_NAMES`` order.  Totals, per-component energy
+    (watt-hours) and shares of the total derive on construction."""
 
     timestamps: tuple[str, ...]
     utilisation: tuple[float, ...]
     ambient_c: tuple[float, ...]
     components: tuple[tuple[float, ...], ...]
     total_w: tuple[float, ...] = field(init=False)
-    summary: EnergySummary = field(init=False)
+    energy_wh: dict[str, float] = field(init=False)
+    shares: dict[str, float] = field(init=False)
+    total_energy_wh: float = field(init=False)
 
     def __post_init__(self) -> None:
         columns = (self.timestamps, self.utilisation, self.ambient_c,
@@ -187,19 +181,18 @@ class SimulationResult:
                 or len(set(map(len, columns))) > 1):
             raise InvariantViolation(
                 f"3 input and {len(COMPONENT_NAMES)} load columns, one length")
+        if not self.timestamps:
+            raise EmptyResult("a simulation result needs at least one hour")
         # Totals summed as PowerBreakdown sums them; 1-hour steps: W = Wh.
         object.__setattr__(self, "total_w",
                            tuple(map(sum, zip(*self.components))))
         energy_wh = dict(zip(COMPONENT_NAMES, map(sum, self.components)))
         total_wh = sum(energy_wh.values())
-        shares = {name: e / total_wh if total_wh > 0.0 else 0.0
-                  for name, e in energy_wh.items()}
-        object.__setattr__(self, "summary",
-                           EnergySummary(energy_wh, shares, total_wh))
-
-    energy_wh = property(lambda self: self.summary.energy_wh)
-    shares = property(lambda self: self.summary.shares)
-    total_energy_wh = property(lambda self: self.summary.total_energy_wh)
+        object.__setattr__(self, "energy_wh", energy_wh)
+        object.__setattr__(self, "shares", {
+            name: e / total_wh if total_wh > 0.0 else 0.0
+            for name, e in energy_wh.items()})
+        object.__setattr__(self, "total_energy_wh", total_wh)
 
     @property
     def steps(self) -> tuple[SimulationStep, ...]:
@@ -330,8 +323,6 @@ def simulate(utilisation: UtilisationProfile, ambient: AmbientProfile,
     return result
 
 
-def summarize_energy(result: SimulationResult) -> EnergySummary:
-    """Per-component energy and shares, as computed with the result."""
-    if not result.timestamps:
-        raise EmptyResult("cannot summarize an empty simulation result")
-    return result.summary
+def summarize_energy(result: SimulationResult) -> SimulationResult:
+    """The result itself, which carries its energy and shares."""
+    return result

@@ -36,7 +36,7 @@ class EmptyProfile(SimulationError):
 
 
 class EmptyResult(SimulationError):
-    """A summary or serialization was requested for an empty result."""
+    """A simulation result was built with no hours."""
 
 
 # --- configuration ---

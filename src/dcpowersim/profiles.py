@@ -20,9 +20,8 @@ from itertools import repeat
 from typing import TYPE_CHECKING
 
 from .config import COMPONENTS
-from .errors import (EmptyProfile, EmptyResult, GapInSeries,
-                     InvariantViolation, MalformedRow, NonMonotonicTime,
-                     OutOfRange)
+from .errors import (EmptyProfile, GapInSeries, InvariantViolation,
+                     MalformedRow, NonMonotonicTime, OutOfRange)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .engine import SimulationResult
@@ -209,8 +208,6 @@ def format_csv(header: tuple[str, ...], columns: tuple) -> str:
 
 def write_results_csv(result: "SimulationResult") -> str:
     """Serialize a simulation result to CSV, one row per timestep."""
-    if not result.timestamps:
-        raise EmptyResult("cannot serialize an empty simulation result")
     return format_csv(RESULT_COLUMNS, (
         result.timestamps, result.utilisation, result.ambient_c,
         *result.components, result.total_w))

@@ -13,8 +13,6 @@ Key relations:
     farm power           P      = count * r(U,L) * p(u_i)
 
 Servers beyond the running fraction are powered off and draw nothing.
-The running count is continuous, which keeps the farm power smooth for
-root finding on top of it.
 """
 
 from __future__ import annotations

@@ -137,6 +137,36 @@ def test_round_trip_property(architecture, consolidation, u, ambient):
                                                           abs=1e-9)
 
 
+def test_largest_unsnapped_target_solves_below_full_load():
+    # curtail does not clamp its root: a target within the tolerance of the
+    # peak snaps to U = 1, so every solved root must stay below 1.
+    contexts = [peak_context(replace(default_scenario(architecture),
+                                     consolidation=consolidation))
+                for architecture in CoolingArchitecture
+                for consolidation in (0.0, 0.5, 1.0)]
+    # The steepest totals at full load, relative to the peak: all linear
+    # and all quadratic in U.
+    contexts += [replace(CTX, fixed=(shape,), refrigeration=((0.0,) * 3,))
+                 for shape in ((0.0, 1.0, 0.0), (0.0, 0.0, 1.0))]
+    table = SCENARIO.eer.ascending_c
+    ambients = (table[0] - 20.0, *table, table[-1] + 20.0)
+    for ctx in contexts:
+        for ambient in ambients:
+            c0, c1, c2 = ctx.total_quadratic(ctx.adjustment(ambient))
+            peak = c0 + c1 + c2
+            target = peak / (1.0 + CURTAIL_RELATIVE_TOLERANCE)
+            for _ in range(4):
+                target = math.nextafter(target, math.inf)
+            assert abs(peak - target) <= CURTAIL_RELATIVE_TOLERANCE * target
+            while abs(peak - target) <= CURTAIL_RELATIVE_TOLERANCE * target:
+                target = math.nextafter(target, 0.0)
+            solution = curtail(target, ambient, SCENARIO, ctx)
+            assert solution.feasible
+            assert 0.0 < solution.required_utilisation < 1.0
+            assert (abs(solution.achieved_total_w - target)
+                    <= CURTAIL_RELATIVE_TOLERANCE * target)
+
+
 # --- peak breakdown ---
 
 def test_default_peak_shares():

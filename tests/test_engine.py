@@ -409,6 +409,16 @@ def test_columns_are_bit_identical_to_per_hour_evaluation(
                                             rel=1e-12)
 
 
+@pytest.mark.parametrize("slope", [1.0, 2.0])
+def test_only_a_load_without_u_terms_is_a_constant_column(slope):
+    # Equal, nonzero U coefficients must not take the constant shortcut.
+    zero = (0.0, 0.0, 0.0)
+    ctx = replace(CTX, fixed=((0.5, slope, slope), (0.5, 0.0, 0.0)),
+                  refrigeration=(zero, zero))
+    assert ctx.loads((0.0, 0.5, 1.0), ()) == (
+        (0.5, 0.5 + 0.75 * slope, 0.5 + 2.0 * slope), (0.5, 0.5, 0.5))
+
+
 NO_AIRFLOW_CRAC = replace(
     SCENARIO.with_architecture(CoolingArchitecture.CRAC),
     crah=replace(SCENARIO.crah, unit_airflow_cmh=0.0))
@@ -495,8 +505,7 @@ def test_result_shares_its_input_columns():
     assert result.timestamps is utilisation.timestamps
     assert result.utilisation is utilisation.values
     assert result.ambient_c is ambient.values
-    assert summarize_energy(result) is result.summary
-    assert result.energy_wh is result.summary.energy_wh
+    assert summarize_energy(result) is result
 
 
 @pytest.mark.parametrize("components", [
@@ -564,10 +573,10 @@ def test_constant_run_shares_equal_single_step_shares():
 
 
 def test_summarize_rejects_empty():
-    empty = SimulationResult(timestamps=(), utilisation=(), ambient_c=(),
-                             components=((),) * 8)
-    with pytest.raises(EmptyResult):
-        summarize_energy(empty)
+    with pytest.raises(EmptyResult, match="^a simulation result needs at "
+                       "least one hour$"):
+        SimulationResult(timestamps=(), utilisation=(), ambient_c=(),
+                         components=((),) * 8)
 
 
 # --- overflow ---

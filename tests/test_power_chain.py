@@ -85,7 +85,8 @@ def test_calibration_round_trip_other_farm_sizes():
 
 
 def test_infeasible_when_idle_floors_exceed_target():
-    with pytest.raises(InfeasibleTarget):
+    with pytest.raises(InfeasibleTarget, match=re.escape(
+            "idle fractions alone exceed the peak loss target (0.2 > 0.15)")):
         calibrate_supply(FARM_PEAK, pdu_idle_frac=0.10, ups_idle_frac=0.10,
                          peak_loss_frac=0.15)
 
@@ -93,8 +94,11 @@ def test_infeasible_when_idle_floors_exceed_target():
 def test_calibration_input_validation():
     with pytest.raises(NegativeInput):
         calibrate_supply(-1.0)
-    with pytest.raises(InvariantViolation):
-        calibrate_supply(FARM_PEAK, peak_loss_frac=1.5)
+    # With no idle floors, 0 and 1 would otherwise calibrate.
+    for frac in (0.0, 1.0, 1.5):
+        with pytest.raises(InvariantViolation, match="peak_loss_frac"):
+            calibrate_supply(FARM_PEAK, pdu_idle_frac=0.0, ups_idle_frac=0.0,
+                             peak_loss_frac=frac)
 
 
 def test_loss_functions_reject_negative_power():

@@ -487,11 +487,12 @@ def test_component_columns_sum_to_total():
 
 
 def test_empty_result_rejected():
+    # write_results_csv never sees an empty result: none can be built.
     result = run_constant(1)
-    empty = type(result)(timestamps=(), utilisation=(), ambient_c=(),
-                         components=((),) * 8)
-    with pytest.raises(EmptyResult):
-        write_results_csv(empty)
+    with pytest.raises(EmptyResult, match="^a simulation result needs at "
+                       "least one hour$"):
+        type(result)(timestamps=(), utilisation=(), ambient_c=(),
+                     components=((),) * 8)
 
 
 def test_round_trip_preserves_profile_columns():
