@@ -21,7 +21,11 @@ instantaneous total.  With S the sum of the first six loads at design
 conditions (U = 1, a = 1), total_peak = S / (1 - phi - mu), and the total
 of any hour is the sum of all eight loads.  That total is itself one
 (fixed, refrigeration) pair, the column sums of the eight, compiled once
-per scenario; a curtail solve evaluates it at one a.
+per scenario; a curtail solve evaluates it at one a.  Loads are held in
+``COMPONENT_NAMES`` order, as one value each in a :class:`PowerBreakdown`
+and one column each in a :class:`SimulationResult`.  A -0 setting passes
+every >= 0 check, so ``PeakContext.loads`` starts each load from
+c0 + 0.0: no load is -0, even at a U of -0.0.
 
 Outdoor temperature enters only through a = EER(reference) / EER(ambient),
 which multiplies the chiller, the CRAC condenser term and the pumps' share
@@ -38,7 +42,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from operator import attrgetter
 from typing import TYPE_CHECKING, Sequence
 
 from . import cooling
@@ -57,42 +60,27 @@ _ZERO: Quadratic = (0.0, 0.0, 0.0)
 
 @dataclass(frozen=True)
 class PowerBreakdown:
-    """Per-component power at one instant, watts.
+    """Power at one instant, watts: one load per component in
+    ``COMPONENT_NAMES`` order, and ``total_w``, their ``sum()``
+    (compensated from Python 3.12) computed on construction."""
 
-    The total is computed on construction as ``sum()`` of the eight
-    components (compensated from Python 3.12), so ``total_w`` equals
-    ``sum(values())`` by construction.
-    """
-
-    server_farm_w: float
-    pdu_loss_w: float
-    ups_loss_w: float
-    chiller_w: float
-    crah_w: float
-    crac_w: float
-    pumps_w: float
-    misc_w: float
+    components: tuple[float, ...]
     total_w: float = field(init=False)
 
     def __post_init__(self) -> None:
-        values = self.values()
-        for name, value in zip(COMPONENT_NAMES, values):
+        if len(self.components) != len(COMPONENT_NAMES):
+            raise InvariantViolation(f"{len(COMPONENT_NAMES)} components, "
+                                     f"got {len(self.components)}")
+        for name, value in zip(COMPONENT_NAMES, self.components):
             if not 0.0 <= value < math.inf:
                 raise InvariantViolation(
                     f"component {name} must be finite and nonnegative, "
                     f"got {value!r}")
-        object.__setattr__(self, "total_w", sum(values))
-
-    def values(self) -> tuple[float, ...]:
-        """Components in the canonical order, without the total."""
-        return _COMPONENT_FIELDS(self)
+        object.__setattr__(self, "total_w", sum(self.components))
 
     def as_dict(self) -> dict[str, float]:
         """Components by name in the canonical order, without the total."""
-        return dict(zip(COMPONENT_NAMES, self.values()))
-
-
-_COMPONENT_FIELDS = attrgetter(*(f"{name}_w" for name in COMPONENT_NAMES))
+        return dict(zip(COMPONENT_NAMES, self.components))
 
 
 @dataclass(frozen=True)
@@ -142,6 +130,7 @@ class PeakContext:
 
         def column(fixed: Quadratic, refrigeration: Quadratic) -> tuple:
             (f0, f1, f2), (r0, r1, r2) = fixed, refrigeration
+            f0 += 0.0   # -0.0 to 0.0; every other f0 keeps its bits
             if refrigeration == _ZERO:   # a * 0 would add exactly 0
                 return ((f0,) * n if f1 == f2 == 0.0 else
                         tuple([f0 + u * (f1 + u * f2) for u in us]))
@@ -197,10 +186,10 @@ class SimulationResult:
     @property
     def steps(self) -> tuple[SimulationStep, ...]:
         """The run hour by hour, built on each access."""
-        return tuple(SimulationStep(stamp, u, t, PowerBreakdown(*parts))
-                     for stamp, u, t, *parts in zip(
+        return tuple(SimulationStep(stamp, u, t, PowerBreakdown(parts))
+                     for stamp, u, t, parts in zip(
                          self.timestamps, self.utilisation, self.ambient_c,
-                         *self.components))
+                         zip(*self.components)))
 
 
 def peak_context(scenario: ScenarioConfig) -> PeakContext:
@@ -239,9 +228,8 @@ def peak_context(scenario: ScenarioConfig) -> PeakContext:
                      for c in COMPONENTS if c.name in loads))
 
     fixed, refrigeration = pairs()
-    # + 0.0 turns a fraction of -0.0 into 0.0, so no load prints as -0.
-    phi = scenario.pump_fraction + 0.0 if "pumps" in included else 0.0
-    mu = scenario.misc_fraction + 0.0 if "misc" in included else 0.0
+    phi = scenario.pump_fraction if "pumps" in included else 0.0
+    mu = scenario.misc_fraction if "misc" in included else 0.0
     # At U = 1 and a = 1 each load is its coefficient sum; ScenarioConfig
     # keeps pump_fraction + misc_fraction below 1.
     total_peak_w = sum(map(sum, fixed + refrigeration)) / (1.0 - phi - mu)
@@ -280,7 +268,7 @@ def step_power(utilisation: float, ambient_c: float,
     """Power breakdown for one hour; ``ctx`` holds the compiled model."""
     check(OutOfRange, utilisation=(utilisation, UNIT))
     loads = ctx.loads((utilisation,), (ctx.adjustment(ambient_c),))
-    return PowerBreakdown(*(column[0] for column in loads))
+    return PowerBreakdown(tuple(column[0] for column in loads))
 
 
 def _check_rows(utilisation: UtilisationProfile,

@@ -289,10 +289,10 @@ def test_crac_dominates_at_high_utilisation():
     crac_scenario = SCENARIO.with_architecture(CoolingArchitecture.CRAC)
     ctx_crac = peak_context(crac_scenario)
     for u in (0.5, 0.7, 0.9, 1.0):
-        chilled = step_power(u, 30.0, SCENARIO, CTX)
-        crac = step_power(u, 30.0, crac_scenario, ctx_crac)
-        assert crac.crac_w > \
-            chilled.chiller_w + chilled.crah_w + chilled.pumps_w
+        chilled = step_power(u, 30.0, SCENARIO, CTX).as_dict()
+        crac = step_power(u, 30.0, crac_scenario, ctx_crac).as_dict()
+        assert crac["crac"] > \
+            chilled["chiller"] + chilled["crah"] + chilled["pumps"]
 
 
 def test_swapping_roles_negates_differences():

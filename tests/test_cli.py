@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 import dcpowersim
 from dcpowersim.analysis import compare_architectures, power_curve
 from dcpowersim.cli import run
-from dcpowersim.config import (_KNOWN_KEYS, CoolingArchitecture,
+from dcpowersim.config import (_INT_KEYS, _KNOWN_KEYS, CoolingArchitecture,
                               default_scenario)
 from dcpowersim.profiles import parse_temperature_csv, parse_utilisation_csv
 
@@ -451,6 +451,21 @@ def test_line_chart_has_one_polyline_per_series_and_repeats(tmp_path,
     assert charts[0] == charts[1]
 
 
+def test_curve_chart_of_one_temperature_has_one_polyline(tmp_path):
+    chart = tmp_path / "chart.svg"
+    assert run(["curve", "--config", str(write_inputs(tmp_path)[0]),
+                "--temps", "30", "--out", str(tmp_path / "out.csv"),
+                "--svg", str(chart)]) == 0
+    root = ET.fromstring(chart.read_bytes())
+    assert len(list(root.iter("{http://www.w3.org/2000/svg}polyline"))) == 1
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["simulate", "--help"]])
+def test_help_exits_0(capsys, argv):
+    assert run(argv) == 0
+    assert capsys.readouterr().out.startswith("usage: dcpowersim")
+
+
 def test_non_numeric_temperature_list_is_usage_error(tmp_path, capsys):
     config, _, _ = write_inputs(tmp_path)
     out = tmp_path / "curve.csv"
@@ -732,3 +747,46 @@ def test_config_text_through_every_subcommand_exits_0_1_or_2(text):
             if status == 2:
                 assert not list(Path(tmp).glob(f"{command}.*"))
                 assert not list(Path(tmp).glob("*.tmp"))
+
+
+FLOAT_KEYS = sorted(_KNOWN_KEYS - _INT_KEYS - {"architecture", "eer.table"})
+MINUS_ZERO_COMMANDS = {   # --temps=: argparse reads a leading - as a flag
+    "peak": [], "curtail": ["--ambient-c=30", "--target-w=1.5e7"],
+    "curve": ["--temps=-10,20,50", "--points=3", "--out={d}/out.csv"],
+    "simulate": ["--utilisation={d}/util.csv", "--weather={d}/weather.csv",
+                 "--out={d}/out.csv"],
+    "compare": ["--utilisation={d}/util.csv", "--weather={d}/weather.csv",
+                "--out={d}/out.csv"],
+}
+
+
+def is_minus_zero(field: str) -> bool:
+    try:
+        return field.startswith("-") and float(field) == 0.0
+    except ValueError:
+        return False
+
+
+@pytest.mark.parametrize("airflow", ["", "crah.unit_airflow_cmh=0\n"],
+                         ids=["airflow", "no_airflow"])
+@pytest.mark.parametrize("architecture", [a.value for a in CoolingArchitecture])
+def test_no_output_field_is_minus_zero(tmp_path, capsys, architecture,
+                                       airflow):
+    config = write_inputs(tmp_path, hours=2)[0]
+    base = dict(line.split("=") for line in
+                (CONFIG.replace("crah_chiller", architecture)
+                 + airflow).splitlines())
+    for key in FLOAT_KEYS:   # -0 in place of the key's line, if it has one
+        lines = {**base, key: "-0"}.items()
+        config.write_text("".join(f"{k}={v}\n" for k, v in lines))
+        for command, flags in MINUS_ZERO_COMMANDS.items():
+            out = tmp_path / "out.csv"
+            out.unlink(missing_ok=True)
+            status = run([command, f"--config={config}",
+                          *(flag.format(d=tmp_path) for flag in flags)])
+            stdout = capsys.readouterr().out
+            if status != 0:
+                continue
+            text = stdout + (out.read_text() if out.exists() else "")
+            fields = re.split("[,\n]", text)
+            assert not any(map(is_minus_zero, fields)), (key, command, text)

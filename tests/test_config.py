@@ -13,8 +13,9 @@ from dcpowersim import config, cooling, server_farm
 from dcpowersim.config import (CoolingArchitecture, default_scenario,
                                parse_scenario_config)
 from dcpowersim.engine import peak_context, step_power
-from dcpowersim.errors import (InvariantViolation, MalformedRow,
-                               MissingRequired, SimulationError, UnknownKey)
+from dcpowersim.errors import (InvalidFractions, InvariantViolation,
+                               MalformedRow, MissingRequired, OutOfRange,
+                               SimulationError, UnknownKey)
 
 MINIMAL = """\
 server.count=40000
@@ -62,6 +63,19 @@ def test_fraction_invariant():
     with pytest.raises(InvariantViolation):
         parse_scenario_config(MINIMAL + "pump_fraction=0.5\n"
                                         "misc_fraction=0.6\n")
+
+
+@pytest.mark.parametrize("lines, error", [
+    ("pump_fraction=0\nmisc_fraction=0\nconsolidation=0\n", None),
+    ("pump_fraction=0.5\nmisc_fraction=0.5\n", InvalidFractions),
+    ("consolidation=1.5\n", OutOfRange),
+])
+def test_scenario_bounds_are_exact(lines, error):
+    if error is None:
+        parse_scenario_config(MINIMAL + lines)
+    else:
+        with pytest.raises(error):
+            parse_scenario_config(MINIMAL + lines)
 
 
 def test_unknown_key_rejected():

@@ -7,7 +7,7 @@ Design peak solves to (10 + 1.5 + 7.42 + 2.662) MW / 0.90 = 23.98 MW.
 """
 
 import math
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -70,8 +70,8 @@ def test_saturating_fractions_rejected():
 def test_peak_step_reproduces_design_peak():
     breakdown = step_power(1.0, 30.0, SCENARIO, CTX)
     assert breakdown.total_w == pytest.approx(CTX.total_peak_w, rel=1e-9)
-    assert breakdown.pumps_w == pytest.approx(0.04 * CTX.total_peak_w,
-                                              rel=1e-9)
+    assert breakdown.as_dict()["pumps"] == pytest.approx(
+        0.04 * CTX.total_peak_w, rel=1e-9)
 
 
 def test_idle_step_full_component_chain():
@@ -85,34 +85,35 @@ def test_idle_step_full_component_chain():
     total = (farm + pdu + ups + chiller + crah + misc) / 0.96
 
     breakdown = step_power(0.0, 30.0, SCENARIO, CTX)
-    assert breakdown.server_farm_w == pytest.approx(farm, rel=1e-9)
-    assert breakdown.pdu_loss_w == pytest.approx(pdu, rel=1e-9)
-    assert breakdown.ups_loss_w == pytest.approx(ups, rel=1e-9)
-    assert breakdown.chiller_w == pytest.approx(chiller, rel=1e-9)
-    assert breakdown.crah_w == pytest.approx(crah, rel=1e-9)
-    assert breakdown.crac_w == 0.0
-    assert breakdown.misc_w == pytest.approx(misc, rel=1e-9)
+    loads = breakdown.as_dict()
+    assert loads["server_farm"] == pytest.approx(farm, rel=1e-9)
+    assert loads["pdu_loss"] == pytest.approx(pdu, rel=1e-9)
+    assert loads["ups_loss"] == pytest.approx(ups, rel=1e-9)
+    assert loads["chiller"] == pytest.approx(chiller, rel=1e-9)
+    assert loads["crah"] == pytest.approx(crah, rel=1e-9)
+    assert loads["crac"] == 0.0
+    assert loads["misc"] == pytest.approx(misc, rel=1e-9)
     assert breakdown.total_w == pytest.approx(total, rel=1e-9)
 
 
 def test_architecture_gating():
-    crah_run = step_power(0.7, 30.0, SCENARIO, CTX)
-    assert crah_run.crac_w == 0.0 and crah_run.pumps_w > 0.0
+    crah_run = step_power(0.7, 30.0, SCENARIO, CTX).as_dict()
+    assert crah_run["crac"] == 0.0 and crah_run["pumps"] > 0.0
 
     crac_scenario = SCENARIO.with_architecture(CoolingArchitecture.CRAC)
     crac_run = step_power(0.7, 30.0, crac_scenario,
-                          peak_context(crac_scenario))
-    assert crac_run.chiller_w == 0.0
-    assert crac_run.crah_w == 0.0
-    assert crac_run.pumps_w == 0.0
-    assert crac_run.crac_w > 0.0
+                          peak_context(crac_scenario)).as_dict()
+    assert crac_run["chiller"] == 0.0
+    assert crac_run["crah"] == 0.0
+    assert crac_run["pumps"] == 0.0
+    assert crac_run["crac"] > 0.0
 
     free = SCENARIO.with_architecture(CoolingArchitecture.FREE_AIR)
-    free_run = step_power(0.7, 30.0, free, peak_context(free))
-    assert free_run.chiller_w == 0.0
-    assert free_run.crac_w == 0.0
-    assert free_run.pumps_w == 0.0
-    assert free_run.crah_w > 0.0
+    free_run = step_power(0.7, 30.0, free, peak_context(free)).as_dict()
+    assert free_run["chiller"] == 0.0
+    assert free_run["crac"] == 0.0
+    assert free_run["pumps"] == 0.0
+    assert free_run["crah"] > 0.0
 
 
 def test_additivity_is_exact():
@@ -145,7 +146,7 @@ def test_free_air_ignores_ambient():
 
 def test_negative_component_rejected():
     with pytest.raises(InvariantViolation):
-        PowerBreakdown(-1.0, 0, 0, 0, 0, 0, 0, 0)
+        PowerBreakdown((-1.0, 0, 0, 0, 0, 0, 0, 0))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -156,7 +157,7 @@ def test_non_finite_component_rejected(index, bad):
     with pytest.raises(InvariantViolation, match=(
             f"^component {COMPONENT_NAMES[index]} must be finite and "
             f"nonnegative, got {bad!r}$")):
-        PowerBreakdown(*parts)
+        PowerBreakdown(tuple(parts))
 
 
 def test_non_finite_ambient_rejected():
@@ -455,8 +456,21 @@ def test_simulate_looks_up_eer_only_when_a_load_is_refrigerated(
 def test_fractions_of_minus_zero_give_loads_of_plus_zero():
     scenario = replace(SCENARIO, pump_fraction=-0.0, misc_fraction=-0.0)
     power = step_power(0.5, 25.0, scenario, peak_context(scenario))
-    assert math.copysign(1.0, power.pumps_w) == 1.0
-    assert math.copysign(1.0, power.misc_w) == 1.0
+    assert math.copysign(1.0, power.as_dict()["pumps"]) == 1.0
+    assert math.copysign(1.0, power.as_dict()["misc"]) == 1.0
+
+
+@pytest.mark.parametrize("architecture", CoolingArchitecture)
+def test_a_utilisation_of_minus_zero_gives_loads_of_plus_zero(architecture):
+    # Each of these -0 settings compiles to a constant term of -0.0 beside
+    # a U term, which a U of -0.0 would leave at -0.0.
+    scenario = replace(default_scenario(architecture), consolidation=-0.0,
+                       crah=replace(SCENARIO.crah, idle_frac=-0.0),
+                       crac=replace(SCENARIO.crac, idle_frac=-0.0))
+    power = step_power(-0.0, 25.0, scenario, peak_context(scenario))
+    result = simulate(*profiles_from([-0.0], [25.0]), scenario)
+    for loads in (power.components, sum(result.components, ())):
+        assert [math.copysign(1.0, w) for w in loads] == [1.0] * 8
 
 
 FRACTIONS = st.floats(0.0, 0.45) | st.sampled_from([-0.0, 0.0])
@@ -534,7 +548,7 @@ def test_cooling_follows_utilisation_over_a_week():
           for h in range(168)]
     utilisation, ambient = profiles_from(us, ts)
     result = simulate(utilisation, ambient, SCENARIO)
-    cooling = [s.power.chiller_w + s.power.crah_w + s.power.pumps_w
+    cooling = [sum(map(s.power.as_dict().get, ("chiller", "crah", "pumps")))
                for s in result.steps]
     busiest = max(range(168), key=lambda i: us[i])
     quietest = min(range(168), key=lambda i: us[i])
@@ -598,8 +612,13 @@ def test_overflowing_farm_peak_is_out_of_range(p_idle_w):
 # --- metamorphic properties, independent of both reference evaluations ---
 
 def test_breakdown_fields_follow_the_component_order():
-    names = [f.name for f in fields(PowerBreakdown) if f.init]
-    assert names == [f"{name}_w" for name in COMPONENT_NAMES]
+    breakdown = PowerBreakdown(tuple(map(float, range(len(COMPONENT_NAMES)))))
+    assert tuple(breakdown.as_dict()) == COMPONENT_NAMES
+    assert tuple(breakdown.as_dict().values()) == breakdown.components
+    for n in (len(COMPONENT_NAMES) - 1, len(COMPONENT_NAMES) + 1):
+        with pytest.raises(InvariantViolation, match=(
+                f"^{len(COMPONENT_NAMES)} components, got {n}$")):
+            PowerBreakdown((1.0,) * n)
 
 
 @st.composite
@@ -722,7 +741,7 @@ def finite_outputs(scenario, u, t, hours, target):
 
     def stepped():
         breakdown = step_power(u, t, scenario, peak_context(scenario))
-        return *breakdown.values(), breakdown.total_w
+        return *breakdown.components, breakdown.total_w
 
     return (run, compared, solved, stepped,
             lambda: sum(power_curve([t], scenario, 3)[0].points, ()),

@@ -521,7 +521,7 @@ def csv_writer_text(result):
         writer.writerow([step.timestamp,
                          *(format(x, ".10g") for x in (
                              step.utilisation, step.ambient_c,
-                             *step.power.values(), step.power.total_w))])
+                             *step.power.components, step.power.total_w))])
     return out.getvalue()
 
 
