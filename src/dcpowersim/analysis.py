@@ -11,8 +11,7 @@ infeasible with the nearest achievable total rather than raising.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .config import COMPONENTS, CoolingArchitecture, ScenarioConfig
 from .engine import PeakContext, peak_context, simulate, step_power
@@ -24,24 +23,21 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 CURTAIL_RELATIVE_TOLERANCE = 1e-6
 
 
-@dataclass(frozen=True)
-class CurtailmentSolution:
+class CurtailmentSolution(NamedTuple):
     target_total_w: float
     required_utilisation: float
     achieved_total_w: float
     feasible: bool
 
 
-@dataclass(frozen=True)
-class PowerCurve:
+class PowerCurve(NamedTuple):
     """Facility total versus utilisation at one outdoor temperature."""
 
     temperature_c: float
     points: tuple[tuple[float, float], ...]   # (utilisation, total watts)
 
 
-@dataclass(frozen=True)
-class ArchitectureComparison:
+class ArchitectureComparison(NamedTuple):
     baseline: CoolingArchitecture
     alternative: CoolingArchitecture
     timestamps: tuple[str, ...]

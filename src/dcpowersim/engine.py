@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from . import cooling
 from .config import COMPONENTS, ScenarioConfig
@@ -140,8 +140,7 @@ class PeakContext:
         return tuple(map(column, self.fixed, self.refrigeration))
 
 
-@dataclass(frozen=True)
-class SimulationStep:
+class SimulationStep(NamedTuple):
     timestamp: str
     utilisation: float
     ambient_c: float

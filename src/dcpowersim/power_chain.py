@@ -17,6 +17,7 @@ between the PDU quadratic and the UPS proportional term.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (AT_LEAST_ONE, NONNEGATIVE, POSITIVE, InfeasibleTarget,
                      InvariantViolation, NegativeInput, OutOfRange, check,
@@ -43,8 +44,7 @@ class SupplyChainSpec:
                      lambda_pdu_per_w=NONNEGATIVE, lambda_ups=NONNEGATIVE)
 
 
-@dataclass(frozen=True)
-class SupplyLoss:
+class SupplyLoss(NamedTuple):
     pdu_loss_w: float
     ups_loss_w: float
 

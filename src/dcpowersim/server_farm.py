@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (AT_LEAST_ONE, UNIT, InvariantViolation, OutOfRange,
                      check, check_fields)
@@ -45,8 +46,7 @@ class ServerSpec:
         return self.count * self.p_peak_w
 
 
-@dataclass(frozen=True)
-class FarmState:
+class FarmState(NamedTuple):
     """Operating point of the farm for one aggregate utilisation figure."""
 
     per_server_utilisation: float

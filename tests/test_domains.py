@@ -5,7 +5,6 @@ each call returns only finite numbers >= 0 or raises a SimulationError.
 The messages of the shared rules are pinned in full.
 """
 
-import dataclasses
 import math
 import re
 
@@ -59,9 +58,9 @@ CALLS = {
 
 def numbers(value) -> list:
     """The numbers a result holds: itself, or its fields and total."""
-    if not dataclasses.is_dataclass(value):
+    if not hasattr(value, "_fields"):
         return [value]
-    held = [getattr(value, f.name) for f in dataclasses.fields(value)]
+    held = [getattr(value, name) for name in value._fields]
     return held + [value.total_w] if isinstance(value, SupplyLoss) else held
 
 

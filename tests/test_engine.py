@@ -7,17 +7,18 @@ Design peak solves to (10 + 1.5 + 7.42 + 2.662) MW / 0.90 = 23.98 MW.
 """
 
 import math
-from dataclasses import replace
+from dataclasses import is_dataclass, replace
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dcpowersim import cooling, engine, power_chain, server_farm
+from dcpowersim import (analysis, cooling, engine, power_chain, profiles,
+                        server_farm)
 from dcpowersim.analysis import (compare_architectures, curtail,
                                  peak_breakdown, power_curve)
 from dcpowersim.config import (COMPONENTS, CoolingArchitecture,
-                               default_scenario)
+                               ScenarioConfig, default_scenario)
 from dcpowersim.engine import (COMPONENT_NAMES, PowerBreakdown,
                                SimulationResult, peak_context, simulate,
                                step_power, summarize_energy)
@@ -529,6 +530,49 @@ def test_result_shares_its_input_columns():
 def test_misaligned_result_rejected(components):
     with pytest.raises(InvariantViolation):
         SimulationResult(("2016-06-01T00:00",), (0.5,), (30.0,), components)
+
+
+def test_plain_records_are_named_tuples():
+    """A record that checks nothing is a NamedTuple; one that checks or
+    derives a field is a frozen dataclass."""
+    utilisation, ambient = profiles_from([0.5, 1.0], [20.0, 35.0])
+    comparison = compare_architectures(utilisation, ambient, SCENARIO)
+    records = {
+        curtail(15e6, 30.0, SCENARIO, CTX): (
+            "target_total_w", "required_utilisation", "achieved_total_w",
+            "feasible"),
+        power_curve([30.0], SCENARIO, 3)[0]: ("temperature_c", "points"),
+        comparison: (
+            "baseline", "alternative", "timestamps", "baseline_cooling_w",
+            "alternative_cooling_w", "baseline_cooling_energy_wh",
+            "alternative_cooling_energy_wh"),
+        simulate(utilisation, ambient, SCENARIO).steps[0]: (
+            "timestamp", "utilisation", "ambient_c", "power"),
+        power_chain.supply_loss(5e6, SCENARIO.supply): (
+            "pdu_loss_w", "ups_loss_w"),
+        server_farm.farm_state(0.5, 0.5, SCENARIO.server): (
+            "per_server_utilisation", "running_count"),
+    }
+    for record, names in records.items():
+        assert isinstance(record, tuple) and record._fields == names
+        with pytest.raises(AttributeError):
+            setattr(record, names[0], record[0])
+        twin = type(record)(*record)
+        assert twin == record and hash(twin) == hash(record)
+    assert repr(analysis.CurtailmentSolution(1e6, 0.5, 1e6, True)) == (
+        "CurtailmentSolution(target_total_w=1000000.0, "
+        "required_utilisation=0.5, achieved_total_w=1000000.0, "
+        "feasible=True)")
+    assert comparison.relative_increase == (
+        comparison.alternative_cooling_energy_wh
+        / comparison.baseline_cooling_energy_wh - 1.0)
+    assert power_chain.SupplyLoss(1.5, 2.25).total_w == 3.75
+    for validating in (cooling.ChillerSpec, cooling.CrahSpec,
+                       cooling.CracSpec, cooling.EerTable,
+                       power_chain.SupplyChainSpec, server_farm.ServerSpec,
+                       ScenarioConfig, PowerBreakdown, engine.PeakContext,
+                       SimulationResult, profiles._HourlySeries):
+        assert is_dataclass(validating), validating
 
 
 @pytest.mark.parametrize("value", [-1.0, math.nan, math.inf])

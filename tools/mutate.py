@@ -2,7 +2,8 @@
 
 Each mutant changes one site of one module with one of these operators:
 
-    Add->Sub, Sub->Add, Mult->Div, Div->Mult   swap an arithmetic operator
+    Add->Sub, Sub->Add, Mult->Div, Div->Mult   swap an arithmetic operator,
+                                               also in ``x += y`` and the like
     Lt->LtE, LtE->Lt, Gt->GtE, GtE->Gt         move a comparison's boundary
     Eq->NotEq, NotEq->Eq                       negate an equality test
     const+1                                    add 1 to an int or float
@@ -62,7 +63,8 @@ def sites(source: str) -> list[tuple[int, int, dict]]:
     for every mutation of one module."""
     found = []
     for index, node in enumerate(ast.walk(ast.parse(source))):
-        if isinstance(node, ast.BinOp) and type(node.op) in SWAPS:
+        if (isinstance(node, (ast.BinOp, ast.AugAssign))
+                and type(node.op) in SWAPS):
             operators = [(0, _swap_name(node.op))]
         elif isinstance(node, ast.Compare):
             operators = [(slot, _swap_name(op))
@@ -89,7 +91,7 @@ def mutated(source: str, index: int | None, slot: int = 0) -> str:
     if index is None:
         return ast.unparse(tree)
     node = nodes[index]
-    if isinstance(node, ast.BinOp):
+    if isinstance(node, (ast.BinOp, ast.AugAssign)):
         node.op = SWAPS[type(node.op)]()
     elif isinstance(node, ast.Compare):
         node.ops[slot] = SWAPS[type(node.ops[slot])]()
