@@ -5,6 +5,7 @@ each call returns only finite numbers >= 0 or raises a SimulationError.
 The messages of the shared rules are pinned in full.
 """
 
+import dataclasses
 import math
 import re
 
@@ -58,10 +59,27 @@ CALLS = {
 
 def numbers(value) -> list:
     """The numbers a result holds: itself, or its fields and total."""
-    if not hasattr(value, "_fields"):
+    if dataclasses.is_dataclass(value):
+        names = [f.name for f in dataclasses.fields(value)]
+    elif hasattr(value, "_fields"):
+        names = value._fields
+    else:
         return [value]
-    held = [getattr(value, name) for name in value._fields]
+    held = [getattr(value, name) for name in names]
     return held + [value.total_w] if isinstance(value, SupplyLoss) else held
+
+
+def test_numbers_reads_every_field_of_both_record_kinds():
+    # The property test above reaches each record only when Hypothesis
+    # draws arguments a call accepts; this pins the walk on each kind.
+    spec = calibrate_supply(1e6, 100, 0.015, 0.03, 0.15)
+    assert numbers(spec) == [getattr(spec, f.name)
+                             for f in dataclasses.fields(spec)]
+    loss = supply_loss(5e5, spec)
+    assert numbers(loss) == [*loss, loss.total_w]
+    state = farm_state(0.5, 0.5, SERVER)
+    assert numbers(state) == [*state]
+    assert numbers(2.5) == [2.5]
 
 
 @pytest.mark.parametrize("name", sorted(CALLS))

@@ -7,18 +7,17 @@ Design peak solves to (10 + 1.5 + 7.42 + 2.662) MW / 0.90 = 23.98 MW.
 """
 
 import math
-from dataclasses import is_dataclass, replace
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dcpowersim import (analysis, cooling, engine, power_chain, profiles,
-                        server_farm)
+from dcpowersim import analysis, cooling, engine, power_chain, server_farm
 from dcpowersim.analysis import (compare_architectures, curtail,
                                  peak_breakdown, power_curve)
 from dcpowersim.config import (COMPONENTS, CoolingArchitecture,
-                               ScenarioConfig, default_scenario)
+                               default_scenario)
 from dcpowersim.engine import (COMPONENT_NAMES, PowerBreakdown,
                                SimulationResult, peak_context, simulate,
                                step_power, summarize_energy)
@@ -533,8 +532,7 @@ def test_misaligned_result_rejected(components):
 
 
 def test_plain_records_are_named_tuples():
-    """A record that checks nothing is a NamedTuple; one that checks or
-    derives a field is a frozen dataclass."""
+    """The six records that check nothing behave as NamedTuples."""
     utilisation, ambient = profiles_from([0.5, 1.0], [20.0, 35.0])
     comparison = compare_architectures(utilisation, ambient, SCENARIO)
     records = {
@@ -567,12 +565,6 @@ def test_plain_records_are_named_tuples():
         comparison.alternative_cooling_energy_wh
         / comparison.baseline_cooling_energy_wh - 1.0)
     assert power_chain.SupplyLoss(1.5, 2.25).total_w == 3.75
-    for validating in (cooling.ChillerSpec, cooling.CrahSpec,
-                       cooling.CracSpec, cooling.EerTable,
-                       power_chain.SupplyChainSpec, server_farm.ServerSpec,
-                       ScenarioConfig, PowerBreakdown, engine.PeakContext,
-                       SimulationResult, profiles._HourlySeries):
-        assert is_dataclass(validating), validating
 
 
 @pytest.mark.parametrize("value", [-1.0, math.nan, math.inf])
