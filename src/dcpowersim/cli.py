@@ -34,7 +34,9 @@ _DATA_EXIT = 2
 
 def _temps_list(raw: str) -> list[float]:
     try:
-        if temps := [float(part) for part in raw.split(",") if part.strip()]:
+        # + 0.0 prints a temperature of -0 as 0.
+        if temps := [float(part) + 0.0 for part in raw.split(",")
+                     if part.strip()]:
             return temps
     except ValueError:
         pass

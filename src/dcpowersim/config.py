@@ -11,7 +11,7 @@ namespaces, e.g.::
 
 Server sizing and the architecture are mandatory; every other key falls
 back to the default of the spec field it names (``chiller.alpha`` is
-``ChillerSpec.alpha``).  Supply-loss coefficients are not configured
+the ``alpha`` of ``ChillerSpec``).  Supply-loss coefficients are not configured
 directly: the config carries the calibration targets (idle fractions and
 the peak loss fraction) and ``power_chain.calibrate_supply`` solves the
 coefficients when the scenario is built.
@@ -24,12 +24,11 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, fields, replace
 from typing import NamedTuple
 
 from . import cooling, power_chain, server_farm
 from .errors import (InvalidFractions, InvariantViolation, MalformedRow,
-                     MissingRequired, OutOfRange, UnknownKey)
+                     MissingRequired, OutOfRange, UnknownKey, _Record)
 
 
 class CoolingArchitecture(enum.Enum):
@@ -60,55 +59,59 @@ COMPONENTS = (
 )
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
+class ScenarioConfig(_Record):
     """Full description of one data centre.
 
     All three cooling specs are always populated (from defaults when not
     configured) so analyses can switch architectures on the same scenario;
-    the engine only consults the specs the architecture calls for.
+    the engine only consults the specs the architecture calls for.  The
+    default specs are shared instances, which is safe because records are
+    immutable.
     """
 
-    server: server_farm.ServerSpec
-    supply: power_chain.SupplyChainSpec
-    architecture: CoolingArchitecture
-    chiller: cooling.ChillerSpec = field(default_factory=cooling.ChillerSpec)
-    crah: cooling.CrahSpec = field(default_factory=cooling.CrahSpec)
-    crac: cooling.CracSpec = field(default_factory=cooling.CracSpec)
-    eer: cooling.EerTable = field(default_factory=cooling.EerTable)
-    pump_fraction: float = 0.04
-    misc_fraction: float = 0.06
-    reference_ambient_c: float = 30.0
-    consolidation: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.architecture, CoolingArchitecture):
+    def __init__(self, server: server_farm.ServerSpec,
+                 supply: power_chain.SupplyChainSpec,
+                 architecture: CoolingArchitecture,
+                 chiller: cooling.ChillerSpec = cooling.ChillerSpec(),
+                 crah: cooling.CrahSpec = cooling.CrahSpec(),
+                 crac: cooling.CracSpec = cooling.CracSpec(),
+                 eer: cooling.EerTable = cooling.EerTable(),
+                 pump_fraction: float = 0.04, misc_fraction: float = 0.06,
+                 reference_ambient_c: float = 30.0,
+                 consolidation: float = 1.0) -> None:
+        if not isinstance(architecture, CoolingArchitecture):
             raise InvariantViolation(
                 "architecture must be a CoolingArchitecture, got "
-                f"{self.architecture!r}")
-        if not (self.pump_fraction >= 0.0 and self.misc_fraction >= 0.0):
+                f"{architecture!r}")
+        if not (pump_fraction >= 0.0 and misc_fraction >= 0.0):
             raise InvariantViolation("pump and misc fractions must be >= 0")
-        if self.pump_fraction + self.misc_fraction >= 1.0:
+        if pump_fraction + misc_fraction >= 1.0:
             raise InvalidFractions(
                 "pump_fraction + misc_fraction must be < 1, got "
-                f"{self.pump_fraction} + {self.misc_fraction}"
+                f"{pump_fraction} + {misc_fraction}"
             )
-        if not 0.0 <= self.consolidation <= 1.0:
+        if not 0.0 <= consolidation <= 1.0:
             raise OutOfRange("consolidation must lie in [0, 1]")
-        if not math.isfinite(self.reference_ambient_c):
+        if not math.isfinite(reference_ambient_c):
             raise OutOfRange("reference_ambient_c must be finite")
+        self._set(server=server, supply=supply, architecture=architecture,
+                  chiller=chiller, crah=crah, crac=crac, eer=eer,
+                  pump_fraction=pump_fraction, misc_fraction=misc_fraction,
+                  reference_ambient_c=reference_ambient_c,
+                  consolidation=consolidation)
 
     def with_architecture(self, architecture: CoolingArchitecture
                           ) -> "ScenarioConfig":
-        return replace(self, architecture=architecture)
+        return self._replace(architecture=architecture)
 
 
 def _spec_keys(prefix: str, spec: type) -> dict[str, str]:
-    return {f"{prefix}.{f.name}": f.name for f in fields(spec)}
+    return {f"{prefix}.{name}": name for name in spec._fields}
 
 
 # Config key -> parameter, per target.  Only the keys present are passed,
-# so every default lives in its dataclass or in ``calibrate_supply``.
+# so every default lives in its spec's constructor or in
+# ``calibrate_supply``.
 _PARAMETERS = {
     "server": _spec_keys("server", server_farm.ServerSpec),
     "supply": {"supply.pdu_count": "pdu_count",

@@ -21,10 +21,10 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
 
 from .errors import (FRACTION, NONNEGATIVE, POSITIVE, UNIT,
-                     InvariantViolation, OutOfRange, check, check_fields)
+                     InvariantViolation, OutOfRange, _Record, check,
+                     check_fields)
 
 # Fan power per unit of (heat capacity / removal efficiency) and airflow,
 # in kW per (kW * CMH).  Together with the 14000 CMH standard flow of a
@@ -46,77 +46,66 @@ DEFAULT_EER_BREAKPOINTS = (
 )
 
 
-@dataclass(frozen=True)
-class ChillerSpec:
+class ChillerSpec(_Record):
     """Quadratic utilisation fit for a chilled-water plant.
 
     The default coefficients come from curve fits over plants supplying
     7.22 C chilled water; the model does not take that temperature.
     """
 
-    alpha: float = 0.32
-    beta: float = 0.11
-    gamma: float = 0.63
-    sizing_factor: float = 0.7
-
-    def __post_init__(self) -> None:
+    def __init__(self, alpha: float = 0.32, beta: float = 0.11,
+                 gamma: float = 0.63, sizing_factor: float = 0.7) -> None:
+        self._set(alpha=alpha, beta=beta, gamma=gamma,
+                  sizing_factor=sizing_factor)
         check_fields(self, alpha=NONNEGATIVE, beta=NONNEGATIVE,
                      gamma=POSITIVE, sizing_factor=POSITIVE)
 
 
-@dataclass(frozen=True)
-class CrahSpec:
+class CrahSpec(_Record):
     """Air-handler bank: idle floor plus airflow-proportional fan power.
 
+    ``idle_frac`` is of farm peak, typically 0.07-0.10.
     ``unit_capacity_kw`` cancels out of fan power: the bank has farm peak
     over unit capacity units, each drawing in proportion to its capacity.
     """
 
-    idle_frac: float = 0.08            # of farm peak, typical range 0.07-0.10
-    eta_heat: float = 1.0
-    unit_capacity_kw: float = 7.5
-    unit_airflow_cmh: float = 14000.0
-
-    def __post_init__(self) -> None:
+    def __init__(self, idle_frac: float = 0.08, eta_heat: float = 1.0,
+                 unit_capacity_kw: float = 7.5,
+                 unit_airflow_cmh: float = 14000.0) -> None:
+        self._set(idle_frac=idle_frac, eta_heat=eta_heat,
+                  unit_capacity_kw=unit_capacity_kw,
+                  unit_airflow_cmh=unit_airflow_cmh)
         check_fields(self, idle_frac=NONNEGATIVE, eta_heat=FRACTION,
                      unit_capacity_kw=POSITIVE, unit_airflow_cmh=NONNEGATIVE)
 
 
-@dataclass(frozen=True)
-class CracSpec:
+class CracSpec(_Record):
     """Direct-expansion unit: idle floor plus condenser stage.
 
     Field condensers typically run a COP between 3 and 6 and an idle draw
     of 10-30% of farm peak; both are free parameters here.
     """
 
-    idle_frac: float = 0.25
-    cop: float = 6.0
-
-    def __post_init__(self) -> None:
+    def __init__(self, idle_frac: float = 0.25, cop: float = 6.0) -> None:
+        self._set(idle_frac=idle_frac, cop=cop)
         check_fields(self, idle_frac=NONNEGATIVE, cop=NONNEGATIVE)
 
 
-@dataclass(frozen=True)
-class EerTable:
+class EerTable(_Record):
     """Piecewise-linear EER versus ambient temperature, descending ambient.
 
     The ambient and EER columns are also kept in ascending ambient order,
-    built once, for bisection in :func:`eer_lookup`.
+    ``ascending_c`` and ``ascending_eer``, built once, for bisection in
+    :func:`eer_lookup`.
     """
 
-    breakpoints: tuple[tuple[float, float], ...] = DEFAULT_EER_BREAKPOINTS
-    ascending_c: tuple[float, ...] = field(init=False, repr=False,
-                                           compare=False)
-    ascending_eer: tuple[float, ...] = field(init=False, repr=False,
-                                             compare=False)
-
-    def __post_init__(self) -> None:
-        if len(self.breakpoints) == 0:
+    def __init__(self, breakpoints: tuple[tuple[float, float], ...]
+                 = DEFAULT_EER_BREAKPOINTS) -> None:
+        if len(breakpoints) == 0:
             raise InvariantViolation("EER table needs at least one breakpoint")
         # The first point is checked against one hotter than any ambient.
         previous_t, previous_eer = math.inf, 0.0
-        for ambient_c, eer in self.breakpoints:
+        for ambient_c, eer in breakpoints:
             if not (0.0 < eer < math.inf and math.isfinite(ambient_c)):
                 raise InvariantViolation(
                     "EER values must be positive and finite, ambients finite")
@@ -127,11 +116,10 @@ class EerTable:
                 raise InvariantViolation(
                     "EER must be nonincreasing in ambient temperature")
             previous_t, previous_eer = ambient_c, eer
-        ascending = self.breakpoints[::-1]
-        object.__setattr__(self, "ascending_c",
-                           tuple(t for t, _ in ascending))
-        object.__setattr__(self, "ascending_eer",
-                           tuple(eer for _, eer in ascending))
+        ascending = breakpoints[::-1]
+        self._set(breakpoints=breakpoints,
+                  ascending_c=tuple(t for t, _ in ascending),
+                  ascending_eer=tuple(eer for _, eer in ascending))
 
 
 def chiller_power(utilisation: float, farm_peak_w: float,

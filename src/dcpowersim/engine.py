@@ -41,13 +41,12 @@ the compiled form is tested against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from . import cooling
 from .config import COMPONENTS, ScenarioConfig
 from .errors import (UNIT, EmptyProfile, EmptyResult, InvariantViolation,
-                     OutOfRange, ProfileMismatch, check)
+                     OutOfRange, ProfileMismatch, _Record, check)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .profiles import AmbientProfile, UtilisationProfile
@@ -58,33 +57,28 @@ Quadratic = tuple[float, float, float]   # (c0, c1, c2) in U
 _ZERO: Quadratic = (0.0, 0.0, 0.0)
 
 
-@dataclass(frozen=True)
-class PowerBreakdown:
+class PowerBreakdown(_Record):
     """Power at one instant, watts: one load per component in
     ``COMPONENT_NAMES`` order, and ``total_w``, their ``sum()``
     (compensated from Python 3.12) computed on construction."""
 
-    components: tuple[float, ...]
-    total_w: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        if len(self.components) != len(COMPONENT_NAMES):
+    def __init__(self, components: tuple[float, ...]) -> None:
+        if len(components) != len(COMPONENT_NAMES):
             raise InvariantViolation(f"{len(COMPONENT_NAMES)} components, "
-                                     f"got {len(self.components)}")
-        for name, value in zip(COMPONENT_NAMES, self.components):
+                                     f"got {len(components)}")
+        for name, value in zip(COMPONENT_NAMES, components):
             if not 0.0 <= value < math.inf:
                 raise InvariantViolation(
                     f"component {name} must be finite and nonnegative, "
                     f"got {value!r}")
-        object.__setattr__(self, "total_w", sum(self.components))
+        self._set(components=components, total_w=sum(components))
 
     def as_dict(self) -> dict[str, float]:
         """Components by name in the canonical order, without the total."""
         return dict(zip(COMPONENT_NAMES, self.components))
 
 
-@dataclass(frozen=True)
-class PeakContext:
+class PeakContext(_Record):
     """A scenario compiled into its quadratic form, plus its design peak.
 
     Load i, the i-th of ``COMPONENT_NAMES``, draws
@@ -97,21 +91,15 @@ class PeakContext:
     of column sums, ``total_fixed`` and ``total_refrigeration``.
     """
 
-    farm_peak_w: float
-    total_peak_w: float
-    eer: cooling.EerTable
-    reference_eer: float
-    fixed: tuple[Quadratic, ...]
-    refrigeration: tuple[Quadratic, ...]
-    total_fixed: Quadratic = field(init=False, repr=False, compare=False)
-    total_refrigeration: Quadratic = field(init=False, repr=False,
-                                           compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "total_fixed",
-                           tuple(map(sum, zip(*self.fixed))))
-        object.__setattr__(self, "total_refrigeration",
-                           tuple(map(sum, zip(*self.refrigeration))))
+    def __init__(self, farm_peak_w: float, total_peak_w: float,
+                 eer: cooling.EerTable, reference_eer: float,
+                 fixed: tuple[Quadratic, ...],
+                 refrigeration: tuple[Quadratic, ...]) -> None:
+        self._set(farm_peak_w=farm_peak_w, total_peak_w=total_peak_w,
+                  eer=eer, reference_eer=reference_eer, fixed=fixed,
+                  refrigeration=refrigeration,
+                  total_fixed=tuple(map(sum, zip(*fixed))),
+                  total_refrigeration=tuple(map(sum, zip(*refrigeration))))
 
     def adjustment(self, ambient_c: float) -> float:
         """EER(reference) / EER(ambient); rejects a non-finite ambient."""
@@ -147,40 +135,32 @@ class SimulationStep(NamedTuple):
     power: PowerBreakdown
 
 
-@dataclass(frozen=True)
-class SimulationResult:
+class SimulationResult(_Record):
     """A run of at least one hour as columns: the inputs and one load per
-    component in ``COMPONENT_NAMES`` order.  Totals, per-component energy
-    (watt-hours) and shares of the total derive on construction."""
+    component in ``COMPONENT_NAMES`` order.  Totals (``total_w``),
+    per-component energy (``energy_wh``, watt-hours), ``shares`` of the
+    total and ``total_energy_wh`` derive on construction."""
 
-    timestamps: tuple[str, ...]
-    utilisation: tuple[float, ...]
-    ambient_c: tuple[float, ...]
-    components: tuple[tuple[float, ...], ...]
-    total_w: tuple[float, ...] = field(init=False)
-    energy_wh: dict[str, float] = field(init=False)
-    shares: dict[str, float] = field(init=False)
-    total_energy_wh: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        columns = (self.timestamps, self.utilisation, self.ambient_c,
-                   *self.components)
+    def __init__(self, timestamps: tuple[str, ...],
+                 utilisation: tuple[float, ...], ambient_c: tuple[float, ...],
+                 components: tuple[tuple[float, ...], ...]) -> None:
+        columns = (timestamps, utilisation, ambient_c, *components)
         if (len(columns) != 3 + len(COMPONENT_NAMES)
                 or len(set(map(len, columns))) > 1):
             raise InvariantViolation(
                 f"3 input and {len(COMPONENT_NAMES)} load columns, one length")
-        if not self.timestamps:
+        if not timestamps:
             raise EmptyResult("a simulation result needs at least one hour")
         # Totals summed as PowerBreakdown sums them; 1-hour steps: W = Wh.
-        object.__setattr__(self, "total_w",
-                           tuple(map(sum, zip(*self.components))))
-        energy_wh = dict(zip(COMPONENT_NAMES, map(sum, self.components)))
+        energy_wh = dict(zip(COMPONENT_NAMES, map(sum, components)))
         total_wh = sum(energy_wh.values())
-        object.__setattr__(self, "energy_wh", energy_wh)
-        object.__setattr__(self, "shares", {
-            name: e / total_wh if total_wh > 0.0 else 0.0
-            for name, e in energy_wh.items()})
-        object.__setattr__(self, "total_energy_wh", total_wh)
+        self._set(timestamps=timestamps, utilisation=utilisation,
+                  ambient_c=ambient_c, components=components,
+                  total_w=tuple(map(sum, zip(*components))),
+                  energy_wh=energy_wh,
+                  shares={name: e / total_wh if total_wh > 0.0 else 0.0
+                          for name, e in energy_wh.items()},
+                  total_energy_wh=total_wh)
 
     @property
     def steps(self) -> tuple[SimulationStep, ...]:

@@ -1,4 +1,5 @@
-"""Exception hierarchy for the simulator.
+"""Exception hierarchy for the simulator, the rules that raise it, and the
+base of the records that check their fields.
 
 Every error raised by this package derives from :class:`SimulationError`,
 which itself derives from ``ValueError`` so casual callers can catch one
@@ -102,3 +103,51 @@ class ProfileMismatch(SimulationError):
 
 class InvalidFractions(InvariantViolation):
     """Pump and miscellaneous fractions leave no room for the components."""
+
+
+# --- records ---
+
+class _Record:
+    """Immutable record whose ``__init__`` checks and sets its fields.
+
+    ``_fields`` are the constructor's parameters in order; equality, hash,
+    repr and ``_replace`` read them.  ``__init__`` sets every field, derived
+    ones too, once through :meth:`_set`, and ``_replace`` builds the new
+    record through ``__init__``, so every check runs again.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        code = cls.__init__.__code__
+        cls._fields = code.co_varnames[1:code.co_argcount]
+
+    def _set(self, **values: object) -> None:
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={value!r}" for name, value
+                          in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({shown})"
+
+    def _replace(self, **changes: object) -> "_Record":
+        return type(self)(**dict(zip(self._fields, self._values()), **changes))
+

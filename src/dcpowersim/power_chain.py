@@ -16,29 +16,29 @@ between the PDU quadratic and the UPS proportional term.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import (AT_LEAST_ONE, NONNEGATIVE, POSITIVE, InfeasibleTarget,
-                     InvariantViolation, NegativeInput, OutOfRange, check,
-                     check_fields)
+                     InvariantViolation, NegativeInput, OutOfRange, _Record,
+                     check, check_fields)
 
 # Split of the proportional (non-idle) peak loss between PDU and UPS.
 _PDU_PROPORTIONAL_SHARE = 3.0 / 7.0
 _UPS_PROPORTIONAL_SHARE = 4.0 / 7.0
 
 
-@dataclass(frozen=True)
-class SupplyChainSpec:
-    """Concrete loss coefficients for a PDU bank plus UPS."""
+class SupplyChainSpec(_Record):
+    """Concrete loss coefficients for a PDU bank plus UPS:
+    ``pdu_idle_total_w`` is the idle draw of all PDUs combined,
+    ``lambda_pdu_per_w`` the quadratic loss coefficient (1/W) and
+    ``lambda_ups`` the proportional one (dimensionless)."""
 
-    pdu_count: int
-    pdu_idle_total_w: float     # idle draw of all PDUs combined
-    ups_idle_w: float
-    lambda_pdu_per_w: float     # quadratic loss coefficient, 1/W
-    lambda_ups: float           # proportional loss coefficient, dimensionless
-
-    def __post_init__(self) -> None:
+    def __init__(self, pdu_count: int, pdu_idle_total_w: float,
+                 ups_idle_w: float, lambda_pdu_per_w: float,
+                 lambda_ups: float) -> None:
+        self._set(pdu_count=pdu_count, pdu_idle_total_w=pdu_idle_total_w,
+                  ups_idle_w=ups_idle_w, lambda_pdu_per_w=lambda_pdu_per_w,
+                  lambda_ups=lambda_ups)
         check_fields(self, pdu_count=AT_LEAST_ONE,
                      pdu_idle_total_w=NONNEGATIVE, ups_idle_w=NONNEGATIVE,
                      lambda_pdu_per_w=NONNEGATIVE, lambda_ups=NONNEGATIVE)

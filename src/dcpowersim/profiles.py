@@ -15,13 +15,12 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import io
-from dataclasses import dataclass
 from itertools import repeat
 from typing import TYPE_CHECKING
 
 from .config import COMPONENTS
 from .errors import (EmptyProfile, GapInSeries, InvariantViolation,
-                     MalformedRow, NonMonotonicTime, OutOfRange)
+                     MalformedRow, NonMonotonicTime, OutOfRange, _Record)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .engine import SimulationResult
@@ -42,16 +41,13 @@ RESULT_COLUMNS = ("timestamp", "utilisation", "ambient_c",
 TEMPERATURE_BOUNDS_C = (-60.0, 60.0)
 
 
-@dataclass(frozen=True)
-class _HourlySeries:
-    timestamps: tuple[str, ...]
-    values: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.timestamps) != len(self.values):
+class _HourlySeries(_Record):
+    def __init__(self, timestamps: tuple[str, ...],
+                 values: tuple[float, ...]) -> None:
+        if len(timestamps) != len(values):
             raise InvariantViolation(
-                f"{len(self.timestamps)} timestamps but "
-                f"{len(self.values)} values")
+                f"{len(timestamps)} timestamps but {len(values)} values")
+        self._set(timestamps=timestamps, values=values)
 
     def __len__(self) -> int:
         return len(self.timestamps)
@@ -113,6 +109,8 @@ def _parse_columns(text: str, header: tuple[str, str],
         first = dt.datetime.fromisoformat(stamps[0])
     except ValueError:
         return None
+    if 0.0 in values:   # -0 to 0, as _parse_rows does
+        values = tuple([value + 0.0 for value in values])
     # NaN fails both comparisons.
     if not (all(map(low.__le__, values)) and all(map(high.__ge__, values))
             and stamps == _hourly_run(first, len(stamps))):
@@ -143,7 +141,7 @@ def _parse_rows(text: str, header: tuple[str, str],
         stamp_text = row[0].strip()
         parsed = _parse_timestamp(stamp_text, row_no)
         try:
-            value = float(row[1])
+            value = float(row[1]) + 0.0   # -0 to 0; no other value changes
         except ValueError:
             raise MalformedRow(
                 f"row {row_no}: bad number {row[1]!r}") from None

@@ -18,24 +18,19 @@ Servers beyond the running fraction are powered off and draw nothing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import (AT_LEAST_ONE, UNIT, InvariantViolation, OutOfRange,
-                     check, check_fields)
+                     _Record, check, check_fields)
 
 
-@dataclass(frozen=True)
-class ServerSpec:
+class ServerSpec(_Record):
     """Homogeneous server population and its idle/peak draw in watts."""
 
-    count: int
-    p_idle_w: float
-    p_peak_w: float
-
-    def __post_init__(self) -> None:
+    def __init__(self, count: int, p_idle_w: float, p_peak_w: float) -> None:
+        self._set(count=count, p_idle_w=p_idle_w, p_peak_w=p_peak_w)
         check_fields(self, count=AT_LEAST_ONE)
-        if not 0.0 <= self.p_idle_w <= self.p_peak_w < math.inf:
+        if not 0.0 <= p_idle_w <= p_peak_w < math.inf:
             raise InvariantViolation(
                 "server power must satisfy 0 <= p_idle_w <= p_peak_w < inf"
             )

@@ -2,7 +2,6 @@
 
 import math
 import re
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -70,8 +69,8 @@ def test_target_exactly_at_the_tolerance_snaps(c0, u):
     # The total c0 + 2U puts a 1e6 W target exactly its tolerance, 1 W,
     # from the floor (c0 = 999,999) or from the peak (c0 = 999,997).
     assert CURTAIL_RELATIVE_TOLERANCE * 1e6 == 1.0
-    ctx = replace(CTX, fixed=((c0, 2.0, 0.0),),
-                  refrigeration=((0.0, 0.0, 0.0),))
+    ctx = CTX._replace(fixed=((c0, 2.0, 0.0),),
+                       refrigeration=((0.0, 0.0, 0.0),))
     assert curtail(1e6, 30.0, SCENARIO, ctx) == CurtailmentSolution(
         1e6, u, c0 + 2.0 * u, True)
 
@@ -118,8 +117,8 @@ def test_curtail_rejects_non_finite_ambient(ambient):
        u=st.floats(0.0, 1.0) | st.just(0.0) | st.just(1.0),
        ambient=st.floats(-60.0, 60.0))
 def test_round_trip_property(architecture, consolidation, u, ambient):
-    scenario = replace(default_scenario(architecture),
-                       consolidation=consolidation)
+    scenario = default_scenario(architecture)._replace(
+        consolidation=consolidation)
     ctx = peak_context(scenario)
     target = step_power(u, ambient, scenario, ctx).total_w
     solution = curtail(target, ambient, scenario, ctx)
@@ -140,13 +139,13 @@ def test_round_trip_property(architecture, consolidation, u, ambient):
 def test_largest_unsnapped_target_solves_below_full_load():
     # curtail does not clamp its root: a target within the tolerance of the
     # peak snaps to U = 1, so every solved root must stay below 1.
-    contexts = [peak_context(replace(default_scenario(architecture),
-                                     consolidation=consolidation))
+    contexts = [peak_context(default_scenario(architecture)._replace(
+                    consolidation=consolidation))
                 for architecture in CoolingArchitecture
                 for consolidation in (0.0, 0.5, 1.0)]
     # The steepest totals at full load, relative to the peak: all linear
     # and all quadratic in U.
-    contexts += [replace(CTX, fixed=(shape,), refrigeration=((0.0,) * 3,))
+    contexts += [CTX._replace(fixed=(shape,), refrigeration=((0.0,) * 3,))
                  for shape in ((0.0, 1.0, 0.0), (0.0, 0.0, 1.0))]
     table = SCENARIO.eer.ascending_c
     ambients = (table[0] - 20.0, *table, table[-1] + 20.0)
@@ -312,7 +311,7 @@ def test_swapping_roles_negates_differences():
 
 def test_zero_baseline_cooling_energy_is_out_of_range():
     # Free air with no fan idle floor draws nothing at U = 0.
-    scenario = replace(SCENARIO, crah=CrahSpec(idle_frac=0.0))
+    scenario = SCENARIO._replace(crah=CrahSpec(idle_frac=0.0))
     utilisation, ambient = constant_profiles(1, 0.0, 30.0)
     comparison = compare_architectures(
         utilisation, ambient, scenario,

@@ -536,7 +536,7 @@ def test_field_past_the_csv_limit_is_data_error_without_traceback(tmp_path):
 # --- what a process imports: each module it loads costs it time ---
 
 # Modules a subcommand could load without using them.
-WATCHED = ("csv", "html", "_strptime")
+WATCHED = ("csv", "dataclasses", "html", "inspect", "_strptime")
 
 
 def modules_after(code):
@@ -616,8 +616,9 @@ def test_each_subcommand_loads_only_what_it_uses(tmp_path, command):
         f"from dcpowersim.cli import run\nassert run({argv!r}) == 0")
     expected = ["dcpowersim", *(f"dcpowersim.{name}" for name in
                                 ["cli", *CORE, *LOADED[command]])]
-    # The parse reads canonical stamps without strptime, and the charts
-    # escape text without html; only the CSV parse needs csv.
+    # The parse reads canonical stamps without strptime, the charts
+    # escape text without html, and no record is a dataclass; only the
+    # CSV parse needs csv.
     if "profiles" in LOADED[command]:
         expected.append("csv")
     assert loaded == sorted(expected)
@@ -790,3 +791,21 @@ def test_no_output_field_is_minus_zero(tmp_path, capsys, architecture,
             text = stdout + (out.read_text() if out.exists() else "")
             fields = re.split("[,\n]", text)
             assert not any(map(is_minus_zero, fields)), (key, command, text)
+
+
+@pytest.mark.parametrize("quote", ["", '"'], ids=["columns", "rows"])
+def test_no_output_echoes_a_minus_zero_input(tmp_path, capsys, quote):
+    # A quoted cell sends the profile through the row loop.
+    config, util, weather = write_inputs(tmp_path, hours=2)
+    for path, header in ((util, "utilisation"), (weather, "temperature_c")):
+        path.write_text(f"timestamp,{header}\n2016-06-01T00:00,{quote}-0"
+                        f"{quote}\n2016-06-01T01:00,0.5\n")
+    series = [f"--utilisation={util}", f"--weather={weather}"]
+    for command, flags in {"simulate": series, "compare": series,
+                           "curve": ["--temps=-0,20", "--points=2"]}.items():
+        out, chart = tmp_path / "out.csv", tmp_path / "out.svg"
+        assert run([command, f"--config={config}", f"--out={out}",
+                    f"--svg={chart}", *flags]) == 0
+        text = capsys.readouterr().out + out.read_text()
+        assert not any(map(is_minus_zero, re.split("[,\n]", text))), text
+        assert "-0 C" not in chart.read_text()

@@ -2,7 +2,6 @@
 
 import math
 import re
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -229,16 +228,16 @@ SPEC_FIELDS = {
     "server.count": lambda v: server_farm.ServerSpec(v, 1.0, 2.0),
     "server.p_idle_w": lambda v: server_farm.ServerSpec(1, v, 2.0),
     "server.p_peak_w": lambda v: server_farm.ServerSpec(1, 1.0, v),
-    "supply.pdu_count": lambda v: replace(SUPPLY, pdu_count=v),
-    "supply.pdu_idle_total_w": lambda v: replace(SUPPLY, pdu_idle_total_w=v),
-    "supply.ups_idle_w": lambda v: replace(SUPPLY, ups_idle_w=v),
-    "supply.lambda_pdu_per_w": lambda v: replace(SUPPLY, lambda_pdu_per_w=v),
-    "supply.lambda_ups": lambda v: replace(SUPPLY, lambda_ups=v),
-    "pump_fraction": lambda v: replace(default_scenario(), pump_fraction=v),
-    "misc_fraction": lambda v: replace(default_scenario(), misc_fraction=v),
-    "consolidation": lambda v: replace(default_scenario(), consolidation=v),
+    "supply.pdu_count": lambda v: SUPPLY._replace(pdu_count=v),
+    "supply.pdu_idle_total_w": lambda v: SUPPLY._replace(pdu_idle_total_w=v),
+    "supply.ups_idle_w": lambda v: SUPPLY._replace(ups_idle_w=v),
+    "supply.lambda_pdu_per_w": lambda v: SUPPLY._replace(lambda_pdu_per_w=v),
+    "supply.lambda_ups": lambda v: SUPPLY._replace(lambda_ups=v),
+    "pump_fraction": lambda v: default_scenario()._replace(pump_fraction=v),
+    "misc_fraction": lambda v: default_scenario()._replace(misc_fraction=v),
+    "consolidation": lambda v: default_scenario()._replace(consolidation=v),
     "reference_ambient_c":
-        lambda v: replace(default_scenario(), reference_ambient_c=v),
+        lambda v: default_scenario()._replace(reference_ambient_c=v),
 }
 
 

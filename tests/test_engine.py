@@ -7,7 +7,6 @@ Design peak solves to (10 + 1.5 + 7.42 + 2.662) MW / 0.90 = 23.98 MW.
 """
 
 import math
-from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -52,17 +51,15 @@ def test_peak_context_hand_value():
 
 
 def test_peak_context_without_self_referential_loads():
-    from dataclasses import replace
-    bare = replace(SCENARIO, pump_fraction=0.0, misc_fraction=0.0)
+    bare = SCENARIO._replace(pump_fraction=0.0, misc_fraction=0.0)
     ctx = peak_context(bare)
     assert ctx.total_peak_w == pytest.approx(10e6 + 1.5e6 + 7.42e6 + 2.662e6,
                                              rel=1e-9)
 
 
 def test_saturating_fractions_rejected():
-    from dataclasses import replace
     with pytest.raises(InvariantViolation):
-        replace(SCENARIO, pump_fraction=0.5, misc_fraction=0.5)
+        SCENARIO._replace(pump_fraction=0.5, misc_fraction=0.5)
 
 
 # --- step power ---
@@ -232,8 +229,8 @@ def unit_interval():
 def test_compiled_step_power_matches_reference_chain(architecture,
                                                      consolidation, u,
                                                      ambient, table):
-    scenario = replace(default_scenario(architecture),
-                       consolidation=consolidation, eer=table)
+    scenario = default_scenario(architecture)._replace(
+        consolidation=consolidation, eer=table)
     got = step_power(u, ambient, scenario, peak_context(scenario))
     want = reference_breakdown(u, ambient, scenario)
     for (name, g), w in zip(got.as_dict().items(), want):
@@ -391,8 +388,8 @@ def parent_breakdown(ctx, u, adjustment):
                       min_size=1, max_size=30))
 def test_columns_are_bit_identical_to_per_hour_evaluation(
         architecture, consolidation, table, hours):
-    scenario = replace(default_scenario(architecture),
-                       consolidation=consolidation, eer=table)
+    scenario = default_scenario(architecture)._replace(
+        consolidation=consolidation, eer=table)
     ctx = peak_context(scenario)
     utilisation, ambient = profiles_from(*zip(*hours))
     result = simulate(utilisation, ambient, scenario)
@@ -414,15 +411,15 @@ def test_columns_are_bit_identical_to_per_hour_evaluation(
 def test_only_a_load_without_u_terms_is_a_constant_column(slope):
     # Equal, nonzero U coefficients must not take the constant shortcut.
     zero = (0.0, 0.0, 0.0)
-    ctx = replace(CTX, fixed=((0.5, slope, slope), (0.5, 0.0, 0.0)),
-                  refrigeration=(zero, zero))
+    ctx = CTX._replace(fixed=((0.5, slope, slope), (0.5, 0.0, 0.0)),
+                       refrigeration=(zero, zero))
     assert ctx.loads((0.0, 0.5, 1.0), ()) == (
         (0.5, 0.5 + 0.75 * slope, 0.5 + 2.0 * slope), (0.5, 0.5, 0.5))
 
 
-NO_AIRFLOW_CRAC = replace(
-    SCENARIO.with_architecture(CoolingArchitecture.CRAC),
-    crah=replace(SCENARIO.crah, unit_airflow_cmh=0.0))
+NO_AIRFLOW_CRAC = SCENARIO._replace(
+    architecture=CoolingArchitecture.CRAC,
+    crah=SCENARIO.crah._replace(unit_airflow_cmh=0.0))
 
 
 @pytest.mark.parametrize("scenario, hourly", [
@@ -454,7 +451,7 @@ def test_simulate_looks_up_eer_only_when_a_load_is_refrigerated(
 
 
 def test_fractions_of_minus_zero_give_loads_of_plus_zero():
-    scenario = replace(SCENARIO, pump_fraction=-0.0, misc_fraction=-0.0)
+    scenario = SCENARIO._replace(pump_fraction=-0.0, misc_fraction=-0.0)
     power = step_power(0.5, 25.0, scenario, peak_context(scenario))
     assert math.copysign(1.0, power.as_dict()["pumps"]) == 1.0
     assert math.copysign(1.0, power.as_dict()["misc"]) == 1.0
@@ -464,9 +461,9 @@ def test_fractions_of_minus_zero_give_loads_of_plus_zero():
 def test_a_utilisation_of_minus_zero_gives_loads_of_plus_zero(architecture):
     # Each of these -0 settings compiles to a constant term of -0.0 beside
     # a U term, which a U of -0.0 would leave at -0.0.
-    scenario = replace(default_scenario(architecture), consolidation=-0.0,
-                       crah=replace(SCENARIO.crah, idle_frac=-0.0),
-                       crac=replace(SCENARIO.crac, idle_frac=-0.0))
+    scenario = default_scenario(architecture)._replace(
+        consolidation=-0.0, crah=SCENARIO.crah._replace(idle_frac=-0.0),
+        crac=SCENARIO.crac._replace(idle_frac=-0.0))
     power = step_power(-0.0, 25.0, scenario, peak_context(scenario))
     result = simulate(*profiles_from([-0.0], [25.0]), scenario)
     for loads in (power.components, sum(result.components, ())):
@@ -482,9 +479,9 @@ FRACTIONS = st.floats(0.0, 0.45) | st.sampled_from([-0.0, 0.0])
        phi=FRACTIONS, mu=FRACTIONS, where=unit_interval())
 def test_compiled_total_is_bit_identical_to_the_per_pair_sum(
         architecture, consolidation, table, phi, mu, where):
-    scenario = replace(default_scenario(architecture),
-                       consolidation=consolidation, eer=table,
-                       pump_fraction=phi, misc_fraction=mu)
+    scenario = default_scenario(architecture)._replace(
+        consolidation=consolidation, eer=table, pump_fraction=phi,
+        misc_fraction=mu)
     ctx = peak_context(scenario)
     # Every adjustment an ambient can give lies in [0, max_adjustment].
     adjustment = where * (ctx.reference_eer / table.ascending_eer[-1])
@@ -567,6 +564,62 @@ def test_plain_records_are_named_tuples():
     assert power_chain.SupplyLoss(1.5, 2.25).total_w == 3.75
 
 
+def test_checked_records_are_immutable_and_rechecked_on_replace():
+    """The eleven records that check or derive a field: frozen, compared
+    and hashed by their constructor fields, and ``_replace`` checks again."""
+    utilisation, ambient = profiles_from([0.5, 1.0], [20.0, 35.0])
+    records = [   # record, its fields in order, one bad value and its error
+        (cooling.ChillerSpec(), ("alpha", "beta", "gamma", "sizing_factor"),
+         "gamma", 0.0, InvariantViolation),
+        (cooling.CrahSpec(), ("idle_frac", "eta_heat", "unit_capacity_kw",
+                              "unit_airflow_cmh"),
+         "eta_heat", 1.5, InvariantViolation),
+        (cooling.CracSpec(), ("idle_frac", "cop"), "cop", -1.0,
+         InvariantViolation),
+        (SCENARIO.eer, ("breakpoints",), "breakpoints", (),
+         InvariantViolation),
+        (SCENARIO.server, ("count", "p_idle_w", "p_peak_w"),
+         "p_idle_w", 1e9, InvariantViolation),
+        (SCENARIO.supply, ("pdu_count", "pdu_idle_total_w", "ups_idle_w",
+                           "lambda_pdu_per_w", "lambda_ups"),
+         "lambda_ups", math.nan, InvariantViolation),
+        (SCENARIO, ("server", "supply", "architecture", "chiller", "crah",
+                    "crac", "eer", "pump_fraction", "misc_fraction",
+                    "reference_ambient_c", "consolidation"),
+         "consolidation", 2.0, OutOfRange),
+        (step_power(0.5, 30.0, SCENARIO, CTX), ("components",),
+         "components", (1.0,), InvariantViolation),
+        (CTX, ("farm_peak_w", "total_peak_w", "eer", "reference_eer",
+               "fixed", "refrigeration"), "fixed", None, TypeError),
+        (simulate(utilisation, ambient, SCENARIO),
+         ("timestamps", "utilisation", "ambient_c", "components"),
+         "timestamps", (), InvariantViolation),
+        (utilisation, ("timestamps", "values"), "values", (),
+         InvariantViolation),
+    ]
+    for record, names, field, bad, error in records:
+        assert record._fields == names
+        with pytest.raises(AttributeError):
+            setattr(record, names[0], getattr(record, names[0]))
+        with pytest.raises(AttributeError):
+            delattr(record, names[0])
+        values = {name: getattr(record, name) for name in names}
+        twin = type(record)(**values)
+        assert twin == record and hash(twin) == hash(record)
+        assert repr(twin) == repr(record)
+        with pytest.raises(error) as built:
+            type(record)(**{**values, field: bad})
+        with pytest.raises(error) as replaced:
+            record._replace(**{field: bad})
+        assert str(replaced.value) == str(built.value)
+    assert repr(cooling.CracSpec()) == "CracSpec(idle_frac=0.25, cop=6.0)"
+    assert utilisation != AmbientProfile(utilisation.timestamps,
+                                         utilisation.values)
+    swapped = CTX._replace(fixed=CTX.refrigeration,
+                           refrigeration=CTX.fixed)
+    assert swapped.total_fixed == CTX.total_refrigeration
+
+
 @pytest.mark.parametrize("value", [-1.0, math.nan, math.inf])
 def test_peak_context_rejects_a_bad_compiled_coefficient(value):
     # The spec validators reject these values; bypass them to reach the
@@ -574,7 +627,7 @@ def test_peak_context_rejects_a_bad_compiled_coefficient(value):
     chiller = cooling.ChillerSpec()
     object.__setattr__(chiller, "alpha", value)
     with pytest.raises(InvariantViolation):
-        peak_context(replace(SCENARIO, chiller=chiller))
+        peak_context(SCENARIO._replace(chiller=chiller))
 
 
 def test_cooling_follows_utilisation_over_a_week():
@@ -634,7 +687,7 @@ def test_summarize_rejects_empty():
 @pytest.mark.parametrize("p_idle_w", [1e200, 0.0])
 def test_overflowing_farm_peak_is_out_of_range(p_idle_w):
     # Built directly, so calibrate_supply never sees the farm peak.
-    scenario = replace(SCENARIO, server=server_farm.ServerSpec(
+    scenario = SCENARIO._replace(server=server_farm.ServerSpec(
         count=1, p_idle_w=p_idle_w, p_peak_w=1e200))
     utilisation, ambient = profiles_from([0.5], [30.0])
     for call in (lambda: peak_context(scenario),
@@ -661,10 +714,9 @@ def test_breakdown_fields_follow_the_component_order():
 def small_scenarios(draw):
     p_peak_w = draw(st.floats(1.0, 1000.0))
     p_idle_w = draw(st.floats(0.0, 1.0)) * p_peak_w
-    return replace(
-        default_scenario(draw(st.sampled_from(CoolingArchitecture)),
-                         count=draw(st.integers(1, 100_000)),
-                         p_idle_w=p_idle_w, p_peak_w=p_peak_w),
+    return default_scenario(draw(st.sampled_from(CoolingArchitecture)),
+                            count=draw(st.integers(1, 100_000)),
+                            p_idle_w=p_idle_w, p_peak_w=p_peak_w)._replace(
         consolidation=draw(unit_interval()))
 
 
@@ -676,9 +728,9 @@ hourly = st.lists(st.tuples(unit_interval(), st.floats(-60.0, 60.0)),
 @given(scenario=small_scenarios(), k=st.integers(2, 1000), hours=hourly)
 def test_scaling_the_server_count_scales_every_column(scenario, k, hours):
     server = scenario.server
-    scaled = replace(
-        default_scenario(scenario.architecture, count=server.count * k,
-                         p_idle_w=server.p_idle_w, p_peak_w=server.p_peak_w),
+    scaled = default_scenario(scenario.architecture, count=server.count * k,
+                              p_idle_w=server.p_idle_w,
+                              p_peak_w=server.p_peak_w)._replace(
         consolidation=scenario.consolidation)
     utilisation, ambient = profiles_from(*zip(*hours))
     one = simulate(utilisation, ambient, scenario)
@@ -714,7 +766,7 @@ def test_eer_is_nonincreasing_across_every_breakpoint(table):
          ts=[math.nextafter(4.662621963345, -math.inf), 4.662621963345])
 def test_total_is_nondecreasing_in_utilisation_and_ambient(scenario, table,
                                                            u, t, us, ts):
-    scenario = replace(scenario, eer=table)
+    scenario = scenario._replace(eer=table)
     us, ts = sorted(us), sorted(ts)
     by_u = simulate(*profiles_from(us, [t] * len(us)), scenario).total_w
     by_t = simulate(*profiles_from([u] * len(ts), ts), scenario).total_w
@@ -728,7 +780,7 @@ def test_architecture_leaves_it_and_supply_columns_bit_identical(
         scenario, table, hours):
     utilisation, ambient = profiles_from(*zip(*hours))
     runs = [simulate(utilisation, ambient,
-                     replace(scenario, architecture=architecture, eer=table))
+                     scenario._replace(architecture=architecture, eer=table))
             for architecture in CoolingArchitecture]
     for run in runs[1:]:
         for name in ("server_farm", "pdu_loss", "ups_loss"):
@@ -743,14 +795,14 @@ TINY_EER = cooling.EerTable(((41.0, 1e-310), (0.0, 5.0)))
 
 
 def test_tiny_eer_is_out_of_range():
-    scenario = replace(SCENARIO, eer=TINY_EER)
+    scenario = SCENARIO._replace(eer=TINY_EER)
     with pytest.raises(OutOfRange, match="smallest EER"):
         peak_context(scenario)
 
 
 def test_overflowing_energy_total_is_out_of_range():
     # About 1e307 W at full load and 41 C: finite per hour, not summed.
-    scenario = replace(SCENARIO, eer=cooling.EerTable(
+    scenario = SCENARIO._replace(eer=cooling.EerTable(
         ((41.0, 1e-300), (0.0, 5.0))))
     ctx = peak_context(scenario)
     assert math.isfinite(sum(ctx.total_quadratic(ctx.adjustment(41.0))))
@@ -792,7 +844,7 @@ def finite_outputs(scenario, u, t, hours, target):
          target=1e7)
 def test_extreme_eer_tables_give_finite_numbers_or_simulation_errors(
         scenario, table, hours, target):
-    scenario = replace(scenario, eer=table)
+    scenario = scenario._replace(eer=table)
     u, t = hours[0]
     for call in finite_outputs(scenario, u, t, hours, target):
         try:
