@@ -67,6 +67,13 @@ class ScenarioConfig(_Record):
     the engine only consults the specs the architecture calls for.  The
     default specs are shared instances, which is safe because records are
     immutable.
+
+    ``supply`` holds loss coefficients solved for one farm peak, and
+    ``_replace`` does not solve them again: ``_replace(server=...)`` with
+    a new farm peak keeps the old peak's losses.  Re-parse the config
+    instead, or pass
+    ``supply=power_chain.calibrate_supply(new_server.farm_peak_w, ...)``
+    with the same ``supply.*`` settings.
     """
 
     def __init__(self, server: server_farm.ServerSpec,

@@ -15,6 +15,18 @@ Outdoor temperature enters through an energy-efficiency-ratio table:
 refrigeration terms are scaled by EER(reference) / EER(ambient), so the
 model is exact at the reference temperature and degrades in hotter air.
 Fan power is independent of outdoor conditions and is never scaled.
+
+The table is read two ways, by one rule.  :func:`eer_lookup` takes one
+ambient and rejects a non-finite one; ``engine.step_power``,
+``analysis.curtail``, ``engine.peak_context`` (the reference EER) and
+:func:`ambient_adjustment` use it.  ``_adjustment_column`` gives the
+whole column of adjustments EER(reference) / EER(ambient) for
+``engine.simulate`` in one loop, bit for bit the scalar's, and checks no
+ambient: it relies on ``simulate``'s finite-ambient check.  Each path is
+the faster on its own work.  Mapping the scalar over a year's 8760 hours
+took about 6 ms against 3 ms for the column; routing a ``curtail`` solve
+through a column of one took about 3.6 µs against 1.4 µs (minimums, on a
+2-vCPU Xeon with Python 3.11).
 """
 
 from __future__ import annotations
@@ -200,6 +212,41 @@ def eer_lookup(ambient_c: float, table: EerTable) -> float:
     # Rounding can land below eer_hi near temps[hi] (never above eer_lo),
     # and EER must not rise as ambient rises.
     return eer if eer >= eer_hi else eer_hi
+
+
+def _adjustment_column(ambients, table: EerTable,
+                       reference_eer: float) -> list[float]:
+    """``reference_eer / eer_lookup(t, table)`` for each ambient t, with the
+    same bits, in one loop.
+
+    Precondition: every ambient is finite.  Unlike :func:`eer_lookup` it
+    does not check; +-inf would clamp silently and NaN fail with a
+    ``TypeError``.  Its one caller, ``engine.simulate``, has rejected
+    every non-finite ambient with ``OutOfRange`` before it calls this.
+    """
+    temps, eers = table.ascending_c, table.ascending_eer
+    coldest, hottest = temps[0], temps[-1]
+    cold, hot = reference_eer / eers[0], reference_eer / eers[-1]
+    # segments[hi]: eer_lookup's operands for the segment ending at temps[hi]
+    segments = [None] + [(temps[hi - 1], eers[hi - 1], eers[hi],
+                          eers[hi] - eers[hi - 1], temps[hi] - temps[hi - 1])
+                         for hi in range(1, len(temps))]
+    bisect_left, isfinite = bisect.bisect_left, math.isfinite
+    column: list[float] = []
+    append = column.append
+    for ambient_c in ambients:
+        if ambient_c <= coldest:
+            append(cold)
+        elif ambient_c >= hottest:
+            append(hot)
+        else:
+            t_lo, eer_lo, eer_hi, rise, span = segments[
+                bisect_left(temps, ambient_c)]
+            eer = eer_lo + rise * (ambient_c - t_lo) / span
+            if not isfinite(eer):
+                eer = eer_lo + rise * ((ambient_c - t_lo) / span)
+            append(reference_eer / (eer if eer >= eer_hi else eer_hi))
+    return column
 
 
 def ambient_adjustment(ambient_c: float, reference_c: float,

@@ -29,11 +29,17 @@ c0 + 0.0: no load is -0, even at a U of -0.0.
 
 Outdoor temperature enters only through a = EER(reference) / EER(ambient),
 which multiplies the chiller, the CRAC condenser term and the pumps' share
-of both, never the CRAC idle floor.  When the compiled refrigeration total
-is zero (free air, or a CRAC without airflow), no load depends on a, and
-:func:`simulate` reads no EER table past the reference; its column check
-still rejects a non-finite ambient, as :func:`step_power` and
-``analysis.curtail`` do through the lookup.  The per-component functions of
+of both, never the CRAC idle floor.  :func:`step_power` and
+``analysis.curtail`` take a for one ambient from
+``PeakContext.adjustment``, the scalar ``cooling.eer_lookup``, which
+rejects a non-finite ambient.  :func:`simulate` takes the whole column
+from ``cooling._adjustment_column``, one loop with the same bits and no
+check of its own: a non-finite ambient has already failed
+:func:`simulate`'s column check with ``OutOfRange``.  A ``curtail``
+solve through a column of one took more than twice as long (see
+``cooling``).  When the compiled refrigeration total is zero (free air,
+or a CRAC without airflow), no load depends on a, and :func:`simulate`
+reads no EER table past the reference.  The per-component functions of
 ``server_farm``, ``power_chain`` and ``cooling`` remain the reference model
 the compiled form is tested against.
 """
@@ -280,8 +286,9 @@ def simulate(utilisation: UtilisationProfile, ambient: AmbientProfile,
             and math.isfinite(sum(us)) and math.isfinite(sum(ts))):
         _check_rows(utilisation, ambient)
     ctx = peak_context(scenario)
-    # Coefficients are >= 0, so a zero total means no load reads a.
-    adjustments = (list(map(ctx.adjustment, ts))
+    # Coefficients are >= 0, so a zero total means no load reads a.  The
+    # column lookup skips the finite check that ts has just passed.
+    adjustments = (cooling._adjustment_column(ts, ctx.eer, ctx.reference_eer)
                    if ctx.total_refrigeration != _ZERO else ())
     result = SimulationResult(utilisation.timestamps, us, ts,
                               ctx.loads(us, adjustments))

@@ -15,6 +15,7 @@ from dcpowersim.engine import peak_context, step_power
 from dcpowersim.errors import (InvalidFractions, InvariantViolation,
                                MalformedRow, MissingRequired, OutOfRange,
                                SimulationError, UnknownKey)
+from dcpowersim.power_chain import calibrate_supply
 
 MINIMAL = """\
 server.count=40000
@@ -48,6 +49,40 @@ def test_supply_calibration_applied():
                                                              rel=1e-9)
     assert scenario.supply.lambda_ups == pytest.approx(600e3 / 10.6e6,
                                                        rel=1e-9)
+
+
+SMALL = """\
+server.count=500
+server.p_idle_w=120
+server.p_peak_w=250
+architecture=crah_chiller
+supply.pdu_idle_total_frac=0.02
+supply.peak_loss_frac=0.12
+"""
+
+
+def compiled_bits(scenario):
+    """Every number peak_context compiles, as float.hex."""
+    ctx = peak_context(scenario)
+    numbers = (ctx.farm_peak_w, ctx.total_peak_w, ctx.reference_eer,
+               *sum(ctx.fixed + ctx.refrigeration, ()), *ctx.total_fixed,
+               *ctx.total_refrigeration)
+    return [float(x).hex() for x in numbers]
+
+
+def test_replace_of_the_server_needs_the_supply_calibrated_again():
+    scenario = parse_scenario_config(SMALL)
+    tripled = parse_scenario_config(SMALL.replace("count=500", "count=1500"))
+    server = scenario.server._replace(count=1500)
+    # _replace keeps the losses solved for the 500-server farm peak.
+    stale = scenario._replace(server=server)
+    assert stale.supply == scenario.supply != tripled.supply
+    assert compiled_bits(stale) != compiled_bits(tripled)
+    # The documented workaround gives the re-parsed scenario, bit for bit.
+    recalibrated = scenario._replace(server=server, supply=calibrate_supply(
+        server.farm_peak_w, pdu_idle_frac=0.02, peak_loss_frac=0.12))
+    assert recalibrated == tripled
+    assert compiled_bits(recalibrated) == compiled_bits(tripled)
 
 
 def test_crac_architecture_defaults_cop():

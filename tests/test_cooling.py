@@ -1,15 +1,16 @@
 """Cooling model tests: chiller quadratic, fan power, CRAC, EER table."""
 
 import math
+import sys
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dcpowersim.cooling import (ChillerSpec, CracSpec, CrahSpec, EerTable,
-                                airflow_heat_power, ambient_adjustment,
-                                chiller_power, crac_power, crah_power,
-                                eer_lookup)
+                                _adjustment_column, airflow_heat_power,
+                                ambient_adjustment, chiller_power, crac_power,
+                                crah_power, eer_lookup)
 from dcpowersim.errors import InvariantViolation, OutOfRange
 
 FARM_PEAK = 10e6
@@ -182,6 +183,57 @@ def test_adjustment_hand_values():
 def test_adjustment_nondecreasing_in_ambient():
     values = [ambient_adjustment(t, 30.0, EER) for t in range(-5, 55)]
     assert all(b >= a for a, b in zip(values, values[1:]))
+
+
+# --- the column lookup that simulate uses, against the scalar one ---
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+LARGEST = sys.float_info.max
+
+
+@st.composite
+def eer_tables(draw, temps=st.floats(-40.0, 50.0), eers=st.floats(0.5, 10.0)):
+    """Valid tables of 1-40 breakpoints."""
+    n = draw(st.integers(1, 40))
+    ambients = draw(st.lists(temps, min_size=n, max_size=n, unique=True))
+    values = draw(st.lists(eers, min_size=n, max_size=n))
+    return EerTable(tuple(zip(sorted(ambients, reverse=True), sorted(values))))
+
+
+def probe_ambients(table):
+    """Each breakpoint, its neighbours and the midpoints between them,
+    +-0.0, points beyond both ends, and huge finite values."""
+    temps = table.ascending_c
+    probes = [*temps,
+              *(math.nextafter(t, side) for t in temps
+                for side in (-math.inf, math.inf)),
+              *(a / 2 + b / 2 for a, b in zip(temps, temps[1:])),
+              0.0, -0.0, temps[0] - 1.0, temps[-1] + 1.0,
+              1e308, -1e308, 1.7e308, -1.7e308, LARGEST, -LARGEST]
+    return [t for t in probes if math.isfinite(t)]
+
+
+# Everyday tables, and tables whose spans and EER steps reach the ends of
+# the float range, where the interpolation overflows.
+@settings(max_examples=300, deadline=None)
+@given(table=eer_tables() | eer_tables(FINITE, st.floats(5e-324, 1.7e308)),
+       drawn=st.lists(FINITE, max_size=20), reference_c=FINITE)
+@example(table=EER, drawn=[], reference_c=30.0)
+@example(table=EerTable(ROUNDING_TABLE), drawn=[], reference_c=30.0)
+# The product overflows: the divide-first branch.
+@example(table=EerTable(((40.0, 1e300), (0.0, 1.7e308))), drawn=[20.0],
+         reference_c=10.0)
+# The span overflows and the interpolation is NaN: only the clamp's
+# ``eer if eer >= eer_hi else eer_hi`` turns it into eer_hi.
+@example(table=EerTable(((1.7e308, 2.0), (-1.7e308, 3.0))), drawn=[1e308],
+         reference_c=30.0)
+def test_adjustment_column_matches_the_scalar_lookup_bit_for_bit(
+        table, drawn, reference_c):
+    reference_eer = eer_lookup(reference_c, table)
+    ambients = probe_ambients(table) + drawn
+    column = _adjustment_column(tuple(ambients), table, reference_eer)
+    assert [a.hex() for a in column] == [
+        (reference_eer / eer_lookup(t, table)).hex() for t in ambients]
 
 
 def test_table_validation():

@@ -2,7 +2,8 @@
 
 Every float argument is drawn from all floats, NaN and +-inf included:
 each call returns only finite numbers >= 0 or raises a SimulationError.
-The messages of the shared rules are pinned in full.
+The messages of the shared rules are pinned in full, and a non-finite
+ambient is out of range in ``simulate``.
 """
 
 import math
@@ -12,17 +13,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dcpowersim.config import default_scenario
+from dcpowersim.config import CoolingArchitecture, default_scenario
 from dcpowersim.cooling import (ChillerSpec, CracSpec, CrahSpec, EerTable,
                                 airflow_heat_power, ambient_adjustment,
                                 chiller_power, crac_power, crah_power,
                                 eer_lookup)
-from dcpowersim.engine import peak_context, step_power
+from dcpowersim.engine import peak_context, simulate, step_power
 from dcpowersim.errors import (InvariantViolation, OutOfRange,
                                SimulationError)
 from dcpowersim.power_chain import (SupplyChainSpec, SupplyLoss,
                                     calibrate_supply, pdu_loss, supply_loss,
                                     ups_loss)
+from dcpowersim.profiles import AmbientProfile, UtilisationProfile
 from dcpowersim.server_farm import (ServerSpec, effective_server_utilisation,
                                     farm_power, farm_state, server_power)
 
@@ -115,3 +117,17 @@ def test_component_gives_finite_nonnegative_numbers_or_raises(name, data):
 def test_rule_messages(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()
+
+
+@pytest.mark.parametrize("ambient_c", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("architecture", CoolingArchitecture,
+                         ids=[a.value for a in CoolingArchitecture])
+def test_simulate_rejects_a_non_finite_ambient(architecture, ambient_c):
+    # simulate's column lookup checks no ambient, so its column check must;
+    # step_power and curtail reject one through the scalar lookup
+    # (test_engine.py, test_analysis.py).
+    stamp = ("2016-06-01T00:00",)
+    with pytest.raises(OutOfRange, match="ambient be finite"):
+        simulate(UtilisationProfile(stamp, (0.5,)),
+                 AmbientProfile(stamp, (ambient_c,)),
+                 SCENARIO.with_architecture(architecture))

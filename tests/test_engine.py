@@ -435,18 +435,25 @@ def test_simulate_looks_up_eer_only_when_a_load_is_refrigerated(
     constant = simulate(utilisation, AmbientProfile(ambient.timestamps,
                                                     (30.0,) * 13), scenario)
     lookup, looked_up = cooling.eer_lookup, []
+    column, columns = cooling._adjustment_column, []
 
     def eer_lookup(ambient_c, table):
         looked_up.append(ambient_c)
         return lookup(ambient_c, table)
 
+    def adjustment_column(ambients, table, reference_eer):
+        columns.append(tuple(ambients))
+        return column(ambients, table, reference_eer)
+
     monkeypatch.setattr(cooling, "eer_lookup", eer_lookup)
+    monkeypatch.setattr(cooling, "_adjustment_column", adjustment_column)
     result = simulate(utilisation, ambient, scenario)
-    if hourly:   # peak_context's reference lookup, then one per hour
-        assert looked_up == [30.0, *ts]
+    assert looked_up == [30.0]   # peak_context's reference lookup only
+    if hourly:   # then one column of every hour
+        assert columns == [tuple(ts)]
         assert result.components != constant.components
     else:
-        assert looked_up == [30.0]
+        assert columns == []
         assert result.components == constant.components
 
 
