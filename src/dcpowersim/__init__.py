@@ -23,8 +23,8 @@ _HOMES = {
                "SimulationStep", "peak_context", "simulate", "step_power",
                "summarize_energy"),
     "errors": ("SimulationError",),
-    "power_chain": ("SupplyChainSpec", "SupplyLoss", "calibrate_supply",
-                    "pdu_loss", "supply_loss", "ups_loss"),
+    "power_chain": ("SupplyChainSpec", "SupplyLoss", "SupplyTargets",
+                    "calibrate_supply", "pdu_loss", "supply_loss", "ups_loss"),
     "profiles": ("AmbientProfile", "UtilisationProfile",
                  "parse_temperature_csv", "parse_utilisation_csv",
                  "write_results_csv"),
@@ -33,7 +33,7 @@ _HOMES = {
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 __all__ = sorted(_HOME)
 

@@ -87,9 +87,6 @@ def peak_breakdown(scenario: ScenarioConfig) -> dict[str, float]:
     """Fractional component shares at full load and reference temperature."""
     ctx = peak_context(scenario)
     breakdown = step_power(1.0, scenario.reference_ambient_c, scenario, ctx)
-    if breakdown.total_w == 0.0:
-        raise OutOfRange("the design peak is 0 W; component shares of it "
-                         "are undefined")
     return {name: watts / breakdown.total_w
             for name, watts in breakdown.as_dict().items()}
 

@@ -10,11 +10,11 @@ namespaces, e.g.::
     consolidation=1.0
 
 Server sizing and the architecture are mandatory; every other key falls
-back to the default of the spec field it names (``chiller.alpha`` is
-the ``alpha`` of ``ChillerSpec``).  Supply-loss coefficients are not configured
-directly: the config carries the calibration targets (idle fractions and
-the peak loss fraction) and ``power_chain.calibrate_supply`` solves the
-coefficients when the scenario is built.
+back to the default of the record field it names (``chiller.alpha`` is
+the ``alpha`` of ``ChillerSpec``).  Supply-loss coefficients are not
+configured directly: the ``supply.*`` keys set the calibration targets,
+``power_chain.SupplyTargets``, and the ``ScenarioConfig`` constructor
+solves the coefficients for its farm peak.
 
 ``COMPONENTS`` is the component table: each load's name, group and the
 cooling architectures that include it.
@@ -68,17 +68,14 @@ class ScenarioConfig(_Record):
     default specs are shared instances, which is safe because records are
     immutable.
 
-    ``supply`` holds loss coefficients solved for one farm peak, and
-    ``_replace`` does not solve them again: ``_replace(server=...)`` with
-    a new farm peak keeps the old peak's losses.  Re-parse the config
-    instead, or pass
-    ``supply=power_chain.calibrate_supply(new_server.farm_peak_w, ...)``
-    with the same ``supply.*`` settings.
+    ``supply``, the loss coefficients, is solved from ``supply_targets``
+    for the farm peak on construction, so ``_replace`` calibrates again.
     """
 
     def __init__(self, server: server_farm.ServerSpec,
-                 supply: power_chain.SupplyChainSpec,
                  architecture: CoolingArchitecture,
+                 supply_targets: power_chain.SupplyTargets = (
+                     power_chain.SupplyTargets()),
                  chiller: cooling.ChillerSpec = cooling.ChillerSpec(),
                  crah: cooling.CrahSpec = cooling.CrahSpec(),
                  crac: cooling.CracSpec = cooling.CracSpec(),
@@ -86,6 +83,8 @@ class ScenarioConfig(_Record):
                  pump_fraction: float = 0.04, misc_fraction: float = 0.06,
                  reference_ambient_c: float = 30.0,
                  consolidation: float = 1.0) -> None:
+        supply = power_chain.calibrate_supply(server.farm_peak_w,
+                                              supply_targets)
         if not isinstance(architecture, CoolingArchitecture):
             raise InvariantViolation(
                 "architecture must be a CoolingArchitecture, got "
@@ -101,7 +100,8 @@ class ScenarioConfig(_Record):
             raise OutOfRange("consolidation must lie in [0, 1]")
         if not math.isfinite(reference_ambient_c):
             raise OutOfRange("reference_ambient_c must be finite")
-        self._set(server=server, supply=supply, architecture=architecture,
+        self._set(server=server, architecture=architecture,
+                  supply_targets=supply_targets, supply=supply,
                   chiller=chiller, crah=crah, crac=crac, eer=eer,
                   pump_fraction=pump_fraction, misc_fraction=misc_fraction,
                   reference_ambient_c=reference_ambient_c,
@@ -117,14 +117,10 @@ def _spec_keys(prefix: str, spec: type) -> dict[str, str]:
 
 
 # Config key -> parameter, per target.  Only the keys present are passed,
-# so every default lives in its spec's constructor or in
-# ``calibrate_supply``.
+# so every default lives in the record whose field the key names.
 _PARAMETERS = {
     "server": _spec_keys("server", server_farm.ServerSpec),
-    "supply": {"supply.pdu_count": "pdu_count",
-               "supply.pdu_idle_total_frac": "pdu_idle_frac",
-               "supply.ups_idle_frac": "ups_idle_frac",
-               "supply.peak_loss_frac": "peak_loss_frac"},
+    "supply": _spec_keys("supply", power_chain.SupplyTargets),
     "chiller": _spec_keys("chiller", cooling.ChillerSpec),
     "crah": _spec_keys("crah", cooling.CrahSpec),
     "crac": _spec_keys("crac", cooling.CracSpec),
@@ -208,12 +204,9 @@ def parse_scenario_config(text: str) -> ScenarioConfig:
     given = {target: {name: values[key] for key, name in keys.items()
                       if key in values}
              for target, keys in _PARAMETERS.items()}
-    server = server_farm.ServerSpec(**given["server"])
-    supply = power_chain.calibrate_supply(server.farm_peak_w,
-                                          **given["supply"])
     return ScenarioConfig(
-        server=server,
-        supply=supply,
+        server=server_farm.ServerSpec(**given["server"]),
+        supply_targets=power_chain.SupplyTargets(**given["supply"]),
         chiller=cooling.ChillerSpec(**given["chiller"]),
         crah=cooling.CrahSpec(**given["crah"]),
         crac=cooling.CracSpec(**given["crac"]),
@@ -228,10 +221,8 @@ def default_scenario(
     p_peak_w: float = 250.0,
 ) -> ScenarioConfig:
     """Reference scenario: a 40,000-server, 10 MW farm with defaults."""
-    server = server_farm.ServerSpec(count=count, p_idle_w=p_idle_w,
-                                    p_peak_w=p_peak_w)
     return ScenarioConfig(
-        server=server,
-        supply=power_chain.calibrate_supply(server.farm_peak_w),
+        server=server_farm.ServerSpec(count=count, p_idle_w=p_idle_w,
+                                      p_peak_w=p_peak_w),
         architecture=architecture,
     )

@@ -187,11 +187,9 @@ def peak_context(scenario: ScenarioConfig) -> PeakContext:
     farm = (server.count * idle_w, server.count * (server.p_peak_w - idle_w),
             0.0)
     k = supply.lambda_pdu_per_w / supply.pdu_count
-    try:
-        pdu = (supply.pdu_idle_total_w + k * farm[0] ** 2,
-               2.0 * k * farm[0] * farm[1], k * farm[1] ** 2)
-    except OverflowError:   # float ** raises where * would give inf
-        raise OutOfRange(f"farm peak {farm_peak_w!r} W is too large") from None
+    # calibrate_supply squared the farm peak, and no farm[i] exceeds it.
+    pdu = (supply.pdu_idle_total_w + k * farm[0] ** 2,
+           2.0 * k * farm[0] * farm[1], k * farm[1] ** 2)
     ups = (supply.ups_idle_w + supply.lambda_ups * (farm[0] + pdu[0]),
            supply.lambda_ups * (farm[1] + pdu[1]), supply.lambda_ups * pdu[2])
     # Fan power is proportional to U, so its slope is its draw at U = 1.

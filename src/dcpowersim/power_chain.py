@@ -9,9 +9,9 @@ the UPS loses an idle floor plus a term proportional to its throughput
 
 Load is assumed perfectly balanced across the PDUs.  The loss coefficients
 are rarely published, so :func:`calibrate_supply` back-solves them from a
-single design statement: total supply loss at farm peak equals a given
-fraction of that peak (15% is typical), with the non-idle part split 3:4
-between the PDU quadratic and the UPS proportional term.
+single design statement, :class:`SupplyTargets`: total supply loss at farm
+peak equals a given fraction of that peak (15% is typical), with the
+non-idle part split 3:4 between the PDU quadratic and UPS proportional term.
 """
 
 from __future__ import annotations
@@ -42,6 +42,16 @@ class SupplyChainSpec(_Record):
         check_fields(self, pdu_count=AT_LEAST_ONE,
                      pdu_idle_total_w=NONNEGATIVE, ups_idle_w=NONNEGATIVE,
                      lambda_pdu_per_w=NONNEGATIVE, lambda_ups=NONNEGATIVE)
+
+
+class SupplyTargets(NamedTuple):
+    """What :func:`calibrate_supply` solves for; the idle draws and the
+    total loss at farm peak are fractions of the farm peak."""
+
+    pdu_count: int = 100
+    pdu_idle_total_frac: float = 0.015
+    ups_idle_frac: float = 0.03
+    peak_loss_frac: float = 0.15
 
 
 class SupplyLoss(NamedTuple):
@@ -84,10 +94,8 @@ def supply_loss(farm_power_w: float, spec: SupplyChainSpec) -> SupplyLoss:
 
 
 def calibrate_supply(farm_peak_w: float,
-                     pdu_count: int = 100,
-                     pdu_idle_frac: float = 0.015,
-                     ups_idle_frac: float = 0.03,
-                     peak_loss_frac: float = 0.15) -> SupplyChainSpec:
+                     targets: SupplyTargets = SupplyTargets()
+                     ) -> SupplyChainSpec:
     """Solve for loss coefficients hitting ``peak_loss_frac`` at farm peak.
 
     Idle draws are fixed fractions of the farm peak; the remaining loss
@@ -98,6 +106,7 @@ def calibrate_supply(farm_peak_w: float,
     ``pdu_count`` has no effect on any output: it multiplies ``lambda_pdu``
     here, and the loss divides it out again.
     """
+    pdu_count, pdu_idle_frac, ups_idle_frac, peak_loss_frac = targets
     check(NegativeInput, farm_peak_w=(farm_peak_w, POSITIVE))
     if not 0.0 < peak_loss_frac < 1.0:
         raise InvariantViolation("peak_loss_frac must lie in (0, 1)")

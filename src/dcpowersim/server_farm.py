@@ -30,6 +30,10 @@ class ServerSpec(_Record):
     def __init__(self, count: int, p_idle_w: float, p_peak_w: float) -> None:
         self._set(count=count, p_idle_w=p_idle_w, p_peak_w=p_peak_w)
         check_fields(self, count=AT_LEAST_ONE)
+        try:
+            float(count)
+        except OverflowError:   # an int past the float range
+            raise InvariantViolation("count is too large for a float") from None
         if not 0.0 <= p_idle_w <= p_peak_w < math.inf:
             raise InvariantViolation(
                 "server power must satisfy 0 <= p_idle_w <= p_peak_w < inf"

@@ -14,8 +14,7 @@ from dcpowersim.config import (CoolingArchitecture, ScenarioConfig,
                                default_scenario)
 from dcpowersim.cooling import CrahSpec
 from dcpowersim.engine import peak_context, step_power
-from dcpowersim.errors import OutOfRange
-from dcpowersim.power_chain import SupplyChainSpec
+from dcpowersim.errors import NegativeInput, OutOfRange
 from dcpowersim.profiles import AmbientProfile, UtilisationProfile
 from dcpowersim.server_farm import ServerSpec
 
@@ -183,17 +182,17 @@ def test_default_peak_shares():
 
 
 def test_two_component_scenario_shares():
+    # The supply losses are calibrated for the farm peak, never zero.
     scenario = ScenarioConfig(
         server=ServerSpec(count=1000, p_idle_w=100.0, p_peak_w=200.0),
-        supply=SupplyChainSpec(pdu_count=1, pdu_idle_total_w=0.0,
-                               ups_idle_w=0.0, lambda_pdu_per_w=0.0,
-                               lambda_ups=0.0),
         architecture=CoolingArchitecture.FREE_AIR,
         pump_fraction=0.0, misc_fraction=0.0)
     shares = peak_breakdown(scenario)
-    assert shares["server_farm"] + shares["crah"] == pytest.approx(
-        1.0, abs=1e-12)
-    assert shares["chiller"] == shares["crac"] == shares["pumps"] == 0.0
+    assert sum(shares[name] for name in ("server_farm", "pdu_loss",
+                                         "ups_loss", "crah")) == \
+        pytest.approx(1.0, abs=1e-12)
+    assert shares["chiller"] == shares["crac"] == shares["pumps"] == \
+        shares["misc"] == 0.0
 
 
 def test_shares_invariant_under_farm_scaling():
@@ -205,11 +204,12 @@ def test_shares_invariant_under_farm_scaling():
 
 @pytest.mark.parametrize("architecture", list(CoolingArchitecture))
 def test_zero_design_peak_breakdown_is_out_of_range(architecture):
-    scenario = ScenarioConfig(server=ServerSpec(1, 0.0, 0.0),
-                              supply=SupplyChainSpec(1, 0.0, 0.0, 0.0, 0.0),
-                              architecture=architecture)
-    with pytest.raises(OutOfRange, match="design peak is 0 W"):
-        peak_breakdown(scenario)
+    # A zero farm peak cannot be calibrated, so no scenario that
+    # peak_breakdown could take has a design peak of 0 W.
+    with pytest.raises(NegativeInput, match=re.escape(
+            "farm_peak_w must be positive and finite, got 0.0")):
+        ScenarioConfig(server=ServerSpec(1, 0.0, 0.0),
+                       architecture=architecture)
 
 
 # --- power curve ---

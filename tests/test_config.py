@@ -15,7 +15,7 @@ from dcpowersim.engine import peak_context, step_power
 from dcpowersim.errors import (InvalidFractions, InvariantViolation,
                                MalformedRow, MissingRequired, OutOfRange,
                                SimulationError, UnknownKey)
-from dcpowersim.power_chain import calibrate_supply
+from dcpowersim.power_chain import SupplyTargets
 
 MINIMAL = """\
 server.count=40000
@@ -70,19 +70,87 @@ def compiled_bits(scenario):
     return [float(x).hex() for x in numbers]
 
 
-def test_replace_of_the_server_needs_the_supply_calibrated_again():
+def test_replace_of_the_server_calibrates_the_supply_again():
     scenario = parse_scenario_config(SMALL)
     tripled = parse_scenario_config(SMALL.replace("count=500", "count=1500"))
-    server = scenario.server._replace(count=1500)
-    # _replace keeps the losses solved for the 500-server farm peak.
-    stale = scenario._replace(server=server)
-    assert stale.supply == scenario.supply != tripled.supply
-    assert compiled_bits(stale) != compiled_bits(tripled)
-    # The documented workaround gives the re-parsed scenario, bit for bit.
-    recalibrated = scenario._replace(server=server, supply=calibrate_supply(
-        server.farm_peak_w, pdu_idle_frac=0.02, peak_loss_frac=0.12))
-    assert recalibrated == tripled
-    assert compiled_bits(recalibrated) == compiled_bits(tripled)
+    replaced = scenario._replace(server=scenario.server._replace(count=1500))
+    assert replaced == tripled and replaced.supply == tripled.supply
+    assert compiled_bits(replaced) == compiled_bits(tripled)
+    # The coefficients are derived, so they cannot be passed.
+    with pytest.raises(TypeError, match="supply"):
+        scenario._replace(supply=tripled.supply)
+
+
+NUMERIC_KEYS = sorted(config._KNOWN_KEYS - {"architecture", "eer.table"})
+SERVER_KEYS = ("server.count", "server.p_idle_w", "server.p_peak_w")
+# Values that every scenario accepts, together; other keys take (0.01, 10).
+ACCEPTED = {
+    "server.count": st.integers(1, 10**6),
+    "server.p_idle_w": st.floats(0.0, 100.0),
+    "server.p_peak_w": st.floats(100.0, 1000.0),
+    "supply.pdu_count": st.integers(1, 1000),
+    "supply.pdu_idle_total_frac": st.floats(0.0, 0.05),
+    "supply.ups_idle_frac": st.floats(0.0, 0.05),
+    "supply.peak_loss_frac": st.floats(0.1, 0.9),
+    "pump_fraction": st.floats(0.0, 0.45),
+    "misc_fraction": st.floats(0.0, 0.45),
+    "consolidation": st.floats(0.0, 1.0),
+    "crah.eta_heat": st.floats(0.01, 1.0),
+    "reference_ambient_c": st.floats(-50.0, 50.0),
+}
+
+
+def accepted(key):
+    return ACCEPTED.get(key, st.floats(0.01, 10.0))
+
+
+def edited(key):
+    """An accepted value, or one of the key's type that may be rejected."""
+    return accepted(key) | (st.integers(-2, 10**7) if key in config._INT_KEYS
+                            else st.floats(-1.0, 1e4))
+
+
+CONFIG_VALUES = st.fixed_dictionaries(
+    {key: accepted(key) for key in SERVER_KEYS}
+    | {"architecture": st.sampled_from([a.value for a
+                                        in CoolingArchitecture])},
+    optional={key: accepted(key) for key in NUMERIC_KEYS
+              if key not in SERVER_KEYS})
+
+
+def config_text(values):
+    return "".join(f"{key}={value}\n" for key, value in values.items())
+
+
+def replaced(scenario, key, value):
+    """``scenario`` with config key ``key`` set to ``value`` by _replace."""
+    record, _, field = key.rpartition(".")
+    if not record:   # a top-level float
+        return scenario._replace(**{key: value})
+    name = "supply_targets" if record == "supply" else record
+    return scenario._replace(
+        **{name: getattr(scenario, name)._replace(**{field: value})})
+
+
+@settings(deadline=None)
+@given(values=CONFIG_VALUES,
+       edits=st.fixed_dictionaries({key: edited(key)
+                                    for key in NUMERIC_KEYS}))
+def test_replace_of_any_numeric_key_equals_the_reparsed_config(values,
+                                                               edits):
+    scenario = parse_scenario_config(config_text(values))
+    for key, value in edits.items():
+        outcomes = []
+        for build in (
+                lambda: parse_scenario_config(
+                    config_text({**values, key: value})),
+                lambda: replaced(scenario, key, value)):
+            try:
+                built = build()
+                outcomes.append((built, compiled_bits(built)))
+            except SimulationError as error:
+                outcomes.append((type(error), str(error)))
+        assert outcomes[0] == outcomes[1], (key, value)
 
 
 def test_crac_architecture_defaults_cop():
@@ -247,6 +315,13 @@ def test_eer_table_rejects_non_finite(table):
 
 
 SUPPLY = default_scenario().supply
+
+
+def targeted(**targets):
+    """The default scenario with some supply targets set."""
+    return default_scenario()._replace(supply_targets=SupplyTargets(**targets))
+
+
 SPEC_FIELDS = {
     "chiller.alpha": lambda v: cooling.ChillerSpec(alpha=v),
     "chiller.beta": lambda v: cooling.ChillerSpec(beta=v),
@@ -268,6 +343,11 @@ SPEC_FIELDS = {
     "supply.ups_idle_w": lambda v: SUPPLY._replace(ups_idle_w=v),
     "supply.lambda_pdu_per_w": lambda v: SUPPLY._replace(lambda_pdu_per_w=v),
     "supply.lambda_ups": lambda v: SUPPLY._replace(lambda_ups=v),
+    "supply_targets.pdu_count": lambda v: targeted(pdu_count=v),
+    "supply_targets.pdu_idle_total_frac":
+        lambda v: targeted(pdu_idle_total_frac=v),
+    "supply_targets.ups_idle_frac": lambda v: targeted(ups_idle_frac=v),
+    "supply_targets.peak_loss_frac": lambda v: targeted(peak_loss_frac=v),
     "pump_fraction": lambda v: default_scenario()._replace(pump_fraction=v),
     "misc_fraction": lambda v: default_scenario()._replace(misc_fraction=v),
     "consolidation": lambda v: default_scenario()._replace(consolidation=v),

@@ -22,8 +22,8 @@ from dcpowersim.engine import peak_context, simulate, step_power
 from dcpowersim.errors import (InvariantViolation, OutOfRange,
                                SimulationError)
 from dcpowersim.power_chain import (SupplyChainSpec, SupplyLoss,
-                                    calibrate_supply, pdu_loss, supply_loss,
-                                    ups_loss)
+                                    SupplyTargets, calibrate_supply,
+                                    pdu_loss, supply_loss, ups_loss)
 from dcpowersim.profiles import AmbientProfile, UtilisationProfile
 from dcpowersim.server_farm import (ServerSpec, effective_server_utilisation,
                                     farm_power, farm_state, server_power)
@@ -45,7 +45,9 @@ CALLS = {
     "pdu_loss": (lambda p: pdu_loss(p, SUPPLY), [F]),
     "ups_loss": (lambda p, q: ups_loss(p, q, SUPPLY), [F, F]),
     "supply_loss": (lambda p: supply_loss(p, SUPPLY), [F]),
-    "calibrate_supply": (calibrate_supply, [F, st.integers(), F, F, F]),
+    "calibrate_supply": (
+        lambda p, *targets: calibrate_supply(p, SupplyTargets(*targets)),
+        [F, st.integers(), F, F, F]),
     "chiller_power": (lambda u, f: chiller_power(u, f, CHILLER), [F, F]),
     "airflow_heat_power": (lambda u, f: airflow_heat_power(u, f, CRAH),
                            [F, F]),
@@ -69,7 +71,7 @@ def numbers(value) -> list:
 def test_numbers_reads_every_field_of_both_record_kinds():
     # The property test above reaches each record only when Hypothesis
     # draws arguments a call accepts; this pins the walk on each kind.
-    spec = calibrate_supply(1e6, 100, 0.015, 0.03, 0.15)
+    spec = calibrate_supply(1e6, SupplyTargets(100, 0.015, 0.03, 0.15))
     assert numbers(spec) == [spec.pdu_count, spec.pdu_idle_total_w,
                              spec.ups_idle_w, spec.lambda_pdu_per_w,
                              spec.lambda_ups]
@@ -113,6 +115,11 @@ def test_component_gives_finite_nonnegative_numbers_or_raises(name, data):
     (lambda: ServerSpec(count=-10**5000, p_idle_w=1.0, p_peak_w=2.0),
      InvariantViolation,
      "count must be >= 1 and finite, got -<int of 16610 bits>"),
+    # float() of an int past the float range raises OverflowError
+    (lambda: default_scenario(count=10**400), InvariantViolation,
+     "count is too large for a float"),
+    (lambda: ServerSpec(count=10**5000, p_idle_w=1.0, p_peak_w=2.0),
+     InvariantViolation, "count is too large for a float"),
 ])
 def test_rule_messages(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):

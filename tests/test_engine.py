@@ -16,7 +16,7 @@ from dcpowersim import analysis, cooling, engine, power_chain, server_farm
 from dcpowersim.analysis import (compare_architectures, curtail,
                                  peak_breakdown, power_curve)
 from dcpowersim.config import (COMPONENTS, CoolingArchitecture,
-                               default_scenario)
+                               default_scenario, parse_scenario_config)
 from dcpowersim.engine import (COMPONENT_NAMES, PowerBreakdown,
                                SimulationResult, peak_context, simulate,
                                step_power, summarize_energy)
@@ -552,6 +552,9 @@ def test_plain_records_are_named_tuples():
             "timestamp", "utilisation", "ambient_c", "power"),
         power_chain.supply_loss(5e6, SCENARIO.supply): (
             "pdu_loss_w", "ups_loss_w"),
+        SCENARIO.supply_targets: (
+            "pdu_count", "pdu_idle_total_frac", "ups_idle_frac",
+            "peak_loss_frac"),
         server_farm.farm_state(0.5, 0.5, SCENARIO.server): (
             "per_server_utilisation", "running_count"),
     }
@@ -590,8 +593,8 @@ def test_checked_records_are_immutable_and_rechecked_on_replace():
         (SCENARIO.supply, ("pdu_count", "pdu_idle_total_w", "ups_idle_w",
                            "lambda_pdu_per_w", "lambda_ups"),
          "lambda_ups", math.nan, InvariantViolation),
-        (SCENARIO, ("server", "supply", "architecture", "chiller", "crah",
-                    "crac", "eer", "pump_fraction", "misc_fraction",
+        (SCENARIO, ("server", "architecture", "supply_targets", "chiller",
+                    "crah", "crac", "eer", "pump_fraction", "misc_fraction",
                     "reference_ambient_c", "consolidation"),
          "consolidation", 2.0, OutOfRange),
         (step_power(0.5, 30.0, SCENARIO, CTX), ("components",),
@@ -693,15 +696,16 @@ def test_summarize_rejects_empty():
 
 @pytest.mark.parametrize("p_idle_w", [1e200, 0.0])
 def test_overflowing_farm_peak_is_out_of_range(p_idle_w):
-    # Built directly, so calibrate_supply never sees the farm peak.
-    scenario = SCENARIO._replace(server=server_farm.ServerSpec(
-        count=1, p_idle_w=p_idle_w, p_peak_w=1e200))
-    utilisation, ambient = profiles_from([0.5], [30.0])
-    for call in (lambda: peak_context(scenario),
-                 lambda: simulate(utilisation, ambient, scenario),
-                 lambda: power_curve([30.0], scenario, 3),
-                 lambda: peak_breakdown(scenario)):
-        with pytest.raises(OutOfRange, match="too large"):
+    # Building a scenario calibrates its supply, which squares the farm
+    # peak; a _replace builds one too.
+    server = server_farm.ServerSpec(count=1, p_idle_w=p_idle_w,
+                                    p_peak_w=1e200)
+    text = (f"server.count=1\nserver.p_idle_w={p_idle_w!r}\n"
+            "server.p_peak_w=1e200\narchitecture=crah_chiller\n")
+    for call in (lambda: SCENARIO._replace(server=server),
+                 lambda: parse_scenario_config(text)):
+        with pytest.raises(OutOfRange,
+                           match="^farm peak 1e\\+200 W is too large$"):
             call()
 
 

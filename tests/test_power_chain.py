@@ -15,8 +15,9 @@ from hypothesis import strategies as st
 
 from dcpowersim.errors import (InfeasibleTarget, InvariantViolation,
                                NegativeInput, OutOfRange)
-from dcpowersim.power_chain import (SupplyChainSpec, calibrate_supply,
-                                    pdu_loss, supply_loss, ups_loss)
+from dcpowersim.power_chain import (SupplyChainSpec, SupplyTargets,
+                                    calibrate_supply, pdu_loss, supply_loss,
+                                    ups_loss)
 
 FARM_PEAK = 10e6
 DEFAULT = calibrate_supply(FARM_PEAK)
@@ -72,7 +73,8 @@ def test_ups_loss_at_peak_closes_the_budget():
 
 def test_calibration_round_trip_hits_target_exactly():
     for frac in (0.10, 0.15, 0.25):
-        spec = calibrate_supply(FARM_PEAK, peak_loss_frac=frac)
+        spec = calibrate_supply(FARM_PEAK,
+                                SupplyTargets(peak_loss_frac=frac))
         total = supply_loss(FARM_PEAK, spec).total_w
         assert total == pytest.approx(frac * FARM_PEAK, rel=1e-9)
 
@@ -87,8 +89,9 @@ def test_calibration_round_trip_other_farm_sizes():
 def test_infeasible_when_idle_floors_exceed_target():
     with pytest.raises(InfeasibleTarget, match=re.escape(
             "idle fractions alone exceed the peak loss target (0.2 > 0.15)")):
-        calibrate_supply(FARM_PEAK, pdu_idle_frac=0.10, ups_idle_frac=0.10,
-                         peak_loss_frac=0.15)
+        calibrate_supply(FARM_PEAK, SupplyTargets(
+            pdu_idle_total_frac=0.10, ups_idle_frac=0.10,
+            peak_loss_frac=0.15))
 
 
 def test_calibration_input_validation():
@@ -97,8 +100,9 @@ def test_calibration_input_validation():
     # With no idle floors, 0 and 1 would otherwise calibrate.
     for frac in (0.0, 1.0, 1.5):
         with pytest.raises(InvariantViolation, match="peak_loss_frac"):
-            calibrate_supply(FARM_PEAK, pdu_idle_frac=0.0, ups_idle_frac=0.0,
-                             peak_loss_frac=frac)
+            calibrate_supply(FARM_PEAK, SupplyTargets(
+                pdu_idle_total_frac=0.0, ups_idle_frac=0.0,
+                peak_loss_frac=frac))
 
 
 def test_loss_functions_reject_negative_power():
@@ -174,4 +178,4 @@ def test_calibration_names_a_pdu_count_past_the_float_range():
     for pdu_count in (10**400, 10**5000):   # repr fails past 4300 digits
         with pytest.raises(OutOfRange,
                            match="^pdu_count is too large for a float$"):
-            calibrate_supply(1e6, pdu_count=pdu_count)
+            calibrate_supply(1e6, SupplyTargets(pdu_count=pdu_count))
