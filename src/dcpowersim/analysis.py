@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .config import COMPONENTS, CoolingArchitecture, ScenarioConfig
 from .engine import PeakContext, peak_context, simulate, step_power
-from .errors import OutOfRange, check
+from .errors import LARGEST, OutOfRange, _shown, check
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .profiles import AmbientProfile, UtilisationProfile
@@ -63,10 +63,10 @@ def curtail(target_total_w: float, ambient_c: float,
     A target within the relative tolerance of the floor or peak snaps to
     that endpoint; one beyond them is infeasible at the nearest endpoint.
     """
-    if not (math.isfinite(target_total_w) and target_total_w > 0.0):
+    if not 0.0 < target_total_w <= LARGEST:
         raise OutOfRange(
             f"curtailment target must be positive and finite, got "
-            f"{target_total_w!r}")
+            f"{_shown(target_total_w)}")
     c0, c1, c2 = ctx.total_quadratic(ctx.adjustment(ambient_c))
     floor_w, peak_w = c0, c0 + c1 + c2
     tolerance_w = CURTAIL_RELATIVE_TOLERANCE * target_total_w

@@ -27,8 +27,9 @@ import math
 from typing import NamedTuple
 
 from . import cooling, power_chain, server_farm
-from .errors import (InvalidFractions, InvariantViolation, MalformedRow,
-                     MissingRequired, OutOfRange, UnknownKey, _Record)
+from .errors import (LARGEST, NONNEGATIVE, InvalidFractions,
+                     InvariantViolation, MalformedRow, MissingRequired,
+                     OutOfRange, UnknownKey, _Record, check)
 
 
 class CoolingArchitecture(enum.Enum):
@@ -89,8 +90,8 @@ class ScenarioConfig(_Record):
             raise InvariantViolation(
                 "architecture must be a CoolingArchitecture, got "
                 f"{architecture!r}")
-        if not (pump_fraction >= 0.0 and misc_fraction >= 0.0):
-            raise InvariantViolation("pump and misc fractions must be >= 0")
+        check(InvariantViolation, pump_fraction=(pump_fraction, NONNEGATIVE),
+              misc_fraction=(misc_fraction, NONNEGATIVE))
         if pump_fraction + misc_fraction >= 1.0:
             raise InvalidFractions(
                 "pump_fraction + misc_fraction must be < 1, got "
@@ -98,7 +99,7 @@ class ScenarioConfig(_Record):
             )
         if not 0.0 <= consolidation <= 1.0:
             raise OutOfRange("consolidation must lie in [0, 1]")
-        if not math.isfinite(reference_ambient_c):
+        if not -LARGEST <= reference_ambient_c <= LARGEST:
             raise OutOfRange("reference_ambient_c must be finite")
         self._set(server=server, architecture=architecture,
                   supply_targets=supply_targets, supply=supply,
@@ -142,7 +143,7 @@ def _parse_number(key: str, raw: str, line_no: int) -> float | int:
         raise MalformedRow(
             f"line {line_no}: value for {key!r} is not a number: {raw!r}"
         ) from None
-    if not math.isfinite(float(raw)):   # an int past 1e308 rounds to inf
+    if not -LARGEST <= value <= LARGEST:
         raise MalformedRow(
             f"line {line_no}: value for {key!r} is not finite: {raw!r}")
     return value

@@ -34,8 +34,8 @@ from __future__ import annotations
 import bisect
 import math
 
-from .errors import (FRACTION, NONNEGATIVE, POSITIVE, UNIT,
-                     InvariantViolation, OutOfRange, _Record, check,
+from .errors import (FRACTION, LARGEST, NONNEGATIVE, POSITIVE, UNIT,
+                     InvariantViolation, OutOfRange, _Record, _shown, check,
                      check_fields)
 
 # Fan power per unit of (heat capacity / removal efficiency) and airflow,
@@ -118,7 +118,7 @@ class EerTable(_Record):
         # The first point is checked against one hotter than any ambient.
         previous_t, previous_eer = math.inf, 0.0
         for ambient_c, eer in breakpoints:
-            if not (0.0 < eer < math.inf and math.isfinite(ambient_c)):
+            if not (0.0 < eer <= LARGEST and -LARGEST <= ambient_c <= LARGEST):
                 raise InvariantViolation(
                     "EER values must be positive and finite, ambients finite")
             if ambient_c >= previous_t:
@@ -169,8 +169,8 @@ def airflow_heat_power(utilisation: float, farm_peak_w: float,
 def crah_power(utilisation: float, farm_peak_w: float,
                spec: CrahSpec) -> float:
     """Air-handler bank draw: idle floor plus fan power, watts."""
-    power_w = (spec.idle_frac * farm_peak_w
-               + airflow_heat_power(utilisation, farm_peak_w, spec))
+    fan_w = airflow_heat_power(utilisation, farm_peak_w, spec)
+    power_w = spec.idle_frac * farm_peak_w + fan_w
     check(OutOfRange, crah_power_w=(power_w, NONNEGATIVE))
     return power_w
 
@@ -194,9 +194,9 @@ def crac_power(utilisation: float, farm_peak_w: float, spec: CracSpec,
 
 def eer_lookup(ambient_c: float, table: EerTable) -> float:
     """EER at one outdoor temperature, interpolated between breakpoints."""
-    if not math.isfinite(ambient_c):
+    if not -LARGEST <= ambient_c <= LARGEST:
         raise OutOfRange(
-            f"ambient temperature must be finite, got {ambient_c!r}")
+            f"ambient temperature must be finite, got {_shown(ambient_c)}")
     temps, eers = table.ascending_c, table.ascending_eer
     if ambient_c <= temps[0]:
         return eers[0]

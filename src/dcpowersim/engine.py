@@ -46,13 +46,13 @@ the compiled form is tested against.
 
 from __future__ import annotations
 
-import math
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from . import cooling
 from .config import COMPONENTS, ScenarioConfig
-from .errors import (UNIT, EmptyProfile, EmptyResult, InvariantViolation,
-                     OutOfRange, ProfileMismatch, _Record, check)
+from .errors import (LARGEST, UNIT, EmptyProfile, EmptyResult,
+                     InvariantViolation, OutOfRange, ProfileMismatch, _Record,
+                     _shown, check)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .profiles import AmbientProfile, UtilisationProfile
@@ -73,10 +73,10 @@ class PowerBreakdown(_Record):
             raise InvariantViolation(f"{len(COMPONENT_NAMES)} components, "
                                      f"got {len(components)}")
         for name, value in zip(COMPONENT_NAMES, components):
-            if not 0.0 <= value < math.inf:
+            if not 0.0 <= value <= LARGEST:
                 raise InvariantViolation(
                     f"component {name} must be finite and nonnegative, "
-                    f"got {value!r}")
+                    f"got {_shown(value)}")
         self._set(components=components, total_w=sum(components))
 
     def as_dict(self) -> dict[str, float]:
@@ -223,7 +223,7 @@ def peak_context(scenario: ScenarioConfig) -> PeakContext:
                            for side in seven)
     fixed, refrigeration = pairs()
     # Finite coefficients >= 0 give finite loads >= 0 for U in [0, 1], a > 0.
-    if not all(0.0 <= c < math.inf for c in sum(fixed + refrigeration, ())):
+    if not all(0.0 <= c <= LARGEST for c in sum(fixed + refrigeration, ())):
         raise InvariantViolation("compiled coefficients must be finite, >= 0")
     ctx = PeakContext(
         farm_peak_w=farm_peak_w,
@@ -236,11 +236,10 @@ def peak_context(scenario: ScenarioConfig) -> PeakContext:
     )
     # The clamped lookup never goes below the table's smallest EER, and
     # every load is non-decreasing in U and in a: a finite total here
-    # bounds every hour at every ambient.
+    # bounds every hour at every ambient (an inf adjustment gives inf/NaN).
     min_eer = scenario.eer.ascending_eer[-1]
     max_adjustment = ctx.reference_eer / min_eer
-    if not (math.isfinite(max_adjustment) and
-            math.isfinite(sum(ctx.total_quadratic(max_adjustment)))):
+    if not sum(ctx.total_quadratic(max_adjustment)) <= LARGEST:
         raise OutOfRange(f"EER table: its smallest EER, {min_eer!r}, makes "
                          "the full-load total overflow")
     return ctx
@@ -262,9 +261,10 @@ def _check_rows(utilisation: UtilisationProfile,
         if stamp != other:
             raise ProfileMismatch(
                 f"row {row}: timestamps diverge ({stamp!r} vs {other!r})")
-        if not (0.0 <= u <= 1.0 and math.isfinite(t)):
+        if not (0.0 <= u <= 1.0 and -LARGEST <= t <= LARGEST):
             raise OutOfRange(f"row {row}: utilisation must lie in [0, 1] and "
-                             f"ambient be finite, got {u!r}, {t!r}")
+                             f"ambient be finite, got {_shown(u)}, "
+                             f"{_shown(t)}")
 
 
 def simulate(utilisation: UtilisationProfile, ambient: AmbientProfile,
@@ -279,9 +279,13 @@ def simulate(utilisation: UtilisationProfile, ambient: AmbientProfile,
     us, ts = utilisation.values, ambient.values
     # Checked as columns; the rows are searched only to name what failed.
     # A NaN utilisation can hide from min and max, never from the sum.
+    try:   # a sum from 0.0 raises on an int that no float can hold
+        ambients_finite = -LARGEST <= sum(ts, 0.0) <= LARGEST
+    except OverflowError:
+        ambients_finite = False
     if not (utilisation.timestamps == ambient.timestamps
-            and 0.0 <= min(us) and max(us) <= 1.0
-            and math.isfinite(sum(us)) and math.isfinite(sum(ts))):
+            and 0.0 <= min(us) and max(us) <= 1.0 and sum(us) <= LARGEST
+            and ambients_finite):
         _check_rows(utilisation, ambient)
     ctx = peak_context(scenario)
     # Coefficients are >= 0, so a zero total means no load reads a.  The
@@ -290,7 +294,7 @@ def simulate(utilisation: UtilisationProfile, ambient: AmbientProfile,
                    if ctx.total_refrigeration != _ZERO else ())
     result = SimulationResult(utilisation.timestamps, us, ts,
                               ctx.loads(us, adjustments))
-    if not math.isfinite(result.total_energy_wh):
+    if not result.total_energy_wh <= LARGEST:
         raise OutOfRange(f"total energy over {len(us)} hours overflows")
     return result
 

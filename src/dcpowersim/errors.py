@@ -4,10 +4,12 @@ base of the records that check their fields.
 Every error raised by this package derives from :class:`SimulationError`,
 which itself derives from ``ValueError`` so casual callers can catch one
 thing.  The CLI maps usage problems to exit code 1 and any
-``SimulationError`` to exit code 2.
+``SimulationError`` to exit code 2.  ``LARGEST`` bounds every finiteness
+test: an int compares with a float exactly, so ``v <= LARGEST`` also
+rejects an int that no float can hold, where ``math.isfinite`` raises.
 """
 
-import math
+import sys
 
 
 class SimulationError(ValueError):
@@ -54,20 +56,20 @@ class InvariantViolation(SimulationError):
     """A domain type's invariant would be violated."""
 
 
+LARGEST = sys.float_info.max   # the bound of every finiteness test
 # Rules for arguments and spec fields: (holds, requirement).
-NONNEGATIVE = (lambda v: 0.0 <= v < math.inf, "be finite and nonnegative")
-POSITIVE = (lambda v: 0.0 < v < math.inf, "be positive and finite")
-AT_LEAST_ONE = (lambda v: 1 <= v < math.inf, "be >= 1 and finite")
+NONNEGATIVE = (lambda v: 0.0 <= v <= LARGEST, "be finite and nonnegative")
+POSITIVE = (lambda v: 0.0 < v <= LARGEST, "be positive and finite")
+AT_LEAST_ONE = (lambda v: 1 <= v <= LARGEST, "be >= 1 and finite")
 FRACTION = (lambda v: 0.0 < v <= 1.0, "be in (0, 1]")
 UNIT = (lambda v: 0.0 <= v <= 1.0, "lie in [0, 1]")
 
 
 def _shown(value: object) -> str:
-    """``repr(value)``, or the size of an int too long for ``repr``."""
-    try:
-        return repr(value)
-    except ValueError:   # past sys.get_int_max_str_digits()
+    """``repr(value)``, or the size of an int that no float can hold."""
+    if isinstance(value, int) and not -LARGEST <= value <= LARGEST:
         return f"{'-' if value < 0 else ''}<int of {value.bit_length()} bits>"
+    return repr(value)
 
 
 def check(error: type[SimulationError], **named: tuple) -> None:

@@ -104,9 +104,13 @@ def calibrate_supply(farm_peak_w: float,
     The result reproduces the target exactly:
     ``supply_loss(farm_peak_w).total_w == peak_loss_frac * farm_peak_w``.
     ``pdu_count`` has no effect on any output: it multiplies ``lambda_pdu``
-    here, and the loss divides it out again.
+    here, and the loss divides it out again.  The targets are checked
+    first, under their own names.
     """
     pdu_count, pdu_idle_frac, ups_idle_frac, peak_loss_frac = targets
+    check(InvariantViolation, pdu_count=(pdu_count, AT_LEAST_ONE),
+          pdu_idle_total_frac=(pdu_idle_frac, NONNEGATIVE),
+          ups_idle_frac=(ups_idle_frac, NONNEGATIVE))
     check(NegativeInput, farm_peak_w=(farm_peak_w, POSITIVE))
     if not 0.0 < peak_loss_frac < 1.0:
         raise InvariantViolation("peak_loss_frac must lie in (0, 1)")
@@ -122,11 +126,7 @@ def calibrate_supply(farm_peak_w: float,
     pdu_quad_peak_w = proportional_budget_w * _PDU_PROPORTIONAL_SHARE
     ups_lin_peak_w = proportional_budget_w * _UPS_PROPORTIONAL_SHARE
     try:
-        count = float(pdu_count)
-    except OverflowError:   # an int past the float range, too long to print
-        raise OutOfRange("pdu_count is too large for a float") from None
-    try:
-        lambda_pdu = pdu_quad_peak_w * count / farm_peak_w ** 2
+        lambda_pdu = pdu_quad_peak_w * pdu_count / farm_peak_w ** 2
     except OverflowError:   # float ** raises where * would give inf
         raise OutOfRange(f"farm peak {farm_peak_w!r} W is too large") from None
     except ZeroDivisionError:   # its square underflowed to 0

@@ -17,11 +17,10 @@ Servers beyond the running fraction are powered off and draw nothing.
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
-from .errors import (AT_LEAST_ONE, UNIT, InvariantViolation, OutOfRange,
-                     _Record, check, check_fields)
+from .errors import (AT_LEAST_ONE, LARGEST, UNIT, InvariantViolation,
+                     OutOfRange, _Record, check, check_fields)
 
 
 class ServerSpec(_Record):
@@ -30,11 +29,7 @@ class ServerSpec(_Record):
     def __init__(self, count: int, p_idle_w: float, p_peak_w: float) -> None:
         self._set(count=count, p_idle_w=p_idle_w, p_peak_w=p_peak_w)
         check_fields(self, count=AT_LEAST_ONE)
-        try:
-            float(count)
-        except OverflowError:   # an int past the float range
-            raise InvariantViolation("count is too large for a float") from None
-        if not 0.0 <= p_idle_w <= p_peak_w < math.inf:
+        if not 0.0 <= p_idle_w <= p_peak_w <= LARGEST:
             raise InvariantViolation(
                 "server power must satisfy 0 <= p_idle_w <= p_peak_w < inf"
             )
@@ -42,7 +37,7 @@ class ServerSpec(_Record):
     @property
     def farm_peak_w(self) -> float:
         """Design peak of the whole farm (all servers at full load)."""
-        return self.count * self.p_peak_w
+        return float(self.count) * self.p_peak_w
 
 
 class FarmState(NamedTuple):

@@ -521,6 +521,16 @@ def test_farm_peak_whose_square_underflows_is_data_error(tmp_path):
                            "farm peak 1e-200 W is too small\n")
 
 
+def test_negative_ups_idle_fraction_is_named_as_configured(tmp_path, capsys):
+    # Once reported as the derived ups_idle_w, in watts.
+    config = tmp_path / "scenario.cfg"
+    config.write_text(CONFIG + "supply.ups_idle_frac=-0.5\n")
+    assert run(["peak", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == (
+        f"dcpowersim: error: {config}: "
+        "ups_idle_frac must be finite and nonnegative, got -0.5\n")
+
+
 def test_field_past_the_csv_limit_is_data_error_without_traceback(tmp_path):
     config, util, weather = write_inputs(tmp_path, hours=1)
     util.write_text("timestamp,utilisation\n2016-06-01T00:00," + "1" * 140_000)

@@ -307,6 +307,13 @@ def test_int_key_past_the_float_range_is_not_finite(key):
         parse_scenario_config(with_value(key, "1" + "0" * 400))
 
 
+@pytest.mark.parametrize("raw", ["1.7976931348623157e308",
+                                 "-1.7976931348623157e308"])
+def test_the_largest_float_is_a_finite_config_value(raw):
+    scenario = parse_scenario_config(with_value("reference_ambient_c", raw))
+    assert scenario.reference_ambient_c == float(raw)
+
+
 @pytest.mark.parametrize("table", ["30:nan", "nan:3.5", "inf:3;20:4",
                                    "30:3.5;20:inf"])
 def test_eer_table_rejects_non_finite(table):

@@ -1,26 +1,32 @@
 """Argument domains of the public component functions.
 
-Every float argument is drawn from all floats, NaN and +-inf included:
-each call returns only finite numbers >= 0 or raises a SimulationError.
-The messages of the shared rules are pinned in full, and a non-finite
-ambient is out of range in ``simulate``.
+Every number argument is drawn from all floats, NaN and +-inf included,
+and from all ints, among them ints that no float can hold: each call
+returns only finite numbers >= 0 or raises a SimulationError.  Such an
+int passed to any public entry point raises a named SimulationError,
+never ``OverflowError``.  The messages of the shared rules are pinned in
+full, and a non-finite ambient is out of range in ``simulate``.
 """
 
 import math
 import re
+import sys
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from dcpowersim.analysis import curtail, power_curve
 from dcpowersim.config import CoolingArchitecture, default_scenario
 from dcpowersim.cooling import (ChillerSpec, CracSpec, CrahSpec, EerTable,
                                 airflow_heat_power, ambient_adjustment,
                                 chiller_power, crac_power, crah_power,
                                 eer_lookup)
-from dcpowersim.engine import peak_context, simulate, step_power
-from dcpowersim.errors import (InvariantViolation, OutOfRange,
-                               SimulationError)
+from dcpowersim.engine import (PowerBreakdown, peak_context, simulate,
+                               step_power)
+from dcpowersim.errors import (AT_LEAST_ONE, NONNEGATIVE, POSITIVE,
+                               InvariantViolation, NegativeInput, OutOfRange,
+                               SimulationError, _shown)
 from dcpowersim.power_chain import (SupplyChainSpec, SupplyLoss,
                                     SupplyTargets, calibrate_supply,
                                     pdu_loss, supply_loss, ups_loss)
@@ -33,7 +39,10 @@ SUPPLY = calibrate_supply(SERVER.farm_peak_w)
 CHILLER, CRAH, CRAC, EER = ChillerSpec(), CrahSpec(), CracSpec(), EerTable()
 SCENARIO = default_scenario()
 
-F = st.floats()   # every float, NaN, +-inf and subnormals included
+# Every float (NaN, +-inf and subnormals included) and every int, with
+# ints past the float range and one too long for repr() drawn often.
+F = (st.floats() | st.integers()
+     | st.sampled_from([2**1024, -(2**1024), 10**5000]))
 
 # Each public component function with its specs bound, and a strategy
 # for each remaining argument.
@@ -47,7 +56,7 @@ CALLS = {
     "supply_loss": (lambda p: supply_loss(p, SUPPLY), [F]),
     "calibrate_supply": (
         lambda p, *targets: calibrate_supply(p, SupplyTargets(*targets)),
-        [F, st.integers(), F, F, F]),
+        [F, F, F, F, F]),
     "chiller_power": (lambda u, f: chiller_power(u, f, CHILLER), [F, F]),
     "airflow_heat_power": (lambda u, f: airflow_heat_power(u, f, CRAH),
                            [F, F]),
@@ -115,11 +124,12 @@ def test_component_gives_finite_nonnegative_numbers_or_raises(name, data):
     (lambda: ServerSpec(count=-10**5000, p_idle_w=1.0, p_peak_w=2.0),
      InvariantViolation,
      "count must be >= 1 and finite, got -<int of 16610 bits>"),
-    # float() of an int past the float range raises OverflowError
+    # an int that no float can hold is shown by its size
     (lambda: default_scenario(count=10**400), InvariantViolation,
-     "count is too large for a float"),
+     "count must be >= 1 and finite, got <int of 1329 bits>"),
     (lambda: ServerSpec(count=10**5000, p_idle_w=1.0, p_peak_w=2.0),
-     InvariantViolation, "count is too large for a float"),
+     InvariantViolation,
+     "count must be >= 1 and finite, got <int of 16610 bits>"),
 ])
 def test_rule_messages(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
@@ -138,3 +148,108 @@ def test_simulate_rejects_a_non_finite_ambient(architecture, ambient_c):
         simulate(UtilisationProfile(stamp, (0.5,)),
                  AmbientProfile(stamp, (ambient_c,)),
                  SCENARIO.with_architecture(architecture))
+
+
+BIG = 10**400   # an int that no float can hold; math.isfinite(BIG) raises
+LARGEST = sys.float_info.max
+STAMPS = ("2016-06-01T00:00", "2016-06-01T01:00")
+
+# Each entry point given BIG in one argument or field: (call, error).
+PAST_THE_FLOAT_RANGE = {
+    "EerTable-ambient": (lambda: EerTable(((BIG, 3.0),)), InvariantViolation),
+    "EerTable-eer": (lambda: EerTable(((30.0, BIG),)), InvariantViolation),
+    "ScenarioConfig-reference_ambient_c": (
+        lambda: SCENARIO._replace(reference_ambient_c=BIG), OutOfRange),
+    "ScenarioConfig-pump_fraction": (
+        lambda: SCENARIO._replace(pump_fraction=BIG), InvariantViolation),
+    "ScenarioConfig-misc_fraction": (
+        lambda: SCENARIO._replace(misc_fraction=BIG), InvariantViolation),
+    "peak_context-alpha": (lambda: peak_context(SCENARIO._replace(
+        chiller=ChillerSpec(alpha=BIG))), InvariantViolation),
+    "peak_context-cop": (lambda: peak_context(SCENARIO._replace(
+        crac=CracSpec(cop=BIG))), InvariantViolation),
+    "peak_context-unit_airflow_cmh": (lambda: peak_context(SCENARIO._replace(
+        crah=CrahSpec(unit_airflow_cmh=BIG))), InvariantViolation),
+    "calibrate_supply-pdu_idle_total_frac": (lambda: calibrate_supply(
+        1e6, SupplyTargets(pdu_idle_total_frac=BIG)), InvariantViolation),
+    "calibrate_supply-ups_idle_frac": (lambda: calibrate_supply(
+        1e6, SupplyTargets(ups_idle_frac=BIG)), InvariantViolation),
+    "ServerSpec-p_peak_w": (lambda: default_scenario(p_peak_w=BIG),
+                            InvariantViolation),
+    # Both fields fit a float; their product does not.
+    "ServerSpec-count_times_p_peak_w": (lambda: default_scenario(
+        count=10**300, p_idle_w=1, p_peak_w=10**10), NegativeInput),
+    "step_power": (lambda: step_power(0.5, BIG, SCENARIO,
+                                      peak_context(SCENARIO)), OutOfRange),
+    "curtail-target": (lambda: curtail(BIG, 20.0, SCENARIO,
+                                       peak_context(SCENARIO)), OutOfRange),
+    "curtail-ambient": (lambda: curtail(1e7, BIG, SCENARIO,
+                                        peak_context(SCENARIO)), OutOfRange),
+    "power_curve": (lambda: power_curve([BIG], SCENARIO, 3), OutOfRange),
+    "eer_lookup": (lambda: eer_lookup(BIG, EER), OutOfRange),
+    "ambient_adjustment": (lambda: ambient_adjustment(BIG, 30.0, EER),
+                           OutOfRange),
+    "chiller_power": (lambda: chiller_power(0.5, BIG, CHILLER), OutOfRange),
+    "crah_power": (lambda: crah_power(0.5, BIG, CRAH), OutOfRange),
+    "crac_power": (lambda: crac_power(0.5, BIG, CRAC, CRAH), OutOfRange),
+    "ups_loss": (lambda: ups_loss(BIG, 0.0, SUPPLY), NegativeInput),
+    "simulate": (lambda: simulate(UtilisationProfile(STAMPS, (0.5, 0.5)),
+                                  AmbientProfile(STAMPS, (20.0, BIG)),
+                                  SCENARIO), OutOfRange),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PAST_THE_FLOAT_RANGE))
+def test_an_int_no_float_can_hold_raises_a_named_error(name):
+    call, error = PAST_THE_FLOAT_RANGE[name]
+    with pytest.raises(error) as raised:
+        call()
+    assert type(raised.value) is error
+
+
+@pytest.mark.parametrize("ambient,utilisation,row", [
+    ((BIG, -BIG), (0.5, 0.5), 1),   # BIG and -BIG cancel in a sum of ints
+    ((-BIG, BIG), (0.5, 0.5), 1),
+    ((20.0, -BIG), (0.5, 0.5), 2),
+    ((10**5000, 20.0), (0.5, 0.5), 1),   # too long for repr()
+    ((LARGEST, 20.0), (0.5, 1.5), 2),    # the search passes a row at the bound
+    ((-LARGEST, 20.0), (0.5, 1.5), 2),
+])
+def test_simulate_names_the_first_row_out_of_range(ambient, utilisation, row):
+    with pytest.raises(OutOfRange, match=f"^row {row}: "):
+        simulate(UtilisationProfile(STAMPS, utilisation),
+                 AmbientProfile(STAMPS, ambient), SCENARIO)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: all(holds(LARGEST) for holds, _ in (AT_LEAST_ONE, NONNEGATIVE,
+                                                POSITIVE)),
+    lambda: ServerSpec(1, LARGEST, LARGEST),
+    lambda: EerTable(((LARGEST, 2.0), (-LARGEST, LARGEST))),
+    lambda: SCENARIO._replace(reference_ambient_c=LARGEST)._replace(
+        reference_ambient_c=-LARGEST),
+    lambda: eer_lookup(LARGEST, EER) + eer_lookup(-LARGEST, EER),
+    lambda: curtail(LARGEST, -LARGEST, SCENARIO, peak_context(SCENARIO)),
+    lambda: PowerBreakdown((LARGEST,) * 8),
+    lambda: simulate(UtilisationProfile(STAMPS, (0.5, 0.5)),
+                     AmbientProfile(STAMPS, (LARGEST, -LARGEST)), SCENARIO),
+    # The CRAH idle load is exactly LARGEST, and the other loads are too
+    # small to round it, the full-load total or one hour's energy to inf.
+    lambda: simulate(UtilisationProfile(STAMPS[:1], (1.0,)),
+                     AmbientProfile(STAMPS[:1], (40.0,)), default_scenario(
+                         count=1, p_idle_w=0.0, p_peak_w=2.0**100)._replace(
+                         crah=CrahSpec(idle_frac=LARGEST / 2**100),
+                         pump_fraction=0.0, misc_fraction=0.0)),
+], ids=["rules", "ServerSpec", "EerTable", "ScenarioConfig", "eer_lookup",
+        "curtail", "PowerBreakdown", "simulate", "load"])
+def test_the_largest_float_is_finite(call):
+    # Every bound includes LARGEST itself; the ints past it fail above.
+    assert call()
+
+
+def test_an_int_is_shown_by_its_size_only_past_the_largest_float():
+    largest = int(LARGEST)
+    assert [_shown(v) for v in (largest, -largest, largest + 1,
+                                -largest - 1)] == [
+        repr(largest), repr(-largest), "<int of 1024 bits>",
+        "-<int of 1024 bits>"]

@@ -175,7 +175,8 @@ def test_calibration_rejects_a_farm_peak_whose_square_underflows(farm_peak_w):
 
 def test_calibration_names_a_pdu_count_past_the_float_range():
     # The int-to-float overflow once landed in the farm-peak handler.
-    for pdu_count in (10**400, 10**5000):   # repr fails past 4300 digits
-        with pytest.raises(OutOfRange,
-                           match="^pdu_count is too large for a float$"):
+    for pdu_count, bits in ((10**400, 1329), (10**5000, 16610)):
+        with pytest.raises(InvariantViolation, match=(
+                f"^pdu_count must be >= 1 and finite, got <int of {bits} "
+                "bits>$")):
             calibrate_supply(1e6, SupplyTargets(pdu_count=pdu_count))
