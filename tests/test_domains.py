@@ -124,12 +124,17 @@ def test_component_gives_finite_nonnegative_numbers_or_raises(name, data):
     (lambda: ServerSpec(count=-10**5000, p_idle_w=1.0, p_peak_w=2.0),
      InvariantViolation,
      "count must be >= 1 and finite, got -<int of 16610 bits>"),
-    # an int that no float can hold is shown by its size
-    (lambda: default_scenario(count=10**400), InvariantViolation,
-     "count must be >= 1 and finite, got <int of 1329 bits>"),
-    (lambda: ServerSpec(count=10**5000, p_idle_w=1.0, p_peak_w=2.0),
-     InvariantViolation,
-     "count must be >= 1 and finite, got <int of 16610 bits>"),
+    # an int that no float can hold is shown by its size; these two ids
+    # name the case, as they did when the message was this text
+    pytest.param(
+        lambda: default_scenario(count=10**400), InvariantViolation,
+        "count must be >= 1 and finite, got <int of 1329 bits>",
+        id="<lambda>-InvariantViolation-count is too large for a float"),
+    pytest.param(
+        lambda: ServerSpec(count=10**5000, p_idle_w=1.0, p_peak_w=2.0),
+        InvariantViolation,
+        "count must be >= 1 and finite, got <int of 16610 bits>",
+        id="<lambda>-InvariantViolation-count is too large for a float"),
 ])
 def test_rule_messages(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
