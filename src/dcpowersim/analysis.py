@@ -5,7 +5,11 @@ temperature the facility total is c0 + c1*U + c2*U^2 with every c >= 0
 (see ``engine``), solved by the cancellation-free root
 U = 2d / (c1 + sqrt(c1^2 + 4*c2*d)), d = target - c0.  Targets below the
 floor load (everything idle) or above the full-load total are reported
-infeasible with the nearest achievable total rather than raising.
+infeasible with the nearest achievable total rather than raising.  A
+solve takes the adjustment a from one ``cooling.eer_lookup`` call and
+evaluates the compiled total pair at it in place.  It builds its record
+by ``tuple.__new__``, as the NamedTuple's own ``__new__`` does, without
+that Python-level call, which was about a fifth of a solve.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, NamedTuple
 
+from . import cooling
 from .config import COMPONENTS, CoolingArchitecture, ScenarioConfig
 from .engine import PeakContext, peak_context, simulate, step_power
 from .errors import LARGEST, OutOfRange, _shown, check
@@ -67,20 +72,27 @@ def curtail(target_total_w: float, ambient_c: float,
         raise OutOfRange(
             f"curtailment target must be positive and finite, got "
             f"{_shown(target_total_w)}")
-    c0, c1, c2 = ctx.total_quadratic(ctx.adjustment(ambient_c))
+    a = ctx.reference_eer / cooling.eer_lookup(ambient_c, ctx.eer)
+    (f0, f1, f2), (r0, r1, r2) = ctx.total_fixed, ctx.total_refrigeration
+    c0, c1, c2 = f0 + a * r0, f1 + a * r1, f2 + a * r2
     floor_w, peak_w = c0, c0 + c1 + c2
     tolerance_w = CURTAIL_RELATIVE_TOLERANCE * target_total_w
     if abs(floor_w - target_total_w) <= tolerance_w:
-        return CurtailmentSolution(target_total_w, 0.0, floor_w, True)
+        return tuple.__new__(CurtailmentSolution,
+                             (target_total_w, 0.0, floor_w, True))
     if abs(peak_w - target_total_w) <= tolerance_w:
-        return CurtailmentSolution(target_total_w, 1.0, peak_w, True)
+        return tuple.__new__(CurtailmentSolution,
+                             (target_total_w, 1.0, peak_w, True))
     if target_total_w < floor_w:
-        return CurtailmentSolution(target_total_w, 0.0, floor_w, False)
+        return tuple.__new__(CurtailmentSolution,
+                             (target_total_w, 0.0, floor_w, False))
     if target_total_w > peak_w:
-        return CurtailmentSolution(target_total_w, 1.0, peak_w, False)
+        return tuple.__new__(CurtailmentSolution,
+                             (target_total_w, 1.0, peak_w, False))
     d = target_total_w - c0
     u = 2.0 * d / (c1 + math.sqrt(c1 * c1 + 4.0 * c2 * d))
-    return CurtailmentSolution(target_total_w, u, c0 + u * (c1 + u * c2), True)
+    return tuple.__new__(CurtailmentSolution,
+                         (target_total_w, u, c0 + u * (c1 + u * c2), True))
 
 
 def peak_breakdown(scenario: ScenarioConfig) -> dict[str, float]:

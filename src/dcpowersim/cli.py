@@ -191,6 +191,8 @@ def _cmd_compare(args: argparse.Namespace, scenario: ScenarioConfig) -> None:
     ambient = _parse_file(profiles.parse_temperature_csv, args.weather)
     comparison = analysis.compare_architectures(utilisation, ambient,
                                                 scenario)
+    # Raises on a zero baseline, before any output is written or printed.
+    increase = comparison.relative_increase
     payloads = {args.out: profiles.format_csv(
         ("timestamp", "utilisation", "ambient_c",
          f"{comparison.baseline.value}_cooling_w",
@@ -209,7 +211,7 @@ def _cmd_compare(args: argparse.Namespace, scenario: ScenarioConfig) -> None:
           f"{comparison.baseline_cooling_energy_wh:.10g}")
     print(f"alternative_cooling_energy_wh,"
           f"{comparison.alternative_cooling_energy_wh:.10g}")
-    print(f"relative_increase,{comparison.relative_increase:.10g}")
+    print(f"relative_increase,{increase:.10g}")
 
 
 def run(argv: list[str]) -> int:

@@ -16,17 +16,19 @@ refrigeration terms are scaled by EER(reference) / EER(ambient), so the
 model is exact at the reference temperature and degrades in hotter air.
 Fan power is independent of outdoor conditions and is never scaled.
 
-The table is read two ways, by one rule.  :func:`eer_lookup` takes one
-ambient and rejects a non-finite one; ``engine.step_power``,
-``analysis.curtail``, ``engine.peak_context`` (the reference EER) and
-:func:`ambient_adjustment` use it.  ``_adjustment_column`` gives the
-whole column of adjustments EER(reference) / EER(ambient) for
-``engine.simulate`` in one loop, bit for bit the scalar's, and checks no
-ambient: it relies on ``simulate``'s finite-ambient check.  Each path is
-the faster on its own work.  Mapping the scalar over a year's 8760 hours
-took about 6 ms against 3 ms for the column; routing a ``curtail`` solve
-through a column of one took about 3.6 µs against 1.4 µs (minimums, on a
-2-vCPU Xeon with Python 3.11).
+The table is read two ways, by one rule, from one set of operands: each
+``EerTable`` derives its ``segments`` once, on construction.
+:func:`eer_lookup` takes one ambient and rejects a non-finite one;
+``engine.step_power``, ``analysis.curtail``, ``engine.peak_context`` (the
+reference EER) and :func:`ambient_adjustment` use it.
+``_adjustment_column`` gives the whole column of adjustments
+EER(reference) / EER(ambient) for ``engine.simulate`` in one loop of its
+own, bit for bit the scalar's, and checks no ambient: it relies on
+``simulate``'s finite-ambient check.  Each loop is the faster on its own
+work.  Mapping the scalar over a year's 8760 hours took about 6 ms against
+3 ms for the column; routing a ``curtail`` solve through a column of one
+took about 3.6 µs against 1.4 µs (minimums, on a 2-vCPU Xeon with Python
+3.11).
 """
 
 from __future__ import annotations
@@ -106,9 +108,12 @@ class CracSpec(_Record):
 class EerTable(_Record):
     """Piecewise-linear EER versus ambient temperature, descending ambient.
 
-    The ambient and EER columns are also kept in ascending ambient order,
-    ``ascending_c`` and ``ascending_eer``, built once, for bisection in
-    :func:`eer_lookup`.
+    Derived once, on construction, for both lookups: the ambient and EER
+    columns in ascending ambient order, ``ascending_c`` and
+    ``ascending_eer``, for bisection, and ``segments``.  ``segments[hi]``
+    holds the operands of the segment that ends at ``ascending_c[hi]``,
+    ``(t_lo, eer_lo, eer_hi, eer_hi - eer_lo, span)``; ``segments[0]`` is
+    ``None``.
     """
 
     def __init__(self, breakpoints: tuple[tuple[float, float], ...]
@@ -128,10 +133,13 @@ class EerTable(_Record):
                 raise InvariantViolation(
                     "EER must be nonincreasing in ambient temperature")
             previous_t, previous_eer = ambient_c, eer
-        ascending = breakpoints[::-1]
-        self._set(breakpoints=breakpoints,
-                  ascending_c=tuple(t for t, _ in ascending),
-                  ascending_eer=tuple(eer for _, eer in ascending))
+        temps, eers = zip(*breakpoints[::-1])
+        self._set(breakpoints=breakpoints, ascending_c=temps,
+                  ascending_eer=eers,
+                  segments=(None, *((temps[hi - 1], eers[hi - 1], eers[hi],
+                                     eers[hi] - eers[hi - 1],
+                                     temps[hi] - temps[hi - 1])
+                                    for hi in range(1, len(temps)))))
 
 
 def chiller_power(utilisation: float, farm_peak_w: float,
@@ -197,18 +205,17 @@ def eer_lookup(ambient_c: float, table: EerTable) -> float:
     if not -LARGEST <= ambient_c <= LARGEST:
         raise OutOfRange(
             f"ambient temperature must be finite, got {_shown(ambient_c)}")
-    temps, eers = table.ascending_c, table.ascending_eer
+    temps = table.ascending_c
     if ambient_c <= temps[0]:
-        return eers[0]
+        return table.ascending_eer[0]
     if ambient_c >= temps[-1]:
-        return eers[-1]
-    # First segment whose upper breakpoint is >= ambient_c.
-    hi = bisect.bisect_left(temps, ambient_c)
-    t_lo, eer_lo, eer_hi = temps[hi - 1], eers[hi - 1], eers[hi]
-    span = temps[hi] - t_lo
-    eer = eer_lo + (eer_hi - eer_lo) * (ambient_c - t_lo) / span
-    if not math.isfinite(eer):   # the product overflowed: divide first
-        eer = eer_lo + (eer_hi - eer_lo) * ((ambient_c - t_lo) / span)
+        return table.ascending_eer[-1]
+    # The first segment whose upper breakpoint is >= ambient_c.
+    t_lo, eer_lo, eer_hi, rise, span = table.segments[
+        bisect.bisect_left(temps, ambient_c)]
+    eer = eer_lo + rise * (ambient_c - t_lo) / span
+    if not -LARGEST <= eer <= LARGEST:   # the product overflowed: divide first
+        eer = eer_lo + rise * ((ambient_c - t_lo) / span)
     # Rounding can land below eer_hi near temps[hi] (never above eer_lo),
     # and EER must not rise as ambient rises.
     return eer if eer >= eer_hi else eer_hi
@@ -217,21 +224,18 @@ def eer_lookup(ambient_c: float, table: EerTable) -> float:
 def _adjustment_column(ambients, table: EerTable,
                        reference_eer: float) -> list[float]:
     """``reference_eer / eer_lookup(t, table)`` for each ambient t, with the
-    same bits, in one loop.
+    same bits, in one loop over the table's ``segments``.
 
     Precondition: every ambient is finite.  Unlike :func:`eer_lookup` it
     does not check; +-inf would clamp silently and NaN fail with a
     ``TypeError``.  Its one caller, ``engine.simulate``, has rejected
     every non-finite ambient with ``OutOfRange`` before it calls this.
     """
-    temps, eers = table.ascending_c, table.ascending_eer
+    temps, eers, segments = (table.ascending_c, table.ascending_eer,
+                             table.segments)
     coldest, hottest = temps[0], temps[-1]
     cold, hot = reference_eer / eers[0], reference_eer / eers[-1]
-    # segments[hi]: eer_lookup's operands for the segment ending at temps[hi]
-    segments = [None] + [(temps[hi - 1], eers[hi - 1], eers[hi],
-                          eers[hi] - eers[hi - 1], temps[hi] - temps[hi - 1])
-                         for hi in range(1, len(temps))]
-    bisect_left, isfinite = bisect.bisect_left, math.isfinite
+    bisect_left, largest, smallest = bisect.bisect_left, LARGEST, -LARGEST
     column: list[float] = []
     append = column.append
     for ambient_c in ambients:
@@ -243,7 +247,7 @@ def _adjustment_column(ambients, table: EerTable,
             t_lo, eer_lo, eer_hi, rise, span = segments[
                 bisect_left(temps, ambient_c)]
             eer = eer_lo + rise * (ambient_c - t_lo) / span
-            if not isfinite(eer):
+            if not smallest <= eer <= largest:
                 eer = eer_lo + rise * ((ambient_c - t_lo) / span)
             append(reference_eer / (eer if eer >= eer_hi else eer_hi))
     return column

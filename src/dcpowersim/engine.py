@@ -25,14 +25,18 @@ per scenario; a curtail solve evaluates it at one a.  Loads are held in
 ``COMPONENT_NAMES`` order, as one value each in a :class:`PowerBreakdown`
 and one column each in a :class:`SimulationResult`.  A -0 setting passes
 every >= 0 check, so ``PeakContext.loads`` starts each load from
-c0 + 0.0: no load is -0, even at a U of -0.0.
+c0 + 0.0: no load is -0, even at a U of -0.0.  It then evaluates each
+load by the cheapest kernel for its shape, with the bits of the full
+form: a constant (misc), linear (farm, CRAH) or quadratic (PDU, UPS)
+fixed side alone, a refrigeration side alone on a constant (chiller),
+``c0 + a * (U * r1)`` (CRAC), or the full form (pumps).
 
 Outdoor temperature enters only through a = EER(reference) / EER(ambient),
 which multiplies the chiller, the CRAC condenser term and the pumps' share
-of both, never the CRAC idle floor.  :func:`step_power` and
-``analysis.curtail`` take a for one ambient from
-``PeakContext.adjustment``, the scalar ``cooling.eer_lookup``, which
-rejects a non-finite ambient.  :func:`simulate` takes the whole column
+of both, never the CRAC idle floor.  :func:`step_power` takes a for one
+ambient from ``PeakContext.adjustment``, and ``analysis.curtail`` from
+one call of the same scalar ``cooling.eer_lookup``, which rejects a
+non-finite ambient.  :func:`simulate` takes the whole column
 from ``cooling._adjustment_column``, one loop with the same bits and no
 check of its own: a non-finite ambient has already failed
 :func:`simulate`'s column check with ``OutOfRange``.  A ``curtail``
@@ -119,15 +123,28 @@ class PeakContext(_Record):
                 f2 + adjustment * r2)
 
     def loads(self, us: Sequence[float], adjustments: Sequence[float]):
-        """Unchecked load columns, ``COMPONENT_NAMES`` order, per (U, a)."""
+        """Unchecked load columns, ``COMPONENT_NAMES`` order, per (U, a).
+
+        Each load runs the cheapest kernel that gives the full form's bits:
+        a term whose coefficients are +-0 adds +-0 to a sum that starts at
+        f0 >= +0.0, for U in [-0, 1], so dropping it is exact."""
         n = len(us)
 
         def column(fixed: Quadratic, refrigeration: Quadratic) -> tuple:
             (f0, f1, f2), (r0, r1, r2) = fixed, refrigeration
             f0 += 0.0   # -0.0 to 0.0; every other f0 keeps its bits
-            if refrigeration == _ZERO:   # a * 0 would add exactly 0
-                return ((f0,) * n if f1 == f2 == 0.0 else
-                        tuple([f0 + u * (f1 + u * f2) for u in us]))
+            if r0 == r1 == r2 == 0.0:   # a * 0 would add exactly 0
+                if f2 != 0.0:
+                    return tuple([f0 + u * (f1 + u * f2) for u in us])
+                if f1 != 0.0:
+                    return tuple([f0 + u * f1 for u in us])
+                return (f0,) * n
+            if f1 == f2 == 0.0:
+                if r0 == r2 == 0.0:
+                    return tuple([f0 + a * (u * r1)
+                                  for u, a in zip(us, adjustments)])
+                return tuple([f0 + a * (r0 + u * (r1 + u * r2))
+                              for u, a in zip(us, adjustments)])
             return tuple([f0 + u * (f1 + u * f2) + a * (r0 + u * (r1 + u * r2))
                           for u, a in zip(us, adjustments)])
 

@@ -185,21 +185,25 @@ def parse_temperature_csv(text: str) -> AmbientProfile:
         f"temperature {{}} outside [{low}, {high}] C"))
 
 
+def _needs_quotes(text: str) -> bool:
+    # Where csv.writer quotes; a CR too, as csv.writer does from 3.13.
+    return "," in text or '"' in text or "\n" in text or "\r" in text
+
+
 def _csv_field(text: str) -> str:
-    # Quoted where csv.writer quotes; a CR too, as csv.writer does from 3.13.
-    if "," in text or '"' in text or "\n" in text or "\r" in text:
-        return '"' + text.replace('"', '""') + '"'
-    return text
+    return '"' + text.replace('"', '""') + '"' if _needs_quotes(text) else text
 
 
 def format_csv(header: tuple[str, ...], columns: tuple) -> str:
     """CSV of equal-length columns: ``timestamp`` verbatim, the rest to 10
     significant digits (parse(write(x)) agrees with x well past the
-    6-significant-digit contract)."""
+    6-significant-digit contract).  A timestamp column is searched once
+    for a character to quote, and quoted cell by cell only if it has one."""
     row = ",".join("%s" if name == "timestamp" else "%.10g"
                    for name in header) + "\n"
-    columns = [map(_csv_field, column) if name == "timestamp" else column
-               for name, column in zip(header, columns)]
+    columns = [map(_csv_field, column)
+               if name == "timestamp" and _needs_quotes("".join(column))
+               else column for name, column in zip(header, columns)]
     return ",".join(header) + "\n" + "".join(
         [row % values for values in zip(*columns)])
 

@@ -74,6 +74,33 @@ def test_target_exactly_at_the_tolerance_snaps(c0, u):
         1e6, u, c0 + 2.0 * u, True)
 
 
+FLOOR_W, PEAK_W = (step_power(u, 30.0, SCENARIO, CTX).total_w
+                   for u in (0.0, 1.0))
+
+
+@pytest.mark.parametrize("target_w, branch", [
+    (FLOOR_W, (0.0, FLOOR_W, True)), (PEAK_W, (1.0, PEAK_W, True)),
+    (FLOOR_W / 2, (0.0, FLOOR_W, False)), (PEAK_W * 2, (1.0, PEAK_W, False)),
+    ((FLOOR_W + PEAK_W) / 2, None),
+], ids=["floor", "peak", "below_floor", "above_peak", "root"])
+def test_each_curtail_branch_returns_the_record_its_constructor_builds(
+        target_w, branch):
+    solution = curtail(target_w, 30.0, SCENARIO, CTX)
+    built = CurtailmentSolution(*solution)
+    assert type(solution) is type(built) is CurtailmentSolution
+    assert solution._fields == built._fields == (
+        "target_total_w", "required_utilisation", "achieved_total_w",
+        "feasible")
+    assert repr(solution) == repr(built)
+    assert hash(solution) == hash(built)
+    assert solution == built
+    if branch is None:   # the root, strictly inside [0, 1]
+        assert 0.0 < solution.required_utilisation < 1.0 and solution.feasible
+    else:
+        assert solution[1:3] == pytest.approx(branch[:2], rel=1e-12)
+        assert solution.feasible is branch[2]
+
+
 def test_feasible_solution_hits_tolerance():
     target = step_power(0.37, 30.0, SCENARIO, CTX).total_w
     solution = curtail(target, 30.0, SCENARIO, CTX)

@@ -229,6 +229,28 @@ def test_compare_prints_both_cooling_energies(tmp_path, capsys):
         f"{comparison.alternative_cooling_energy_wh:.10g}"]
 
 
+def test_zero_baseline_compare_writes_and_prints_nothing(tmp_path, capsys):
+    # The chiller's draw underflows to 0 and the CRAH has no load, so the
+    # baseline cooling energy is 0 and the relative increase undefined.
+    config, util, weather = write_inputs(tmp_path, hours=3)
+    config.write_text(
+        "server.count=100\nserver.p_idle_w=100\nserver.p_peak_w=200\n"
+        "architecture=crah_chiller\nchiller.sizing_factor=1e-320\n"
+        "chiller.gamma=1e-10\nchiller.alpha=0\nchiller.beta=0\n"
+        "crah.idle_frac=0\ncrah.unit_airflow_cmh=0\npump_fraction=0\n")
+    out, chart = tmp_path / "compare.csv", tmp_path / "compare.svg"
+    assert run(["compare", "--config", str(config), "--utilisation",
+                str(util), "--weather", str(weather), "--out", str(out),
+                "--svg", str(chart)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "dcpowersim: error: baseline crah_chiller draws no cooling energy; "
+        "the relative increase is undefined\n")
+    assert not out.exists() and not chart.exists()
+    assert not list(tmp_path.glob("*.tmp"))
+
+
 def test_curtail_prints_its_target(tmp_path, capsys):
     config, _, _ = write_inputs(tmp_path)
     assert run(["curtail", "--config", str(config),

@@ -1,5 +1,6 @@
 """Cooling model tests: chiller quadratic, fan power, CRAC, EER table."""
 
+import bisect
 import math
 import sys
 
@@ -227,6 +228,10 @@ def probe_ambients(table):
 # ``eer if eer >= eer_hi else eer_hi`` turns it into eer_hi.
 @example(table=EerTable(((1.7e308, 2.0), (-1.7e308, 3.0))), drawn=[1e308],
          reference_c=30.0)
+# The interpolation rounds to exactly the largest float, which is finite:
+# the divide-first branch, one ulp lower, must not be taken.
+@example(table=EerTable(((7.0, LARGEST - 3 * 2.0 ** 971), (0.0, LARGEST))),
+         drawn=[1.1666666666666665], reference_c=30.0)
 def test_adjustment_column_matches_the_scalar_lookup_bit_for_bit(
         table, drawn, reference_c):
     reference_eer = eer_lookup(reference_c, table)
@@ -234,6 +239,42 @@ def test_adjustment_column_matches_the_scalar_lookup_bit_for_bit(
     column = _adjustment_column(tuple(ambients), table, reference_eer)
     assert [a.hex() for a in column] == [
         (reference_eer / eer_lookup(t, table)).hex() for t in ambients]
+
+
+def reference_eer_lookup(ambient_c, table):
+    """``eer_lookup`` of a finite ambient as of 0.7.1, which read only the
+    ascending columns, not ``segments``."""
+    temps, eers = table.ascending_c, table.ascending_eer
+    if ambient_c <= temps[0]:
+        return eers[0]
+    if ambient_c >= temps[-1]:
+        return eers[-1]
+    hi = bisect.bisect_left(temps, ambient_c)
+    t_lo, eer_lo, eer_hi = temps[hi - 1], eers[hi - 1], eers[hi]
+    span = temps[hi] - t_lo
+    eer = eer_lo + (eer_hi - eer_lo) * (ambient_c - t_lo) / span
+    if not math.isfinite(eer):
+        eer = eer_lo + (eer_hi - eer_lo) * ((ambient_c - t_lo) / span)
+    return eer if eer >= eer_hi else eer_hi
+
+
+# The column is held to the scalar, so the scalar is held to a reference
+# of its own: a wrong segment would otherwise pass both.
+@settings(max_examples=300, deadline=None)
+@given(table=eer_tables() | eer_tables(FINITE, st.floats(5e-324, 1.7e308)),
+       drawn=st.lists(FINITE, max_size=20))
+@example(table=EER, drawn=[])
+@example(table=EerTable(ROUNDING_TABLE), drawn=[])
+@example(table=EerTable(((40.0, 1e300), (0.0, 1.7e308))), drawn=[20.0])
+@example(table=EerTable(((1.7e308, 2.0), (-1.7e308, 3.0))), drawn=[1e308])
+@example(table=EerTable(((7.0, LARGEST - 3 * 2.0 ** 971), (0.0, LARGEST))),
+         drawn=[1.1666666666666665])
+def test_scalar_lookup_matches_the_reference_bit_for_bit(table, drawn):
+    assert len(table.segments) == len(table.ascending_c)
+    assert table.segments[0] is None
+    ambients = probe_ambients(table) + drawn
+    assert [eer_lookup(t, table).hex() for t in ambients] == [
+        reference_eer_lookup(t, table).hex() for t in ambients]
 
 
 def test_table_validation():

@@ -535,6 +535,69 @@ def test_misaligned_result_rejected(components):
         SimulationResult(("2016-06-01T00:00",), (0.5,), (30.0,), components)
 
 
+def generic_loads(ctx, us, adjustments):
+    """``PeakContext.loads`` as of 0.7.1: one form for every load, with
+    the constant and no-refrigeration shortcuts."""
+    zero, n = (0.0, 0.0, 0.0), len(us)
+
+    def column(fixed, refrigeration):
+        (f0, f1, f2), (r0, r1, r2) = fixed, refrigeration
+        f0 += 0.0
+        if refrigeration == zero:
+            return ((f0,) * n if f1 == f2 == 0.0 else
+                    tuple([f0 + u * (f1 + u * f2) for u in us]))
+        return tuple([f0 + u * (f1 + u * f2) + a * (r0 + u * (r1 + u * r2))
+                      for u, a in zip(us, adjustments)])
+
+    return tuple(map(column, ctx.fixed, ctx.refrigeration))
+
+
+COEFFICIENTS = (st.sampled_from([0.0, -0.0, 5e-324, 1.0, 1e308])
+                | st.floats(1e-6, 1e9))
+TRIPLES = st.tuples(COEFFICIENTS, COEFFICIENTS, COEFFICIENTS)
+KERNEL_HOURS = st.lists(st.tuples(
+    st.sampled_from([-0.0, 0.0, 1.0])
+    | st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    st.floats(0.0, 1e300, exclude_min=True)), min_size=1, max_size=12)
+CRAC_CTX = peak_context(SCENARIO.with_architecture(CoolingArchitecture.CRAC))
+
+
+# Every shape: constant, linear, quadratic, refrigeration only,
+# c0 + a * (U * r1) and the full form, with +-0 in each dropped term.
+@settings(max_examples=200, deadline=None)
+@given(pairs=st.lists(st.tuples(TRIPLES, TRIPLES), min_size=1, max_size=8),
+       hours=KERNEL_HOURS)
+@example(pairs=list(zip(CTX.fixed, CTX.refrigeration)),
+         hours=[(-0.0, 1.0), (0.5, 1e300), (1.0, 5e-324)])
+@example(pairs=list(zip(CRAC_CTX.fixed, CRAC_CTX.refrigeration)),
+         hours=[(-0.0, 1.0), (0.5, 1e300), (1.0, 5e-324)])
+@example(pairs=[((-0.0, -0.0, -0.0), (0.0, 0.0, 0.0)),
+                ((0.0, 1e308, -0.0), (-0.0, 0.0, 0.0)),
+                ((5e-324, -0.0, 1e308), (0.0, -0.0, -0.0)),
+                ((-0.0, 0.0, 0.0), (1e308, 5e-324, 1e308)),
+                ((5e-324, -0.0, 0.0), (-0.0, 1e308, -0.0)),
+                ((0.0, 5e-324, 0.0), (0.0, 5e-324, 0.0))],
+         hours=[(-0.0, 1e300), (0.0, 1e-300), (1e-300, 5e-324), (1.0, 1.0)])
+# Equal nonzero coefficients, and coefficients of 1, in each shape.
+@example(pairs=[((0.5, 1.0, 0.0), (0.0, 0.0, 0.0)),
+                ((0.5, 1.0, 1.0), (0.0, 0.0, 0.0)),
+                ((0.5, 1.0, 1.0), (0.0, 2.0, 0.0)),
+                ((0.5, 0.0, 0.0), (1.0, 2.0, 1.0)),
+                ((0.5, 0.0, 0.0), (1.0, 2.0, 0.0)),
+                ((1.0, 1.0, 1.0), (1.0, 1.0, 1.0))],
+         hours=[(0.25, 0.5), (1.0, 1.0)])
+def test_load_kernels_match_the_generic_form_bit_for_bit(pairs, hours):
+    ctx = CTX._replace(fixed=tuple(f for f, _ in pairs),
+                       refrigeration=tuple(r for _, r in pairs))
+    us, adjustments = zip(*hours)
+
+    def hexes(loads):
+        return [[x.hex() for x in column] for column in loads]
+
+    assert hexes(ctx.loads(us, adjustments)) == hexes(
+        generic_loads(ctx, us, adjustments))
+
+
 def test_plain_records_are_named_tuples():
     """The six records that check nothing behave as NamedTuples."""
     utilisation, ambient = profiles_from([0.5, 1.0], [20.0, 35.0])
