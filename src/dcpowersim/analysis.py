@@ -98,7 +98,7 @@ def curtail(target_total_w: float, ambient_c: float,
 def peak_breakdown(scenario: ScenarioConfig) -> dict[str, float]:
     """Fractional component shares at full load and reference temperature."""
     ctx = peak_context(scenario)
-    breakdown = step_power(1.0, scenario.reference_ambient_c, scenario, ctx)
+    breakdown = step_power(1.0, scenario.reference_ambient_c, ctx)
     return {name: watts / breakdown.total_w
             for name, watts in breakdown.as_dict().items()}
 
@@ -113,7 +113,7 @@ def power_curve(temps_c: list[float], scenario: ScenarioConfig,
     curves = []
     for temp_c in temps_c:
         points = tuple(
-            (u, step_power(u, temp_c, scenario, ctx).total_w) for u in grid)
+            (u, step_power(u, temp_c, ctx).total_w) for u in grid)
         curves.append(PowerCurve(temperature_c=temp_c, points=points))
     return curves
 

@@ -151,8 +151,7 @@ def _cmd_simulate(args: argparse.Namespace, scenario: ScenarioConfig) -> None:
 
 def _cmd_peak(args: argparse.Namespace, scenario: ScenarioConfig) -> None:
     ctx = engine.peak_context(scenario)
-    breakdown = engine.step_power(1.0, scenario.reference_ambient_c,
-                                  scenario, ctx)
+    breakdown = engine.step_power(1.0, scenario.reference_ambient_c, ctx)
     print("component,power_w,share")
     for name, watts in breakdown.as_dict().items():
         print(f"{name},{watts:.10g},{watts / breakdown.total_w:.10g}")

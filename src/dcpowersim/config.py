@@ -140,8 +140,9 @@ def _parse_number(key: str, raw: str, line_no: int) -> float | int:
     try:
         value = int(raw) if key in _INT_KEYS else float(raw)
     except ValueError:
+        kind = "an integer" if key in _INT_KEYS else "a number"
         raise MalformedRow(
-            f"line {line_no}: value for {key!r} is not a number: {raw!r}"
+            f"line {line_no}: value for {key!r} is not {kind}: {raw!r}"
         ) from None
     if not -LARGEST <= value <= LARGEST:
         raise MalformedRow(
@@ -167,12 +168,17 @@ def _parse_eer_table(raw: str, line_no: int) -> cooling.EerTable:
                 f"line {line_no}: eer.table entry {pair!r} is not finite")
         breakpoints.append(point)
     breakpoints.sort(key=lambda point: -point[0])
-    return cooling.EerTable(breakpoints=tuple(breakpoints))
+    try:
+        return cooling.EerTable(breakpoints=tuple(breakpoints))
+    except InvariantViolation as exc:
+        raise InvariantViolation(f"line {line_no}: eer.table: {exc}") from None
 
 
 def parse_scenario_config(text: str) -> ScenarioConfig:
     """Parse a key=value scenario description into a validated config."""
     values: dict[str, object] = {}
+    # One leading byte-order mark, as Notepad writes.
+    text = text.removeprefix("\ufeff")
     for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):

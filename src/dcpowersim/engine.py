@@ -5,8 +5,10 @@ table, ``config.COMPONENTS``; the loads it excludes are exactly 0.
 
 At one outdoor temperature every load is a quadratic c0 + c1*U + c2*U^2
 in utilisation U with every coefficient >= 0.  :func:`peak_context`
-expands the component formulas once per scenario into (c0, c1, c2)
-triples, with F the farm peak and L the consolidation:
+expands the component formulas once per scenario, in one pass over the
+rows below, into (c0, c1, c2) triples, with F the farm peak and L the
+consolidation.  The six loads above misc come straight from the specs;
+misc, then pumps, follow from them:
 
     farm      count * (p_idle * L + (p_peak - p_idle * L) * U)
     PDU, UPS  quadratic and linear in the farm draw
@@ -33,19 +35,19 @@ fixed side alone, a refrigeration side alone on a constant (chiller),
 
 Outdoor temperature enters only through a = EER(reference) / EER(ambient),
 which multiplies the chiller, the CRAC condenser term and the pumps' share
-of both, never the CRAC idle floor.  :func:`step_power` takes a for one
-ambient from ``PeakContext.adjustment``, and ``analysis.curtail`` from
-one call of the same scalar ``cooling.eer_lookup``, which rejects a
-non-finite ambient.  :func:`simulate` takes the whole column
-from ``cooling._adjustment_column``, one loop with the same bits and no
-check of its own: a non-finite ambient has already failed
-:func:`simulate`'s column check with ``OutOfRange``.  A ``curtail``
-solve through a column of one took more than twice as long (see
-``cooling``).  When the compiled refrigeration total is zero (free air,
-or a CRAC without airflow), no load depends on a, and :func:`simulate`
-reads no EER table past the reference.  The per-component functions of
-``server_farm``, ``power_chain`` and ``cooling`` remain the reference model
-the compiled form is tested against.
+of both, never the CRAC idle floor.  :func:`step_power` and
+``analysis.curtail`` take a for one ambient from one call of the scalar
+``cooling.eer_lookup``, which rejects a non-finite ambient.
+:func:`simulate` takes the whole column from
+``cooling._adjustment_column``, one loop with the same bits and no check
+of its own: a non-finite ambient has already failed :func:`simulate`'s
+column check with ``OutOfRange``.  A ``curtail`` solve through a column
+of one took more than twice as long (see ``cooling``).  When the compiled
+refrigeration total is zero (free air, or a CRAC without airflow), no
+load depends on a, and :func:`simulate` reads no EER table past the
+reference.  The per-component functions of ``server_farm``,
+``power_chain`` and ``cooling`` remain the reference model the compiled
+form is tested against.
 """
 
 from __future__ import annotations
@@ -110,17 +112,6 @@ class PeakContext(_Record):
                   refrigeration=refrigeration,
                   total_fixed=tuple(map(sum, zip(*fixed))),
                   total_refrigeration=tuple(map(sum, zip(*refrigeration))))
-
-    def adjustment(self, ambient_c: float) -> float:
-        """EER(reference) / EER(ambient); rejects a non-finite ambient."""
-        return self.reference_eer / cooling.eer_lookup(ambient_c, self.eer)
-
-    def total_quadratic(self, adjustment: float) -> Quadratic:
-        """The facility total as (c0, c1, c2) in U at one adjustment: the
-        compiled total pair evaluated at ``adjustment``."""
-        (f0, f1, f2), (r0, r1, r2) = self.total_fixed, self.total_refrigeration
-        return (f0 + adjustment * r0, f1 + adjustment * r1,
-                f2 + adjustment * r2)
 
     def loads(self, us: Sequence[float], adjustments: Sequence[float]):
         """Unchecked load columns, ``COMPONENT_NAMES`` order, per (U, a).
@@ -198,8 +189,6 @@ def peak_context(scenario: ScenarioConfig) -> PeakContext:
     """Compile a scenario: its quadratics in U and its design peak."""
     server, supply = scenario.server, scenario.supply
     farm_peak_w = server.farm_peak_w
-    included = {component.name for component in COMPONENTS
-                if scenario.architecture in component.architectures}
     idle_w = server.p_idle_w * scenario.consolidation
     farm = (server.count * idle_w, server.count * (server.p_peak_w - idle_w),
             0.0)
@@ -213,32 +202,29 @@ def peak_context(scenario: ScenarioConfig) -> PeakContext:
     fan_w = cooling.airflow_heat_power(1.0, farm_peak_w, scenario.crah)
     chiller, crac = scenario.chiller, scenario.crac
     size_w = chiller.sizing_factor * farm_peak_w
-    loads = {   # (fixed, refrigeration) per load; pumps and misc follow
-        "server_farm": (farm, _ZERO), "pdu_loss": (pdu, _ZERO),
-        "ups_loss": (ups, _ZERO),
-        "chiller": (_ZERO, (size_w * chiller.gamma, size_w * chiller.beta,
-                            size_w * chiller.alpha)),
-        "crah": ((scenario.crah.idle_frac * farm_peak_w, fan_w, 0.0), _ZERO),
-        "crac": ((crac.idle_frac * farm_peak_w, 0.0, 0.0),
-                 (0.0, (1.0 + crac.cop) * fan_w, 0.0)),
-    }
-
-    def pairs():   # the fixed and refrigeration sides, in table order
-        return zip(*(loads[c.name] if c.name in included else (_ZERO, _ZERO)
-                     for c in COMPONENTS if c.name in loads))
-
-    fixed, refrigeration = pairs()
-    phi = scenario.pump_fraction if "pumps" in included else 0.0
-    mu = scenario.misc_fraction if "misc" in included else 0.0
+    table = (   # (fixed, refrigeration) per load, in COMPONENTS order
+        (farm, _ZERO), (pdu, _ZERO), (ups, _ZERO),
+        (_ZERO, (size_w * chiller.gamma, size_w * chiller.beta,
+                 size_w * chiller.alpha)),
+        ((scenario.crah.idle_frac * farm_peak_w, fan_w, 0.0), _ZERO),
+        ((crac.idle_frac * farm_peak_w, 0.0, 0.0),
+         (0.0, (1.0 + crac.cop) * fan_w, 0.0)),
+        (_ZERO, _ZERO), (_ZERO, _ZERO))   # pumps and misc, filled in below
+    included = [scenario.architecture in c.architectures for c in COMPONENTS]
+    fixed, refrigeration = map(list, zip(*(
+        pair if kept else (_ZERO, _ZERO)   # an excluded load is zero
+        for pair, kept in zip(table, included))))
+    *_, has_pumps, has_misc = included
+    phi = scenario.pump_fraction if has_pumps else 0.0
+    mu = scenario.misc_fraction if has_misc else 0.0
     # At U = 1 and a = 1 each load is its coefficient sum; ScenarioConfig
-    # keeps pump_fraction + misc_fraction below 1.
+    # keeps pump_fraction + misc_fraction below 1.  The zero slots add
+    # +0.0, which is exact, here and in the pump sums.
     total_peak_w = sum(map(sum, fixed + refrigeration)) / (1.0 - phi - mu)
-    loads["misc"] = ((mu * total_peak_w, 0.0, 0.0), _ZERO)
-    seven = pairs()   # pumps are not in loads yet: the other seven loads
-    ratio = phi / (1.0 - phi)
-    loads["pumps"] = tuple(tuple(ratio * sum(c) for c in zip(*side))
-                           for side in seven)
-    fixed, refrigeration = pairs()
+    fixed[-1] = (mu * total_peak_w, 0.0, 0.0)
+    ratio = phi / (1.0 - phi)   # pumps over the other seven loads
+    fixed[-2], refrigeration[-2] = (tuple(ratio * sum(c) for c in zip(*side))
+                                    for side in (fixed, refrigeration))
     # Finite coefficients >= 0 give finite loads >= 0 for U in [0, 1], a > 0.
     if not all(0.0 <= c <= LARGEST for c in sum(fixed + refrigeration, ())):
         raise InvariantViolation("compiled coefficients must be finite, >= 0")
@@ -248,25 +234,27 @@ def peak_context(scenario: ScenarioConfig) -> PeakContext:
         eer=scenario.eer,
         reference_eer=cooling.eer_lookup(scenario.reference_ambient_c,
                                          scenario.eer),
-        fixed=fixed,
-        refrigeration=refrigeration,
+        fixed=tuple(fixed),
+        refrigeration=tuple(refrigeration),
     )
     # The clamped lookup never goes below the table's smallest EER, and
     # every load is non-decreasing in U and in a: a finite total here
     # bounds every hour at every ambient (an inf adjustment gives inf/NaN).
     min_eer = scenario.eer.ascending_eer[-1]
-    max_adjustment = ctx.reference_eer / min_eer
-    if not sum(ctx.total_quadratic(max_adjustment)) <= LARGEST:
+    a = ctx.reference_eer / min_eer
+    (f0, f1, f2), (r0, r1, r2) = ctx.total_fixed, ctx.total_refrigeration
+    if not sum((f0 + a * r0, f1 + a * r1, f2 + a * r2)) <= LARGEST:
         raise OutOfRange(f"EER table: its smallest EER, {min_eer!r}, makes "
                          "the full-load total overflow")
     return ctx
 
 
 def step_power(utilisation: float, ambient_c: float,
-               scenario: ScenarioConfig, ctx: PeakContext) -> PowerBreakdown:
+               ctx: PeakContext) -> PowerBreakdown:
     """Power breakdown for one hour; ``ctx`` holds the compiled model."""
     check(OutOfRange, utilisation=(utilisation, UNIT))
-    loads = ctx.loads((utilisation,), (ctx.adjustment(ambient_c),))
+    a = ctx.reference_eer / cooling.eer_lookup(ambient_c, ctx.eer)
+    loads = ctx.loads((utilisation,), (a,))
     return PowerBreakdown(tuple(column[0] for column in loads))
 
 

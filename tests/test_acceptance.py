@@ -207,7 +207,7 @@ def test_criterion_4_curtailment_round_trip():
     for ambient in (0.0, 15.0, 30.0, 41.0):
         for tenths in range(1, 10):
             u0 = tenths / 10.0
-            target = step_power(u0, ambient, SCENARIO, CTX).total_w
+            target = step_power(u0, ambient, CTX).total_w
             solution = curtail(target, ambient, SCENARIO, CTX)
             assert solution.feasible
             worst = max(worst, abs(solution.required_utilisation - u0))
@@ -337,14 +337,14 @@ def test_criterion_8_invariant_suite():
 
     # Additivity, exact.
     for u in (0.0, 0.25, 0.5, 0.75, 1.0):
-        breakdown = step_power(u, 33.0, SCENARIO, CTX)
+        breakdown = step_power(u, 33.0, CTX)
         assert breakdown.total_w == sum(breakdown.as_dict().values())
 
     # Strict monotonicity in utilisation, nondecreasing in ambient.
-    totals_u = [step_power(i / 20, 30.0, SCENARIO, CTX).total_w
+    totals_u = [step_power(i / 20, 30.0, CTX).total_w
                 for i in range(21)]
     assert all(b > a for a, b in zip(totals_u, totals_u[1:]))
-    totals_t = [step_power(0.7, float(t), SCENARIO, CTX).total_w
+    totals_t = [step_power(0.7, float(t), CTX).total_w
                 for t in range(0, 42)]
     assert all(b >= a for a, b in zip(totals_t, totals_t[1:]))
 

@@ -12,7 +12,7 @@ from dcpowersim.analysis import (CURTAIL_RELATIVE_TOLERANCE,
                                  curtail, peak_breakdown, power_curve)
 from dcpowersim.config import (CoolingArchitecture, ScenarioConfig,
                                default_scenario)
-from dcpowersim.cooling import CrahSpec
+from dcpowersim.cooling import CrahSpec, eer_lookup
 from dcpowersim.engine import peak_context, step_power
 from dcpowersim.errors import NegativeInput, OutOfRange
 from dcpowersim.profiles import AmbientProfile, UtilisationProfile
@@ -35,14 +35,14 @@ def constant_profiles(n, u, t):
 # --- curtailment ---
 
 def test_target_at_peak_returns_full_utilisation():
-    peak_total = step_power(1.0, 30.0, SCENARIO, CTX).total_w
+    peak_total = step_power(1.0, 30.0, CTX).total_w
     solution = curtail(peak_total, 30.0, SCENARIO, CTX)
     assert solution.feasible
     assert solution.required_utilisation == 1.0
 
 
 def test_target_below_floor_is_infeasible_with_nearest_bound():
-    floor_total = step_power(0.0, 30.0, SCENARIO, CTX).total_w
+    floor_total = step_power(0.0, 30.0, CTX).total_w
     solution = curtail(1e6, 30.0, SCENARIO, CTX)
     assert not solution.feasible
     assert solution.required_utilisation == 0.0
@@ -55,7 +55,7 @@ def test_target_below_one_watt_is_infeasible_not_rejected():
 
 
 def test_target_above_peak_is_infeasible_with_nearest_bound():
-    peak_total = step_power(1.0, 30.0, SCENARIO, CTX).total_w
+    peak_total = step_power(1.0, 30.0, CTX).total_w
     solution = curtail(2 * peak_total, 30.0, SCENARIO, CTX)
     assert not solution.feasible
     assert solution.required_utilisation == 1.0
@@ -74,7 +74,7 @@ def test_target_exactly_at_the_tolerance_snaps(c0, u):
         1e6, u, c0 + 2.0 * u, True)
 
 
-FLOOR_W, PEAK_W = (step_power(u, 30.0, SCENARIO, CTX).total_w
+FLOOR_W, PEAK_W = (step_power(u, 30.0, CTX).total_w
                    for u in (0.0, 1.0))
 
 
@@ -102,7 +102,7 @@ def test_each_curtail_branch_returns_the_record_its_constructor_builds(
 
 
 def test_feasible_solution_hits_tolerance():
-    target = step_power(0.37, 30.0, SCENARIO, CTX).total_w
+    target = step_power(0.37, 30.0, CTX).total_w
     solution = curtail(target, 30.0, SCENARIO, CTX)
     assert solution.feasible
     assert abs(solution.achieved_total_w - target) <= 1e-6 * target
@@ -112,7 +112,7 @@ def test_feasible_solution_hits_tolerance():
 def test_round_trip_recovers_utilisation(ambient):
     for tenths in range(1, 10):
         u0 = tenths / 10.0
-        target = step_power(u0, ambient, SCENARIO, CTX).total_w
+        target = step_power(u0, ambient, CTX).total_w
         solution = curtail(target, ambient, SCENARIO, CTX)
         assert solution.feasible
         assert solution.required_utilisation == pytest.approx(u0, abs=1e-5)
@@ -146,7 +146,7 @@ def test_round_trip_property(architecture, consolidation, u, ambient):
     scenario = default_scenario(architecture)._replace(
         consolidation=consolidation)
     ctx = peak_context(scenario)
-    target = step_power(u, ambient, scenario, ctx).total_w
+    target = step_power(u, ambient, ctx).total_w
     solution = curtail(target, ambient, scenario, ctx)
     assert solution.feasible
     tolerance = CURTAIL_RELATIVE_TOLERANCE * target
@@ -154,7 +154,7 @@ def test_round_trip_property(architecture, consolidation, u, ambient):
     # An endpoint within the tolerance of the target is returned as is.
     expected = u
     for endpoint in (0.0, 1.0):
-        endpoint_w = step_power(endpoint, ambient, scenario, ctx).total_w
+        endpoint_w = step_power(endpoint, ambient, ctx).total_w
         if abs(endpoint_w - target) <= tolerance:
             expected = endpoint
             break
@@ -177,7 +177,10 @@ def test_largest_unsnapped_target_solves_below_full_load():
     ambients = (table[0] - 20.0, *table, table[-1] + 20.0)
     for ctx in contexts:
         for ambient in ambients:
-            c0, c1, c2 = ctx.total_quadratic(ctx.adjustment(ambient))
+            a = ctx.reference_eer / eer_lookup(ambient, ctx.eer)
+            (f0, f1, f2), (r0, r1, r2) = (ctx.total_fixed,
+                                          ctx.total_refrigeration)
+            c0, c1, c2 = f0 + a * r0, f1 + a * r1, f2 + a * r2
             peak = c0 + c1 + c2
             target = peak / (1.0 + CURTAIL_RELATIVE_TOLERANCE)
             for _ in range(4):
@@ -244,9 +247,9 @@ def test_zero_design_peak_breakdown_is_out_of_range(architecture):
 def test_two_point_curve_matches_endpoints():
     (curve,) = power_curve([30.0], SCENARIO, 2)
     assert curve.points[0] == (
-        0.0, step_power(0.0, 30.0, SCENARIO, CTX).total_w)
+        0.0, step_power(0.0, 30.0, CTX).total_w)
     assert curve.points[1] == (
-        1.0, step_power(1.0, 30.0, SCENARIO, CTX).total_w)
+        1.0, step_power(1.0, 30.0, CTX).total_w)
 
 
 def test_curve_strictly_increasing():
@@ -315,8 +318,8 @@ def test_crac_dominates_at_high_utilisation():
     crac_scenario = SCENARIO.with_architecture(CoolingArchitecture.CRAC)
     ctx_crac = peak_context(crac_scenario)
     for u in (0.5, 0.7, 0.9, 1.0):
-        chilled = step_power(u, 30.0, SCENARIO, CTX).as_dict()
-        crac = step_power(u, 30.0, crac_scenario, ctx_crac).as_dict()
+        chilled = step_power(u, 30.0, CTX).as_dict()
+        crac = step_power(u, 30.0, ctx_crac).as_dict()
         assert crac["crac"] > \
             chilled["chiller"] + chilled["crah"] + chilled["pumps"]
 

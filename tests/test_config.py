@@ -294,8 +294,7 @@ def test_every_numeric_key_rejects_non_finite(key, value, spelling):
     try:
         scenario = parse_scenario_config(text)
         ctx = peak_context(scenario)
-        breakdown = step_power(1.0, scenario.reference_ambient_c, scenario,
-                               ctx)
+        breakdown = step_power(1.0, scenario.reference_ambient_c, ctx)
     except SimulationError:
         return
     assert math.isfinite(breakdown.total_w)
@@ -319,6 +318,39 @@ def test_the_largest_float_is_a_finite_config_value(raw):
 def test_eer_table_rejects_non_finite(table):
     with pytest.raises(MalformedRow, match="not finite"):
         parse_scenario_config(MINIMAL + f"eer.table={table}\n")
+
+
+@pytest.mark.parametrize("table, message", [
+    ("", "at least one breakpoint"),
+    ("30:3.5;30:4", "strictly descending ambient order"),
+    ("40:6;0:2.5", "nonincreasing in ambient temperature")])
+def test_eer_table_error_names_its_line(table, message):
+    with pytest.raises(InvariantViolation) as raised:
+        parse_scenario_config(MINIMAL + f"eer.table={table}\n")
+    assert type(raised.value) is InvariantViolation
+    assert re.fullmatch(rf"line 5: eer\.table: .*{message}",
+                        str(raised.value))
+
+
+@pytest.mark.parametrize("key, raw, kind", [
+    ("server.count", "1e3", "an integer"),
+    ("server.count", "1.5", "an integer"),
+    ("supply.pdu_count", "1e3", "an integer"),
+    ("supply.pdu_count", "ten", "an integer"),
+    ("server.p_peak_w", "ten", "a number")])
+def test_a_value_that_does_not_parse_names_the_kind_it_needs(key, raw, kind):
+    with pytest.raises(MalformedRow,
+                       match=rf"value for '{key}' is not {kind}: '{raw}'"):
+        parse_scenario_config(with_value(key, raw))
+
+
+def test_one_leading_byte_order_mark_is_ignored():
+    for text in (MINIMAL, "# scenario\n" + MINIMAL,
+                 MINIMAL.replace("\n", "\r\n")):
+        assert (parse_scenario_config("\ufeff" + text)
+                == parse_scenario_config(text))
+    with pytest.raises(UnknownKey, match="line 1"):   # one mark, not two
+        parse_scenario_config("\ufeff\ufeff" + MINIMAL)
 
 
 SUPPLY = default_scenario().supply

@@ -113,7 +113,7 @@ def test_component_gives_finite_nonnegative_numbers_or_raises(name, data):
      "count must be >= 1 and finite, got 0"),
     (lambda: CrahSpec(eta_heat=2.0), InvariantViolation,
      "eta_heat must be in (0, 1], got 2.0"),
-    (lambda: step_power(1.5, 30.0, SCENARIO, peak_context(SCENARIO)),
+    (lambda: step_power(1.5, 30.0, peak_context(SCENARIO)),
      OutOfRange, "utilisation must lie in [0, 1], got 1.5"),
     (lambda: farm_power(1.5, 0.5, SERVER), OutOfRange,
      "utilisation must lie in [0, 1], got 1.5"),
@@ -184,8 +184,8 @@ PAST_THE_FLOAT_RANGE = {
     # Both fields fit a float; their product does not.
     "ServerSpec-count_times_p_peak_w": (lambda: default_scenario(
         count=10**300, p_idle_w=1, p_peak_w=10**10), NegativeInput),
-    "step_power": (lambda: step_power(0.5, BIG, SCENARIO,
-                                      peak_context(SCENARIO)), OutOfRange),
+    "step_power": (lambda: step_power(0.5, BIG, peak_context(SCENARIO)),
+                   OutOfRange),
     "curtail-target": (lambda: curtail(BIG, 20.0, SCENARIO,
                                        peak_context(SCENARIO)), OutOfRange),
     "curtail-ambient": (lambda: curtail(1e7, BIG, SCENARIO,

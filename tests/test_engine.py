@@ -20,8 +20,9 @@ from dcpowersim.config import (COMPONENTS, CoolingArchitecture,
 from dcpowersim.engine import (COMPONENT_NAMES, PowerBreakdown,
                                SimulationResult, peak_context, simulate,
                                step_power, summarize_energy)
-from dcpowersim.errors import (EmptyProfile, EmptyResult, InvariantViolation,
-                               OutOfRange, ProfileMismatch, SimulationError)
+from dcpowersim.errors import (LARGEST, EmptyProfile, EmptyResult,
+                               InvariantViolation, OutOfRange, ProfileMismatch,
+                               SimulationError)
 from dcpowersim.profiles import AmbientProfile, UtilisationProfile
 
 SCENARIO = default_scenario()
@@ -65,7 +66,7 @@ def test_saturating_fractions_rejected():
 # --- step power ---
 
 def test_peak_step_reproduces_design_peak():
-    breakdown = step_power(1.0, 30.0, SCENARIO, CTX)
+    breakdown = step_power(1.0, 30.0, CTX)
     assert breakdown.total_w == pytest.approx(CTX.total_peak_w, rel=1e-9)
     assert breakdown.as_dict()["pumps"] == pytest.approx(
         0.04 * CTX.total_peak_w, rel=1e-9)
@@ -81,7 +82,7 @@ def test_idle_step_full_component_chain():
     misc = 0.06 * TOTAL_PEAK_W
     total = (farm + pdu + ups + chiller + crah + misc) / 0.96
 
-    breakdown = step_power(0.0, 30.0, SCENARIO, CTX)
+    breakdown = step_power(0.0, 30.0, CTX)
     loads = breakdown.as_dict()
     assert loads["server_farm"] == pytest.approx(farm, rel=1e-9)
     assert loads["pdu_loss"] == pytest.approx(pdu, rel=1e-9)
@@ -94,19 +95,18 @@ def test_idle_step_full_component_chain():
 
 
 def test_architecture_gating():
-    crah_run = step_power(0.7, 30.0, SCENARIO, CTX).as_dict()
+    crah_run = step_power(0.7, 30.0, CTX).as_dict()
     assert crah_run["crac"] == 0.0 and crah_run["pumps"] > 0.0
 
     crac_scenario = SCENARIO.with_architecture(CoolingArchitecture.CRAC)
-    crac_run = step_power(0.7, 30.0, crac_scenario,
-                          peak_context(crac_scenario)).as_dict()
+    crac_run = step_power(0.7, 30.0, peak_context(crac_scenario)).as_dict()
     assert crac_run["chiller"] == 0.0
     assert crac_run["crah"] == 0.0
     assert crac_run["pumps"] == 0.0
     assert crac_run["crac"] > 0.0
 
     free = SCENARIO.with_architecture(CoolingArchitecture.FREE_AIR)
-    free_run = step_power(0.7, 30.0, free, peak_context(free)).as_dict()
+    free_run = step_power(0.7, 30.0, peak_context(free)).as_dict()
     assert free_run["chiller"] == 0.0
     assert free_run["crac"] == 0.0
     assert free_run["pumps"] == 0.0
@@ -116,12 +116,12 @@ def test_architecture_gating():
 def test_additivity_is_exact():
     for u in (0.0, 0.33, 0.77, 1.0):
         for t in (0.0, 22.5, 41.0):
-            breakdown = step_power(u, t, SCENARIO, CTX)
+            breakdown = step_power(u, t, CTX)
             assert breakdown.total_w == sum(breakdown.as_dict().values())
 
 
 def test_total_strictly_increasing_in_utilisation():
-    totals = [step_power(i / 40, 30.0, SCENARIO, CTX).total_w
+    totals = [step_power(i / 40, 30.0, CTX).total_w
               for i in range(41)]
     assert all(b > a for a, b in zip(totals, totals[1:]))
 
@@ -130,7 +130,7 @@ def test_total_nondecreasing_in_ambient():
     for scenario in (SCENARIO,
                      SCENARIO.with_architecture(CoolingArchitecture.CRAC)):
         ctx = peak_context(scenario)
-        totals = [step_power(0.6, float(t), scenario, ctx).total_w
+        totals = [step_power(0.6, float(t), ctx).total_w
                   for t in range(-5, 46)]
         assert all(b >= a for a, b in zip(totals, totals[1:]))
 
@@ -138,7 +138,7 @@ def test_total_nondecreasing_in_ambient():
 def test_free_air_ignores_ambient():
     free = SCENARIO.with_architecture(CoolingArchitecture.FREE_AIR)
     ctx = peak_context(free)
-    assert step_power(0.6, 0.0, free, ctx) == step_power(0.6, 40.0, free, ctx)
+    assert step_power(0.6, 0.0, ctx) == step_power(0.6, 40.0, ctx)
 
 
 def test_negative_component_rejected():
@@ -160,13 +160,13 @@ def test_non_finite_component_rejected(index, bad):
 def test_non_finite_ambient_rejected():
     for ambient in (math.nan, math.inf, -math.inf):
         with pytest.raises(OutOfRange):
-            step_power(0.5, ambient, SCENARIO, CTX)
+            step_power(0.5, ambient, CTX)
 
 
 @pytest.mark.parametrize("u", [1.5, -0.1, math.nan])
 def test_utilisation_outside_unit_interval_rejected(u):
     with pytest.raises(OutOfRange, match="utilisation must lie in"):
-        step_power(u, 30.0, SCENARIO, CTX)
+        step_power(u, 30.0, CTX)
 
 
 # --- compiled quadratics vs the per-component reference chain ---
@@ -231,7 +231,7 @@ def test_compiled_step_power_matches_reference_chain(architecture,
                                                      ambient, table):
     scenario = default_scenario(architecture)._replace(
         consolidation=consolidation, eer=table)
-    got = step_power(u, ambient, scenario, peak_context(scenario))
+    got = step_power(u, ambient, peak_context(scenario))
     want = reference_breakdown(u, ambient, scenario)
     for (name, g), w in zip(got.as_dict().items(), want):
         if w == 0.0:
@@ -397,7 +397,8 @@ def test_columns_are_bit_identical_to_per_hour_evaluation(
     phi = (scenario.pump_fraction
            if architecture in COMPONENTS[pumps].architectures else 0.0)
     for h, (u, t) in enumerate(hours):
-        want = parent_breakdown(ctx, u, ctx.adjustment(t))
+        adjustment = ctx.reference_eer / cooling.eer_lookup(t, ctx.eer)
+        want = parent_breakdown(ctx, u, adjustment)
         got = [column[h] for column in result.components]
         assert [x.hex() for x in got] == [x.hex() for x in want]
         assert result.total_w[h] == sum(want)
@@ -459,7 +460,7 @@ def test_simulate_looks_up_eer_only_when_a_load_is_refrigerated(
 
 def test_fractions_of_minus_zero_give_loads_of_plus_zero():
     scenario = SCENARIO._replace(pump_fraction=-0.0, misc_fraction=-0.0)
-    power = step_power(0.5, 25.0, scenario, peak_context(scenario))
+    power = step_power(0.5, 25.0, peak_context(scenario))
     assert math.copysign(1.0, power.as_dict()["pumps"]) == 1.0
     assert math.copysign(1.0, power.as_dict()["misc"]) == 1.0
 
@@ -471,7 +472,7 @@ def test_a_utilisation_of_minus_zero_gives_loads_of_plus_zero(architecture):
     scenario = default_scenario(architecture)._replace(
         consolidation=-0.0, crah=SCENARIO.crah._replace(idle_frac=-0.0),
         crac=SCENARIO.crac._replace(idle_frac=-0.0))
-    power = step_power(-0.0, 25.0, scenario, peak_context(scenario))
+    power = step_power(-0.0, 25.0, peak_context(scenario))
     result = simulate(*profiles_from([-0.0], [25.0]), scenario)
     for loads in (power.components, sum(result.components, ())):
         assert [math.copysign(1.0, w) for w in loads] == [1.0] * 8
@@ -483,19 +484,23 @@ FRACTIONS = st.floats(0.0, 0.45) | st.sampled_from([-0.0, 0.0])
 @settings(max_examples=300, deadline=None)
 @given(architecture=st.sampled_from(CoolingArchitecture),
        consolidation=unit_interval(), table=eer_tables(),
-       phi=FRACTIONS, mu=FRACTIONS, where=unit_interval())
+       phi=FRACTIONS, mu=FRACTIONS,
+       ambient=st.floats(-100.0, 100.0) | st.sampled_from([-100.0, 100.0]))
 def test_compiled_total_is_bit_identical_to_the_per_pair_sum(
-        architecture, consolidation, table, phi, mu, where):
+        architecture, consolidation, table, phi, mu, ambient):
     scenario = default_scenario(architecture)._replace(
         consolidation=consolidation, eer=table, pump_fraction=phi,
         misc_fraction=mu)
     ctx = peak_context(scenario)
-    # Every adjustment an ambient can give lies in [0, max_adjustment].
-    adjustment = where * (ctx.reference_eer / table.ascending_eer[-1])
-    want = [sum(f) + adjustment * sum(r) for f, r in
-            zip(zip(*ctx.fixed), zip(*ctx.refrigeration))]
-    got = ctx.total_quadratic(adjustment)
-    assert [c.hex() for c in got] == [c.hex() for c in want]
+    adjustment = ctx.reference_eer / cooling.eer_lookup(ambient, ctx.eer)
+    c0, c1, c2 = [sum(f) + adjustment * sum(r) for f, r in
+                  zip(zip(*ctx.fixed), zip(*ctx.refrigeration))]
+    # A target beyond an endpoint reports the endpoint curtail evaluated.
+    floor = curtail(c0 / 2.0, ambient, scenario, ctx)
+    peak = curtail(2.0 * (c0 + c1 + c2), ambient, scenario, ctx)
+    assert not floor.feasible and not peak.feasible
+    assert floor.achieved_total_w.hex() == c0.hex()
+    assert peak.achieved_total_w.hex() == (c0 + c1 + c2).hex()
 
 
 def test_steps_view_matches_step_power_every_hour():
@@ -511,7 +516,7 @@ def test_steps_view_matches_step_power_every_hour():
         for step, stamp, u, t in zip(steps, utilisation.timestamps, us, ts):
             assert (step.timestamp, step.utilisation, step.ambient_c) == \
                 (stamp, u, t)
-            assert step.power == step_power(u, t, scenario, ctx)
+            assert step.power == step_power(u, t, ctx)
         second = simulate(utilisation, ambient, scenario)
         assert second == first
         assert second.steps == steps
@@ -660,7 +665,7 @@ def test_checked_records_are_immutable_and_rechecked_on_replace():
                     "crah", "crac", "eer", "pump_fraction", "misc_fraction",
                     "reference_ambient_c", "consolidation"),
          "consolidation", 2.0, OutOfRange),
-        (step_power(0.5, 30.0, SCENARIO, CTX), ("components",),
+        (step_power(0.5, 30.0, CTX), ("components",),
          "components", (1.0,), InvariantViolation),
         (CTX, ("farm_peak_w", "total_peak_w", "eer", "reference_eer",
                "fixed", "refrigeration"), "fixed", None, TypeError),
@@ -742,7 +747,7 @@ def test_shares_of_a_run_of_at_most_one_watt_hour(watts):
 def test_constant_run_shares_equal_single_step_shares():
     utilisation, ambient = profiles_from([0.7] * 12, [25.0] * 12)
     result = simulate(utilisation, ambient, SCENARIO)
-    single = step_power(0.7, 25.0, SCENARIO, CTX)
+    single = step_power(0.7, 25.0, CTX)
     for name, watts in single.as_dict().items():
         assert result.shares[name] == pytest.approx(
             watts / single.total_w, rel=1e-9)
@@ -874,12 +879,30 @@ def test_tiny_eer_is_out_of_range():
         peak_context(scenario)
 
 
+def test_full_load_total_that_only_overflows_as_a_sum_is_out_of_range():
+    # At the largest adjustment each of c0, c1, c2 is finite, and their sum
+    # passes LARGEST by less than twice the smallest: the bound must add
+    # all three.
+    r = CTX.total_refrigeration
+    table = cooling.EerTable(((41.0, 3.52 * sum(r) / LARGEST / 1.05),
+                              (30.0, 3.52), (0.0, 5.82)))
+    a = cooling.eer_lookup(30.0, table) / table.ascending_eer[-1]
+    c = [f + a * ri for f, ri in zip(CTX.total_fixed, r)]
+    half_sum = sum(x / 2.0 for x in c)
+    assert max(c) <= LARGEST
+    assert half_sum - min(c) < LARGEST / 2.0 < half_sum
+    with pytest.raises(OutOfRange, match="smallest EER"):
+        peak_context(SCENARIO._replace(eer=table))
+
+
 def test_overflowing_energy_total_is_out_of_range():
     # About 1e307 W at full load and 41 C: finite per hour, not summed.
     scenario = SCENARIO._replace(eer=cooling.EerTable(
         ((41.0, 1e-300), (0.0, 5.0))))
     ctx = peak_context(scenario)
-    assert math.isfinite(sum(ctx.total_quadratic(ctx.adjustment(41.0))))
+    a = ctx.reference_eer / cooling.eer_lookup(41.0, ctx.eer)
+    (f0, f1, f2), (r0, r1, r2) = ctx.total_fixed, ctx.total_refrigeration
+    assert math.isfinite(sum((f0 + a * r0, f1 + a * r1, f2 + a * r2)))
     with pytest.raises(OutOfRange, match="overflows"):
         simulate(*profiles_from([1.0] * 40, [41.0] * 40), scenario)
 
@@ -902,7 +925,7 @@ def finite_outputs(scenario, u, t, hours, target):
         return solution.required_utilisation, solution.achieved_total_w
 
     def stepped():
-        breakdown = step_power(u, t, scenario, peak_context(scenario))
+        breakdown = step_power(u, t, peak_context(scenario))
         return *breakdown.components, breakdown.total_w
 
     return (run, compared, solved, stepped,
