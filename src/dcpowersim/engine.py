@@ -25,13 +25,15 @@ of any hour is the sum of all eight loads.  That total is itself one
 (fixed, refrigeration) pair, the column sums of the eight, compiled once
 per scenario; a curtail solve evaluates it at one a.  Loads are held in
 ``COMPONENT_NAMES`` order, as one value each in a :class:`PowerBreakdown`
-and one column each in a :class:`SimulationResult`.  A -0 setting passes
-every >= 0 check, so ``PeakContext.loads`` starts each load from
-c0 + 0.0: no load is -0, even at a U of -0.0.  It then evaluates each
-load by the cheapest kernel for its shape, with the bits of the full
-form: a constant (misc), linear (farm, CRAH) or quadratic (PDU, UPS)
-fixed side alone, a refrigeration side alone on a constant (chiller),
-``c0 + a * (U * r1)`` (CRAC), or the full form (pumps).
+and one column each in a :class:`SimulationResult`, which sums its
+energy and shares when it is built and its hourly totals on their first
+read.  A -0 setting passes every >= 0 check, so ``PeakContext.loads``
+starts each load from c0 + 0.0: no load is -0, even at a U of -0.0.  It
+then evaluates each load by the cheapest kernel for its shape, with the
+bits of the full form: a constant (misc), linear (farm, CRAH) or
+quadratic (PDU, UPS) fixed side alone, a refrigeration side alone on a
+constant (chiller), ``c0 + a * (U * r1)`` (CRAC), or the full form
+(pumps).
 
 Outdoor temperature enters only through a = EER(reference) / EER(ambient),
 which multiplies the chiller, the CRAC condenser term and the pumps' share
@@ -52,6 +54,7 @@ form is tested against.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from . import cooling
@@ -151,9 +154,10 @@ class SimulationStep(NamedTuple):
 
 class SimulationResult(_Record):
     """A run of at least one hour as columns: the inputs and one load per
-    component in ``COMPONENT_NAMES`` order.  Totals (``total_w``),
-    per-component energy (``energy_wh``, watt-hours), ``shares`` of the
-    total and ``total_energy_wh`` derive on construction."""
+    component in ``COMPONENT_NAMES`` order.  Per-component energy
+    (``energy_wh``, watt-hours), ``shares`` of the total and
+    ``total_energy_wh`` derive on construction; the hourly totals,
+    ``total_w``, on first read."""
 
     def __init__(self, timestamps: tuple[str, ...],
                  utilisation: tuple[float, ...], ambient_c: tuple[float, ...],
@@ -170,11 +174,19 @@ class SimulationResult(_Record):
         total_wh = sum(energy_wh.values())
         self._set(timestamps=timestamps, utilisation=utilisation,
                   ambient_c=ambient_c, components=components,
-                  total_w=tuple(map(sum, zip(*components))),
                   energy_wh=energy_wh,
                   shares={name: e / total_wh if total_wh > 0.0 else 0.0
                           for name, e in energy_wh.items()},
                   total_energy_wh=total_wh)
+
+    @cached_property
+    def total_w(self) -> tuple[float, ...]:
+        """Hourly totals, summed as :class:`PowerBreakdown` sums them.
+
+        Built on the first read and kept: an annual run read only for its
+        energy skips 8,760 sums.  The eager ``map(sum, components)`` has
+        already raised on any column these sums could fail on."""
+        return tuple(map(sum, zip(*self.components)))
 
     @property
     def steps(self) -> tuple[SimulationStep, ...]:

@@ -531,6 +531,63 @@ def test_result_shares_its_input_columns():
     assert summarize_energy(result) is result
 
 
+WEEK = profiles_from([((h * 7) % 24) / 23 for h in range(168)],
+                     [-5.0 + 0.37 * (h % 120) for h in range(168)])
+
+
+def test_energy_runs_never_read_the_hourly_total(monkeypatch):
+    def unread(result):
+        pytest.fail("total_w read")
+
+    monkeypatch.setattr(SimulationResult, "total_w", property(unread))
+    for architecture in CoolingArchitecture:
+        scenario = SCENARIO.with_architecture(architecture)
+        summary = summarize_energy(simulate(*WEEK, scenario))
+        assert sum(summary.shares.values()) == pytest.approx(1.0)
+        assert summary.total_energy_wh > 0.0
+    comparison = compare_architectures(*WEEK, SCENARIO)
+    assert comparison.relative_increase != 0.0
+
+
+def test_hourly_total_is_built_once_with_the_per_hour_bits():
+    for architecture in CoolingArchitecture:
+        result = simulate(*WEEK, SCENARIO.with_architecture(architecture))
+        total_w = result.total_w
+        assert [x.hex() for x in total_w] == [
+            x.hex() for x in map(sum, zip(*result.components))]
+        for watts, parts in zip(total_w, zip(*result.components)):
+            assert watts.hex() == PowerBreakdown(parts).total_w.hex()
+        assert result.total_w is total_w
+
+
+def test_hourly_total_cannot_be_assigned_or_deleted():
+    result = simulate(*WEEK, SCENARIO)
+    for _ in range(2):   # before the first read, then after it
+        with pytest.raises(AttributeError):
+            result.total_w = ()
+        with pytest.raises(AttributeError):
+            del result.total_w
+        total_w = result.total_w
+        assert len(total_w) == 168
+    assert result.total_w is total_w
+
+
+def test_reading_the_total_leaves_the_record_as_it_was():
+    read, unread = simulate(*WEEK, SCENARIO), simulate(*WEEK, SCENARIO)
+    assert read.total_w
+    assert SimulationResult._fields == (
+        "timestamps", "utilisation", "ambient_c", "components")
+    assert read == unread and hash(read) == hash(unread)
+    assert repr(read) == repr(unread)
+    doubled = tuple(tuple(2.0 * x for x in column)
+                    for column in read.components)
+    assert read._replace() == unread._replace()
+    replaced = read._replace(components=doubled)
+    assert replaced == unread._replace(components=doubled)
+    assert replaced.total_w == tuple(map(sum, zip(*doubled)))
+    assert replaced.total_w != read.total_w
+
+
 @pytest.mark.parametrize("components", [
     ((1.0,),) * 7,                        # a component missing
     ((1.0,),) * 7 + ((1.0, 2.0),),        # a column longer than the inputs
