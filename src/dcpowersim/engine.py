@@ -23,17 +23,19 @@ instantaneous total.  With S the sum of the first six loads at design
 conditions (U = 1, a = 1), total_peak = S / (1 - phi - mu), and the total
 of any hour is the sum of all eight loads.  That total is itself one
 (fixed, refrigeration) pair, the column sums of the eight, compiled once
-per scenario; a curtail solve evaluates it at one a.  Loads are held in
-``COMPONENT_NAMES`` order, as one value each in a :class:`PowerBreakdown`
-and one column each in a :class:`SimulationResult`, which sums its
-energy and shares when it is built and its hourly totals on their first
-read.  A -0 setting passes every >= 0 check, so ``PeakContext.loads``
-starts each load from c0 + 0.0: no load is -0, even at a U of -0.0.  It
-then evaluates each load by the cheapest kernel for its shape, with the
-bits of the full form: a constant (misc), linear (farm, CRAH) or
-quadratic (PDU, UPS) fixed side alone, a refrigeration side alone on a
-constant (chiller), ``c0 + a * (U * r1)`` (CRAC), or the full form
-(pumps).
+per scenario; a curtail solve evaluates it at one a.  :func:`peak_context`
+only builds the pairs: :class:`PeakContext` checks their coefficients, its
+reference EER and its full-load total on construction, and so on
+``_replace``.  Loads are held in ``COMPONENT_NAMES`` order, as one value
+each in a :class:`PowerBreakdown` and one column each in a
+:class:`SimulationResult`, which sums its energy and shares when it is
+built and its hourly totals on their first read.  A -0 setting passes
+every >= 0 check, so ``PeakContext.loads`` starts each load from c0 + 0.0:
+no load is -0, even at a U of -0.0.  It then evaluates each load by the
+cheapest kernel for its shape, with the bits of the full form: a constant
+(misc), linear (farm, CRAH) or quadratic (PDU, UPS) fixed side alone, a
+refrigeration side alone on a constant (chiller), ``c0 + a * (U * r1)``
+(CRAC), or the full form (pumps).
 
 Outdoor temperature enters only through a = EER(reference) / EER(ambient),
 which multiplies the chiller, the CRAC condenser term and the pumps' share
@@ -59,7 +61,7 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from . import cooling
 from .config import COMPONENTS, ScenarioConfig
-from .errors import (LARGEST, UNIT, EmptyProfile, EmptyResult,
+from .errors import (LARGEST, POSITIVE, UNIT, EmptyProfile, EmptyResult,
                      InvariantViolation, OutOfRange, ProfileMismatch, _Record,
                      _shown, check)
 
@@ -98,51 +100,62 @@ class PeakContext(_Record):
 
     Load i, the i-th of ``COMPONENT_NAMES``, draws
     ``fixed[i](U) + a * refrigeration[i](U)``: ``refrigeration`` holds the
-    terms the ambient adjustment ``a`` scales.  Misc is the constant
-    ``(mu * total_peak, 0, 0)``, and pumps are ``phi / (1 - phi)`` times
-    the sum of the other seven pairs.
+    terms the ambient adjustment ``a`` scales.  The facility total is
+    compiled once, on construction, into one pair of column sums,
+    ``total_fixed`` and ``total_refrigeration``.
 
-    The facility total is compiled once, on construction, into one pair
-    of column sums, ``total_fixed`` and ``total_refrigeration``.
+    Every coefficient must be finite and >= 0, so every load is finite,
+    >= 0 and non-decreasing in U and a, and ``reference_eer`` positive and
+    finite (``InvariantViolation``).  No lookup goes below the smallest
+    EER of ``eer``, so a finite full-load total there bounds every hour at
+    every ambient (else ``OutOfRange``).
     """
 
-    def __init__(self, farm_peak_w: float, total_peak_w: float,
-                 eer: cooling.EerTable, reference_eer: float,
-                 fixed: tuple[Quadratic, ...],
+    def __init__(self, total_peak_w: float, eer: cooling.EerTable,
+                 reference_eer: float, fixed: tuple[Quadratic, ...],
                  refrigeration: tuple[Quadratic, ...]) -> None:
-        self._set(farm_peak_w=farm_peak_w, total_peak_w=total_peak_w,
-                  eer=eer, reference_eer=reference_eer, fixed=fixed,
+        self._set(total_peak_w=total_peak_w, eer=eer,
+                  reference_eer=reference_eer, fixed=fixed,
                   refrigeration=refrigeration,
                   total_fixed=tuple(map(sum, zip(*fixed))),
                   total_refrigeration=tuple(map(sum, zip(*refrigeration))))
+        if not all(0.0 <= c <= LARGEST
+                   for c in sum(fixed + refrigeration, ())):
+            raise InvariantViolation(
+                "compiled coefficients must be finite, >= 0")
+        check(InvariantViolation, reference_eer=(reference_eer, POSITIVE))
+        min_eer = eer.ascending_eer[-1]
+        a = reference_eer / min_eer
+        (f0, f1, f2), (r0, r1, r2) = self.total_fixed, self.total_refrigeration
+        if not sum((f0 + a * r0, f1 + a * r1, f2 + a * r2)) <= LARGEST:
+            raise OutOfRange(f"EER table: its smallest EER, {min_eer!r}, "
+                             "makes the full-load total overflow")
 
     def loads(self, us: Sequence[float], adjustments: Sequence[float]):
-        """Unchecked load columns, ``COMPONENT_NAMES`` order, per (U, a).
+        """Unchecked load columns, ``COMPONENT_NAMES`` order, per (U, a)."""
+        return tuple([_load(f, r, us, adjustments)
+                      for f, r in zip(self.fixed, self.refrigeration)])
 
-        Each load runs the cheapest kernel that gives the full form's bits:
-        a term whose coefficients are +-0 adds +-0 to a sum that starts at
-        f0 >= +0.0, for U in [-0, 1], so dropping it is exact."""
-        n = len(us)
 
-        def column(fixed: Quadratic, refrigeration: Quadratic) -> tuple:
-            (f0, f1, f2), (r0, r1, r2) = fixed, refrigeration
-            f0 += 0.0   # -0.0 to 0.0; every other f0 keeps its bits
-            if r0 == r1 == r2 == 0.0:   # a * 0 would add exactly 0
-                if f2 != 0.0:
-                    return tuple([f0 + u * (f1 + u * f2) for u in us])
-                if f1 != 0.0:
-                    return tuple([f0 + u * f1 for u in us])
-                return (f0,) * n
-            if f1 == f2 == 0.0:
-                if r0 == r2 == 0.0:
-                    return tuple([f0 + a * (u * r1)
-                                  for u, a in zip(us, adjustments)])
-                return tuple([f0 + a * (r0 + u * (r1 + u * r2))
-                              for u, a in zip(us, adjustments)])
-            return tuple([f0 + u * (f1 + u * f2) + a * (r0 + u * (r1 + u * r2))
-                          for u, a in zip(us, adjustments)])
-
-        return tuple(map(column, self.fixed, self.refrigeration))
+def _load(fixed: Quadratic, refrigeration: Quadratic, us: Sequence[float],
+          adjustments: Sequence[float]) -> tuple[float, ...]:
+    """One load's column by the cheapest kernel with the full form's bits:
+    a +-0 term adds +-0 to a sum from f0 >= +0.0, for U in [-0, 1]."""
+    (f0, f1, f2), (r0, r1, r2) = fixed, refrigeration
+    f0 += 0.0   # -0.0 to 0.0; every other f0 keeps its bits
+    if r0 == r1 == r2 == 0.0:   # a * 0 would add exactly 0
+        if f2 != 0.0:
+            return tuple([f0 + u * (f1 + u * f2) for u in us])
+        if f1 != 0.0:
+            return tuple([f0 + u * f1 for u in us])
+        return (f0,) * len(us)
+    if f1 == f2 == 0.0:
+        if r0 == r2 == 0.0:
+            return tuple([f0 + a * (u * r1) for u, a in zip(us, adjustments)])
+        return tuple([f0 + a * (r0 + u * (r1 + u * r2))
+                      for u, a in zip(us, adjustments)])
+    return tuple([f0 + u * (f1 + u * f2) + a * (r0 + u * (r1 + u * r2))
+                  for u, a in zip(us, adjustments)])
 
 
 class SimulationStep(NamedTuple):
@@ -237,11 +250,7 @@ def peak_context(scenario: ScenarioConfig) -> PeakContext:
     ratio = phi / (1.0 - phi)   # pumps over the other seven loads
     fixed[-2], refrigeration[-2] = (tuple(ratio * sum(c) for c in zip(*side))
                                     for side in (fixed, refrigeration))
-    # Finite coefficients >= 0 give finite loads >= 0 for U in [0, 1], a > 0.
-    if not all(0.0 <= c <= LARGEST for c in sum(fixed + refrigeration, ())):
-        raise InvariantViolation("compiled coefficients must be finite, >= 0")
-    ctx = PeakContext(
-        farm_peak_w=farm_peak_w,
+    return PeakContext(
         total_peak_w=total_peak_w,
         eer=scenario.eer,
         reference_eer=cooling.eer_lookup(scenario.reference_ambient_c,
@@ -249,16 +258,6 @@ def peak_context(scenario: ScenarioConfig) -> PeakContext:
         fixed=tuple(fixed),
         refrigeration=tuple(refrigeration),
     )
-    # The clamped lookup never goes below the table's smallest EER, and
-    # every load is non-decreasing in U and in a: a finite total here
-    # bounds every hour at every ambient (an inf adjustment gives inf/NaN).
-    min_eer = scenario.eer.ascending_eer[-1]
-    a = ctx.reference_eer / min_eer
-    (f0, f1, f2), (r0, r1, r2) = ctx.total_fixed, ctx.total_refrigeration
-    if not sum((f0 + a * r0, f1 + a * r1, f2 + a * r2)) <= LARGEST:
-        raise OutOfRange(f"EER table: its smallest EER, {min_eer!r}, makes "
-                         "the full-load total overflow")
-    return ctx
 
 
 def step_power(utilisation: float, ambient_c: float,

@@ -64,7 +64,7 @@ supply.peak_loss_frac=0.12
 def compiled_bits(scenario):
     """Every number peak_context compiles, as float.hex."""
     ctx = peak_context(scenario)
-    numbers = (ctx.farm_peak_w, ctx.total_peak_w, ctx.reference_eer,
+    numbers = (ctx.total_peak_w, ctx.reference_eer,
                *sum(ctx.fixed + ctx.refrigeration, ()), *ctx.total_fixed,
                *ctx.total_refrigeration)
     return [float(x).hex() for x in numbers]

@@ -45,7 +45,7 @@ def profiles_from(us, ts):
 # --- peak context ---
 
 def test_peak_context_hand_value():
-    assert CTX.farm_peak_w == 10e6
+    assert SCENARIO.server.farm_peak_w == 10e6
     assert CTX.total_peak_w == pytest.approx(TOTAL_PEAK_W, rel=1e-9)
     misc = COMPONENT_NAMES.index("misc")
     assert CTX.fixed[misc][0] == pytest.approx(0.06 * TOTAL_PEAK_W, rel=1e-9)
@@ -597,9 +597,10 @@ def test_misaligned_result_rejected(components):
         SimulationResult(("2016-06-01T00:00",), (0.5,), (30.0,), components)
 
 
-def generic_loads(ctx, us, adjustments):
-    """``PeakContext.loads`` as of 0.7.1: one form for every load, with
-    the constant and no-refrigeration shortcuts."""
+def generic_loads(pairs, us, adjustments):
+    """``PeakContext.loads`` as of 0.7.1, over (fixed, refrigeration)
+    pairs: one form for every load, with the constant and no-refrigeration
+    shortcuts."""
     zero, n = (0.0, 0.0, 0.0), len(us)
 
     def column(fixed, refrigeration):
@@ -611,7 +612,8 @@ def generic_loads(ctx, us, adjustments):
         return tuple([f0 + u * (f1 + u * f2) + a * (r0 + u * (r1 + u * r2))
                       for u, a in zip(us, adjustments)])
 
-    return tuple(map(column, ctx.fixed, ctx.refrigeration))
+    return tuple(column(fixed, refrigeration)
+                 for fixed, refrigeration in pairs)
 
 
 COEFFICIENTS = (st.sampled_from([0.0, -0.0, 5e-324, 1.0, 1e308])
@@ -626,6 +628,8 @@ CRAC_CTX = peak_context(SCENARIO.with_architecture(CoolingArchitecture.CRAC))
 
 # Every shape: constant, linear, quadratic, refrigeration only,
 # c0 + a * (U * r1) and the full form, with +-0 in each dropped term.
+# The kernels run outside a PeakContext, whose full-load bound would
+# reject the 1e308 coefficients.
 @settings(max_examples=200, deadline=None)
 @given(pairs=st.lists(st.tuples(TRIPLES, TRIPLES), min_size=1, max_size=8),
        hours=KERNEL_HOURS)
@@ -649,15 +653,14 @@ CRAC_CTX = peak_context(SCENARIO.with_architecture(CoolingArchitecture.CRAC))
                 ((1.0, 1.0, 1.0), (1.0, 1.0, 1.0))],
          hours=[(0.25, 0.5), (1.0, 1.0)])
 def test_load_kernels_match_the_generic_form_bit_for_bit(pairs, hours):
-    ctx = CTX._replace(fixed=tuple(f for f, _ in pairs),
-                       refrigeration=tuple(r for _, r in pairs))
     us, adjustments = zip(*hours)
 
     def hexes(loads):
         return [[x.hex() for x in column] for column in loads]
 
-    assert hexes(ctx.loads(us, adjustments)) == hexes(
-        generic_loads(ctx, us, adjustments))
+    assert hexes(engine._load(fixed, refrigeration, us, adjustments)
+                 for fixed, refrigeration in pairs) == hexes(
+        generic_loads(pairs, us, adjustments))
 
 
 def test_plain_records_are_named_tuples():
@@ -724,8 +727,9 @@ def test_checked_records_are_immutable_and_rechecked_on_replace():
          "consolidation", 2.0, OutOfRange),
         (step_power(0.5, 30.0, CTX), ("components",),
          "components", (1.0,), InvariantViolation),
-        (CTX, ("farm_peak_w", "total_peak_w", "eer", "reference_eer",
-               "fixed", "refrigeration"), "fixed", None, TypeError),
+        (CTX, ("total_peak_w", "eer", "reference_eer", "fixed",
+               "refrigeration"), "reference_eer", math.nan,
+         InvariantViolation),
         (simulate(utilisation, ambient, SCENARIO),
          ("timestamps", "utilisation", "ambient_c", "components"),
          "timestamps", (), InvariantViolation),
@@ -763,6 +767,48 @@ def test_peak_context_rejects_a_bad_compiled_coefficient(value):
     object.__setattr__(chiller, "alpha", value)
     with pytest.raises(InvariantViolation):
         peak_context(SCENARIO._replace(chiller=chiller))
+
+
+CHILLER = COMPONENT_NAMES.index("chiller")
+
+
+def with_coefficient(side, value):
+    """``side`` with its first coefficient, the farm's idle draw or the
+    chiller's constant term, set to ``value``."""
+    load = 0 if side == "fixed" else CHILLER
+    pairs = list(getattr(CTX, side))
+    pairs[load] = (value, *pairs[load][1:])
+    return {side: tuple(pairs)}
+
+
+COEFFICIENT_ERROR = "^compiled coefficients must be finite, >= 0$"
+BAD_CONTEXTS = {
+    **{f"{side}-{value}": (with_coefficient(side, value), InvariantViolation,
+                           COEFFICIENT_ERROR)
+       for side in ("fixed", "refrigeration")
+       for value in (math.nan, -1.0, math.inf)},
+    **{f"reference_eer-{value}": (
+        {"reference_eer": value}, InvariantViolation,
+        f"^reference_eer must be positive and finite, got {value!r}$")
+       for value in (math.nan, 0.0, -1.0, math.inf)},
+    "full-load-overflow": (
+        {"refrigeration": tuple(
+            (1e308, 1e308, 0.0) if load == CHILLER else pair
+            for load, pair in enumerate(CTX.refrigeration))}, OutOfRange,
+        f"^EER table: its smallest EER, {CTX.eer.ascending_eer[-1]!r}, "
+        "makes the full-load total overflow$"),
+}
+
+
+@pytest.mark.parametrize("change, error, message", BAD_CONTEXTS.values(),
+                         ids=BAD_CONTEXTS.keys())
+def test_a_bad_context_raises_on_construction_and_on_replace(change, error,
+                                                             message):
+    fields = {name: getattr(CTX, name) for name in CTX._fields}
+    with pytest.raises(error, match=message):
+        engine.PeakContext(**{**fields, **change})
+    with pytest.raises(error, match=message):
+        CTX._replace(**change)
 
 
 def test_cooling_follows_utilisation_over_a_week():
