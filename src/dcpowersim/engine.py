@@ -96,7 +96,7 @@ class PowerBreakdown(_Record):
 
 
 class PeakContext(_Record):
-    """A scenario compiled into its quadratic form, plus its design peak.
+    """A scenario compiled into its quadratic form.
 
     Load i, the i-th of ``COMPONENT_NAMES``, draws
     ``fixed[i](U) + a * refrigeration[i](U)``: ``refrigeration`` holds the
@@ -104,18 +104,23 @@ class PeakContext(_Record):
     compiled once, on construction, into one pair of column sums,
     ``total_fixed`` and ``total_refrigeration``.
 
-    Every coefficient must be finite and >= 0, so every load is finite,
+    Each side must hold one (c0, c1, c2) triple per load, and every
+    coefficient must be finite and >= 0, so every load is finite,
     >= 0 and non-decreasing in U and a, and ``reference_eer`` positive and
     finite (``InvariantViolation``).  No lookup goes below the smallest
     EER of ``eer``, so a finite full-load total there bounds every hour at
     every ambient (else ``OutOfRange``).
     """
 
-    def __init__(self, total_peak_w: float, eer: cooling.EerTable,
-                 reference_eer: float, fixed: tuple[Quadratic, ...],
+    def __init__(self, eer: cooling.EerTable, reference_eer: float,
+                 fixed: tuple[Quadratic, ...],
                  refrigeration: tuple[Quadratic, ...]) -> None:
-        self._set(total_peak_w=total_peak_w, eer=eer,
-                  reference_eer=reference_eer, fixed=fixed,
+        if not (len(fixed) == len(refrigeration) == len(COMPONENT_NAMES)
+                and all(len(c) == 3 for c in fixed + refrigeration)):
+            raise InvariantViolation(
+                f"compiled model needs {len(COMPONENT_NAMES)} (c0, c1, c2) "
+                "triples on each side")
+        self._set(eer=eer, reference_eer=reference_eer, fixed=fixed,
                   refrigeration=refrigeration,
                   total_fixed=tuple(map(sum, zip(*fixed))),
                   total_refrigeration=tuple(map(sum, zip(*refrigeration))))
@@ -211,7 +216,7 @@ class SimulationResult(_Record):
 
 
 def peak_context(scenario: ScenarioConfig) -> PeakContext:
-    """Compile a scenario: its quadratics in U and its design peak."""
+    """Compile a scenario into its quadratics in U."""
     server, supply = scenario.server, scenario.supply
     farm_peak_w = server.farm_peak_w
     idle_w = server.p_idle_w * scenario.consolidation
@@ -251,7 +256,6 @@ def peak_context(scenario: ScenarioConfig) -> PeakContext:
     fixed[-2], refrigeration[-2] = (tuple(ratio * sum(c) for c in zip(*side))
                                     for side in (fixed, refrigeration))
     return PeakContext(
-        total_peak_w=total_peak_w,
         eer=scenario.eer,
         reference_eer=cooling.eer_lookup(scenario.reference_ambient_c,
                                          scenario.eer),

@@ -13,23 +13,27 @@ from dcpowersim.analysis import (CURTAIL_RELATIVE_TOLERANCE,
 from dcpowersim.config import (CoolingArchitecture, ScenarioConfig,
                                default_scenario)
 from dcpowersim.cooling import CrahSpec, eer_lookup
-from dcpowersim.engine import peak_context, step_power
+from dcpowersim.engine import COMPONENT_NAMES, peak_context, step_power
 from dcpowersim.errors import NegativeInput, OutOfRange
 from dcpowersim.profiles import AmbientProfile, UtilisationProfile
 from dcpowersim.server_farm import ServerSpec
+from strategies import stamps
 
 SCENARIO = default_scenario()
 CTX = peak_context(SCENARIO)
 
 
-def stamps(n):
-    return tuple(f"2016-06-{1 + h // 24:02d}T{h % 24:02d}:00"
-                 for h in range(n))
-
-
 def constant_profiles(n, u, t):
     return (UtilisationProfile(stamps(n), (u,) * n),
             AmbientProfile(stamps(n), (t,) * n))
+
+
+def one_load(fixed):
+    """CTX with its first load drawing the quadratic ``fixed`` and every
+    other load nothing."""
+    zero = (0.0, 0.0, 0.0)
+    rest = (zero,) * (len(COMPONENT_NAMES) - 1)
+    return CTX._replace(fixed=(fixed, *rest), refrigeration=(zero, *rest))
 
 
 # --- curtailment ---
@@ -68,10 +72,8 @@ def test_target_exactly_at_the_tolerance_snaps(c0, u):
     # The total c0 + 2U puts a 1e6 W target exactly its tolerance, 1 W,
     # from the floor (c0 = 999,999) or from the peak (c0 = 999,997).
     assert CURTAIL_RELATIVE_TOLERANCE * 1e6 == 1.0
-    ctx = CTX._replace(fixed=((c0, 2.0, 0.0),),
-                       refrigeration=((0.0, 0.0, 0.0),))
-    assert curtail(1e6, 30.0, SCENARIO, ctx) == CurtailmentSolution(
-        1e6, u, c0 + 2.0 * u, True)
+    solution = curtail(1e6, 30.0, SCENARIO, one_load((c0, 2.0, 0.0)))
+    assert solution == CurtailmentSolution(1e6, u, c0 + 2.0 * u, True)
 
 
 FLOOR_W, PEAK_W = (step_power(u, 30.0, CTX).total_w
@@ -171,7 +173,7 @@ def test_largest_unsnapped_target_solves_below_full_load():
                 for consolidation in (0.0, 0.5, 1.0)]
     # The steepest totals at full load, relative to the peak: all linear
     # and all quadratic in U.
-    contexts += [CTX._replace(fixed=(shape,), refrigeration=((0.0,) * 3,))
+    contexts += [one_load(shape)
                  for shape in ((0.0, 1.0, 0.0), (0.0, 0.0, 1.0))]
     table = SCENARIO.eer.ascending_c
     ambients = (table[0] - 20.0, *table, table[-1] + 20.0)

@@ -23,6 +23,7 @@ from dcpowersim.cli import run
 from dcpowersim.config import (_INT_KEYS, _KNOWN_KEYS, CoolingArchitecture,
                               default_scenario)
 from dcpowersim.profiles import parse_temperature_csv, parse_utilisation_csv
+from strategies import BOMS, LAST_HOUR, spelled
 
 CONFIG = """\
 server.count=40000
@@ -658,29 +659,26 @@ def test_each_subcommand_loads_only_what_it_uses(tmp_path, command):
 
 # --- profile text through simulate and compare ---
 
-LAST_HOUR = dt.datetime(9999, 12, 31, 23)
+FIRST_HOURS = st.sampled_from([dt.datetime(2016, 2, 28, 21, 30),
+                               LAST_HOUR - dt.timedelta(hours=2)])
+ROWS = st.integers(0, 8)
 # Each row spells its hour canonically or as another stamp strptime reads,
 # or is blank, or holds a bad value.
-ROW_KINDS = ["canonical"] * 5 + ["unpadded", "spaced", "blank", "bad_value",
-                                 "jump"]
-
-
-def spell(when, kind):
-    if kind == "unpadded":
-        return f"{when.year}-{when.month}-{when.day}T{when.hour}:{when.minute}"
-    stamp = when.isoformat(timespec="minutes")
-    return f" {stamp}  " if kind == "spaced" else stamp
+ROW_KINDS = st.sampled_from(["canonical"] * 5 + ["unpadded", "spaced",
+                                                 "blank", "bad_value",
+                                                 "jump"])
+QUOTED = st.booleans()
+NEWLINES = st.sampled_from(["\n", "\r\n"])
 
 
 @st.composite
 def profile_pairs(draw):
     """Utilisation and weather texts over one drawn run of rows: CRLF or
     LF, quoted stamps, a BOM, and the last hour there is."""
-    when = draw(st.sampled_from([dt.datetime(2016, 2, 28, 21, 30),
-                                 LAST_HOUR - dt.timedelta(hours=2)]))
+    when = draw(FIRST_HOURS)
     rows = []
-    for row in range(draw(st.integers(0, 8))):
-        kind = draw(st.sampled_from(ROW_KINDS))
+    for row in range(draw(ROWS)):
+        kind = draw(ROW_KINDS)
         if kind != "blank" and row:
             try:
                 when += dt.timedelta(hours=2 if kind == "jump" else 1)
@@ -690,15 +688,14 @@ def profile_pairs(draw):
     texts = []
     for header, good, bad in (("timestamp,utilisation", "0.25", "1.5"),
                               ("timestamp,temperature_c", "21", "nan")):
-        quote = '"' if draw(st.booleans()) else ""
+        quote = '"' if draw(QUOTED) else ""
         lines = [header] + [
             "" if kind == "blank" else
-            f"{quote}{spell(when, kind)}{quote},"
+            f"{quote}{spelled(when, kind)}{quote},"
             f"{bad if kind == 'bad_value' else good}"
             for when, kind in rows]
-        newline = draw(st.sampled_from(["\n", "\r\n"]))
-        bom = draw(st.sampled_from(["", "\ufeff"]))
-        texts.append(bom + newline.join(lines) + newline)
+        newline = draw(NEWLINES)
+        texts.append(draw(BOMS) + newline.join(lines) + newline)
     return texts
 
 
@@ -743,14 +740,17 @@ def config_value(key):
             "eer.table": EER_TEXT}.get(key, NUMBER_TEXT)
 
 
+KEPT = st.integers(0, 9)   # a line is dropped at 0
+KEYS = st.lists(st.sampled_from(sorted(_KNOWN_KEYS) + ["server.speed"]),
+                max_size=6)
+
+
 @st.composite
 def config_texts(draw):
     """The minimal config with each line kept 9 times in 10, then drawn
     lines for any key, an unknown one included, repeats allowed."""
-    lines = [line for line in CONFIG.splitlines()
-             if draw(st.integers(0, 9))]
-    keys = st.sampled_from(sorted(_KNOWN_KEYS) + ["server.speed"])
-    for key in draw(st.lists(keys, max_size=6)):
+    lines = [line for line in CONFIG.splitlines() if draw(KEPT)]
+    for key in draw(KEYS):
         lines.append(f"{key}={draw(config_value(key))}")
     return "\n".join(lines) + "\n"
 

@@ -64,7 +64,7 @@ supply.peak_loss_frac=0.12
 def compiled_bits(scenario):
     """Every number peak_context compiles, as float.hex."""
     ctx = peak_context(scenario)
-    numbers = (ctx.total_peak_w, ctx.reference_eer,
+    numbers = (ctx.reference_eer,
                *sum(ctx.fixed + ctx.refrigeration, ()), *ctx.total_fixed,
                *ctx.total_refrigeration)
     return [float(x).hex() for x in numbers]
@@ -426,5 +426,5 @@ def test_readme_python_example_runs(capsys):
     exec(block.group(1), namespace)
     assert len(capsys.readouterr().out.splitlines()) == 2
     stated = re.search(r"design peak ([0-9.]+) MW", block.group(1))
-    assert round(namespace["ctx"].total_peak_w / 1e6, 2) == \
+    assert round(namespace["design"].total_w / 1e6, 2) == \
         float(stated.group(1)) == 23.98

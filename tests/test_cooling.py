@@ -2,7 +2,6 @@
 
 import bisect
 import math
-import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,6 +12,7 @@ from dcpowersim.cooling import (ChillerSpec, CracSpec, CrahSpec, EerTable,
                                 ambient_adjustment, chiller_power, crac_power,
                                 crah_power, eer_lookup)
 from dcpowersim.errors import InvariantViolation, OutOfRange
+from strategies import EER_TABLES, LARGEST, eer_tables
 
 FARM_PEAK = 10e6
 CHILLER = ChillerSpec()
@@ -189,16 +189,10 @@ def test_adjustment_nondecreasing_in_ambient():
 # --- the column lookup that simulate uses, against the scalar one ---
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
-LARGEST = sys.float_info.max
-
-
-@st.composite
-def eer_tables(draw, temps=st.floats(-40.0, 50.0), eers=st.floats(0.5, 10.0)):
-    """Valid tables of 1-40 breakpoints."""
-    n = draw(st.integers(1, 40))
-    ambients = draw(st.lists(temps, min_size=n, max_size=n, unique=True))
-    values = draw(st.lists(eers, min_size=n, max_size=n))
-    return EerTable(tuple(zip(sorted(ambients, reverse=True), sorted(values))))
+# Everyday tables, and tables whose spans and EER steps reach the ends of
+# the float range, where the interpolation overflows.
+TABLES = EER_TABLES | eer_tables(temps=FINITE,
+                                 eers=st.floats(5e-324, 1.7e308))
 
 
 def probe_ambients(table):
@@ -214,10 +208,8 @@ def probe_ambients(table):
     return [t for t in probes if math.isfinite(t)]
 
 
-# Everyday tables, and tables whose spans and EER steps reach the ends of
-# the float range, where the interpolation overflows.
 @settings(max_examples=300, deadline=None)
-@given(table=eer_tables() | eer_tables(FINITE, st.floats(5e-324, 1.7e308)),
+@given(table=TABLES,
        drawn=st.lists(FINITE, max_size=20), reference_c=FINITE)
 @example(table=EER, drawn=[], reference_c=30.0)
 @example(table=EerTable(ROUNDING_TABLE), drawn=[], reference_c=30.0)
@@ -261,7 +253,7 @@ def reference_eer_lookup(ambient_c, table):
 # The column is held to the scalar, so the scalar is held to a reference
 # of its own: a wrong segment would otherwise pass both.
 @settings(max_examples=300, deadline=None)
-@given(table=eer_tables() | eer_tables(FINITE, st.floats(5e-324, 1.7e308)),
+@given(table=TABLES,
        drawn=st.lists(FINITE, max_size=20))
 @example(table=EER, drawn=[])
 @example(table=EerTable(ROUNDING_TABLE), drawn=[])

@@ -10,7 +10,6 @@ full, and a non-finite ambient is out of range in ``simulate``.
 
 import math
 import re
-import sys
 
 import pytest
 from hypothesis import given
@@ -33,6 +32,7 @@ from dcpowersim.power_chain import (SupplyChainSpec, SupplyLoss,
 from dcpowersim.profiles import AmbientProfile, UtilisationProfile
 from dcpowersim.server_farm import (ServerSpec, effective_server_utilisation,
                                     farm_power, farm_state, server_power)
+from strategies import LARGEST
 
 SERVER = ServerSpec(40000, 120.0, 250.0)
 SUPPLY = calibrate_supply(SERVER.farm_peak_w)
@@ -156,7 +156,6 @@ def test_simulate_rejects_a_non_finite_ambient(architecture, ambient_c):
 
 
 BIG = 10**400   # an int that no float can hold; math.isfinite(BIG) raises
-LARGEST = sys.float_info.max
 STAMPS = ("2016-06-01T00:00", "2016-06-01T01:00")
 
 # Each entry point given BIG in one argument or field: (call, error).

@@ -24,16 +24,12 @@ from dcpowersim.errors import (LARGEST, EmptyProfile, EmptyResult,
                                InvariantViolation, OutOfRange, ProfileMismatch,
                                SimulationError)
 from dcpowersim.profiles import AmbientProfile, UtilisationProfile
+from strategies import EER_TABLES, INDEX, eer_tables, outcome, stamps
 
 SCENARIO = default_scenario()
 CTX = peak_context(SCENARIO)
 
 TOTAL_PEAK_W = (10e6 + 1.5e6 + 7.42e6 + 2.662e6) / 0.90
-
-
-def stamps(n: int) -> tuple[str, ...]:
-    return tuple(f"2016-06-{1 + h // 24:02d}T{h % 24:02d}:00"
-                 for h in range(n))
 
 
 def profiles_from(us, ts):
@@ -46,7 +42,8 @@ def profiles_from(us, ts):
 
 def test_peak_context_hand_value():
     assert SCENARIO.server.farm_peak_w == 10e6
-    assert CTX.total_peak_w == pytest.approx(TOTAL_PEAK_W, rel=1e-9)
+    design = step_power(1.0, SCENARIO.reference_ambient_c, CTX)
+    assert design.total_w == pytest.approx(TOTAL_PEAK_W, rel=1e-9)
     misc = COMPONENT_NAMES.index("misc")
     assert CTX.fixed[misc][0] == pytest.approx(0.06 * TOTAL_PEAK_W, rel=1e-9)
 
@@ -54,8 +51,9 @@ def test_peak_context_hand_value():
 def test_peak_context_without_self_referential_loads():
     bare = SCENARIO._replace(pump_fraction=0.0, misc_fraction=0.0)
     ctx = peak_context(bare)
-    assert ctx.total_peak_w == pytest.approx(10e6 + 1.5e6 + 7.42e6 + 2.662e6,
-                                             rel=1e-9)
+    design = step_power(1.0, bare.reference_ambient_c, ctx)
+    assert design.total_w == pytest.approx(10e6 + 1.5e6 + 7.42e6 + 2.662e6,
+                                           rel=1e-9)
 
 
 def test_saturating_fractions_rejected():
@@ -67,9 +65,9 @@ def test_saturating_fractions_rejected():
 
 def test_peak_step_reproduces_design_peak():
     breakdown = step_power(1.0, 30.0, CTX)
-    assert breakdown.total_w == pytest.approx(CTX.total_peak_w, rel=1e-9)
+    assert breakdown.total_w == pytest.approx(TOTAL_PEAK_W, rel=1e-9)
     assert breakdown.as_dict()["pumps"] == pytest.approx(
-        0.04 * CTX.total_peak_w, rel=1e-9)
+        0.04 * TOTAL_PEAK_W, rel=1e-9)
 
 
 def test_idle_step_full_component_chain():
@@ -205,27 +203,16 @@ def reference_breakdown(u, ambient_c, scenario):
     return [*parts, pumps, misc]
 
 
-@st.composite
-def eer_tables(draw, eers=st.floats(0.5, 10.0)):
-    """Valid tables: strictly descending ambient, EER nonincreasing in it."""
-    n = draw(st.integers(1, 40))
-    temps = draw(st.lists(st.floats(-40.0, 50.0), min_size=n, max_size=n,
-                          unique=True))
-    eers = draw(st.lists(eers, min_size=n, max_size=n))
-    return cooling.EerTable(tuple(zip(sorted(temps, reverse=True),
-                                      sorted(eers))))
-
-
-def unit_interval():
-    return st.floats(0.0, 1.0, allow_subnormal=False) | st.just(0.0) \
-        | st.just(1.0)
+ARCHITECTURES = st.sampled_from(CoolingArchitecture)
+UNIT_INTERVAL = (st.floats(0.0, 1.0, allow_subnormal=False) | st.just(0.0)
+                 | st.just(1.0))
 
 
 @settings(max_examples=400, deadline=None)
-@given(architecture=st.sampled_from(CoolingArchitecture),
-       consolidation=unit_interval(), u=unit_interval(),
+@given(architecture=ARCHITECTURES,
+       consolidation=UNIT_INTERVAL, u=UNIT_INTERVAL,
        ambient=st.floats(-100.0, 100.0) | st.sampled_from([-100.0, 100.0]),
-       table=eer_tables())
+       table=EER_TABLES)
 def test_compiled_step_power_matches_reference_chain(architecture,
                                                      consolidation, u,
                                                      ambient, table):
@@ -248,9 +235,8 @@ def test_constant_profiles_hold_the_peak():
     result = simulate(utilisation, ambient, SCENARIO)
     assert len(result.steps) == 24
     for step in result.steps:
-        assert step.power.total_w == pytest.approx(CTX.total_peak_w,
-                                                   rel=1e-9)
-    assert result.total_energy_wh == pytest.approx(24 * CTX.total_peak_w,
+        assert step.power.total_w == pytest.approx(TOTAL_PEAK_W, rel=1e-9)
+    assert result.total_energy_wh == pytest.approx(24 * TOTAL_PEAK_W,
                                                    rel=1e-9)
 
 
@@ -315,31 +301,32 @@ def simulate_checking_rows(utilisation, ambient, scenario):
 
 # Edge values, valid and not: 1e308 is finite, but two of them overflow
 # the column sum.
-EDGE_UTILISATIONS = [0.0, -0.0, 1.0, math.nan, math.inf, -math.inf, -1e-300,
-                     1.0000000000000002, 2.0]
-EDGE_AMBIENTS = [math.nan, math.inf, -math.inf, 1e308, -1e308, 1.7e308,
-                 -0.0, 60.0]
+EDGE_UTILISATIONS = st.sampled_from([0.0, -0.0, 1.0, math.nan, math.inf,
+                                     -math.inf, -1e-300, 1.0000000000000002,
+                                     2.0])
+EDGE_AMBIENTS = st.sampled_from([math.nan, math.inf, -math.inf, 1e308,
+                                 -1e308, 1.7e308, -0.0, 60.0])
+EDGE_STAMPS = st.sampled_from(["2016-06-30T00:00", ""])
+DEFECTIVE_LENGTHS = st.integers(1, 12)
+DEFECTIVE_UTILISATIONS = {n: st.lists(st.floats(0.0, 1.0), min_size=n,
+                                      max_size=n) for n in range(1, 13)}
+DEFECTIVE_AMBIENTS = {n: st.lists(st.floats(-60.0, 60.0), min_size=n,
+                                  max_size=n) for n in range(1, 13)}
+DEFECTS = st.integers(0, 2)   # per column
 
 
 @st.composite
 def defective_profiles(draw):
-    n = draw(st.integers(1, 12))
-    us = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
-    ts = draw(st.lists(st.floats(-60.0, 60.0), min_size=n, max_size=n))
+    n = draw(DEFECTIVE_LENGTHS)
+    us = draw(DEFECTIVE_UTILISATIONS[n])
+    ts = draw(DEFECTIVE_AMBIENTS[n])
     other = list(stamps(n))
     for column, edges in ((us, EDGE_UTILISATIONS), (ts, EDGE_AMBIENTS),
-                          (other, ["2016-06-30T00:00", ""])):
-        for _ in range(draw(st.integers(0, 2))):
-            column[draw(st.integers(0, n - 1))] = draw(st.sampled_from(edges))
+                          (other, EDGE_STAMPS)):
+        for _ in range(draw(DEFECTS)):
+            column[draw(INDEX[n])] = draw(edges)
     return (UtilisationProfile(stamps(n), tuple(us)),
             AmbientProfile(tuple(other), tuple(ts)))
-
-
-def outcome(call, *args):
-    try:
-        return call(*args)
-    except SimulationError as exc:
-        return type(exc), str(exc)
 
 
 def test_valid_profiles_at_both_bounds_skip_the_row_search(monkeypatch):
@@ -382,9 +369,9 @@ def parent_breakdown(ctx, u, adjustment):
 
 
 @settings(max_examples=200, deadline=None)
-@given(architecture=st.sampled_from(CoolingArchitecture),
-       consolidation=unit_interval(), table=eer_tables(),
-       hours=st.lists(st.tuples(unit_interval(), st.floats(-100.0, 100.0)),
+@given(architecture=ARCHITECTURES,
+       consolidation=UNIT_INTERVAL, table=EER_TABLES,
+       hours=st.lists(st.tuples(UNIT_INTERVAL, st.floats(-100.0, 100.0)),
                       min_size=1, max_size=30))
 def test_columns_are_bit_identical_to_per_hour_evaluation(
         architecture, consolidation, table, hours):
@@ -412,9 +399,10 @@ def test_columns_are_bit_identical_to_per_hour_evaluation(
 def test_only_a_load_without_u_terms_is_a_constant_column(slope):
     # Equal, nonzero U coefficients must not take the constant shortcut.
     zero = (0.0, 0.0, 0.0)
-    ctx = CTX._replace(fixed=((0.5, slope, slope), (0.5, 0.0, 0.0)),
-                       refrigeration=(zero, zero))
-    assert ctx.loads((0.0, 0.5, 1.0), ()) == (
+    rest = (zero,) * (len(COMPONENT_NAMES) - 2)
+    ctx = CTX._replace(fixed=((0.5, slope, slope), (0.5, 0.0, 0.0), *rest),
+                       refrigeration=(zero, zero, *rest))
+    assert ctx.loads((0.0, 0.5, 1.0), ())[:2] == (
         (0.5, 0.5 + 0.75 * slope, 0.5 + 2.0 * slope), (0.5, 0.5, 0.5))
 
 
@@ -482,8 +470,8 @@ FRACTIONS = st.floats(0.0, 0.45) | st.sampled_from([-0.0, 0.0])
 
 
 @settings(max_examples=300, deadline=None)
-@given(architecture=st.sampled_from(CoolingArchitecture),
-       consolidation=unit_interval(), table=eer_tables(),
+@given(architecture=ARCHITECTURES,
+       consolidation=UNIT_INTERVAL, table=EER_TABLES,
        phi=FRACTIONS, mu=FRACTIONS,
        ambient=st.floats(-100.0, 100.0) | st.sampled_from([-100.0, 100.0]))
 def test_compiled_total_is_bit_identical_to_the_per_pair_sum(
@@ -727,9 +715,8 @@ def test_checked_records_are_immutable_and_rechecked_on_replace():
          "consolidation", 2.0, OutOfRange),
         (step_power(0.5, 30.0, CTX), ("components",),
          "components", (1.0,), InvariantViolation),
-        (CTX, ("total_peak_w", "eer", "reference_eer", "fixed",
-               "refrigeration"), "reference_eer", math.nan,
-         InvariantViolation),
+        (CTX, ("eer", "reference_eer", "fixed", "refrigeration"),
+         "reference_eer", math.nan, InvariantViolation),
         (simulate(utilisation, ambient, SCENARIO),
          ("timestamps", "utilisation", "ambient_c", "components"),
          "timestamps", (), InvariantViolation),
@@ -782,7 +769,15 @@ def with_coefficient(side, value):
 
 
 COEFFICIENT_ERROR = "^compiled coefficients must be finite, >= 0$"
+SHAPE_ERROR = (rf"^compiled model needs {len(COMPONENT_NAMES)} \(c0, c1, c2\) "
+               "triples on each side$")
 BAD_CONTEXTS = {
+    "three-fixed-pairs": ({"fixed": CTX.fixed[:3]}, InvariantViolation,
+                          SHAPE_ERROR),
+    "no-pairs": ({"fixed": (), "refrigeration": ()}, InvariantViolation,
+                 SHAPE_ERROR),
+    "two-number-triple": ({"fixed": ((1.0, 2.0), *CTX.fixed[1:])},
+                          InvariantViolation, SHAPE_ERROR),
     **{f"{side}-{value}": (with_coefficient(side, value), InvariantViolation,
                            COEFFICIENT_ERROR)
        for side in ("fixed", "refrigeration")
@@ -892,17 +887,22 @@ def test_breakdown_fields_follow_the_component_order():
             PowerBreakdown((1.0,) * n)
 
 
+PEAK_W = st.floats(1.0, 1000.0)
+IDLE_SHARES = st.floats(0.0, 1.0)
+SERVER_COUNTS = st.integers(1, 100_000)
+
+
 @st.composite
 def small_scenarios(draw):
-    p_peak_w = draw(st.floats(1.0, 1000.0))
-    p_idle_w = draw(st.floats(0.0, 1.0)) * p_peak_w
-    return default_scenario(draw(st.sampled_from(CoolingArchitecture)),
-                            count=draw(st.integers(1, 100_000)),
+    p_peak_w = draw(PEAK_W)
+    p_idle_w = draw(IDLE_SHARES) * p_peak_w
+    return default_scenario(draw(ARCHITECTURES),
+                            count=draw(SERVER_COUNTS),
                             p_idle_w=p_idle_w, p_peak_w=p_peak_w)._replace(
-        consolidation=draw(unit_interval()))
+        consolidation=draw(UNIT_INTERVAL))
 
 
-hourly = st.lists(st.tuples(unit_interval(), st.floats(-60.0, 60.0)),
+hourly = st.lists(st.tuples(UNIT_INTERVAL, st.floats(-60.0, 60.0)),
                   min_size=1, max_size=24)
 
 
@@ -928,7 +928,7 @@ ROUNDING_EER = cooling.EerTable(((4.662621963345, 0.777693613315),
                                  (-24.405436, 6.39064)))
 
 
-@given(table=eer_tables())
+@given(table=EER_TABLES)
 @example(table=cooling.EerTable())
 @example(table=ROUNDING_EER)
 def test_eer_is_nonincreasing_across_every_breakpoint(table):
@@ -939,9 +939,9 @@ def test_eer_is_nonincreasing_across_every_breakpoint(table):
 
 
 @settings(max_examples=200, deadline=None)
-@given(scenario=small_scenarios(), table=eer_tables(), u=unit_interval(),
+@given(scenario=small_scenarios(), table=EER_TABLES, u=UNIT_INTERVAL,
        t=st.floats(-60.0, 60.0),
-       us=st.lists(unit_interval(), min_size=2, max_size=24),
+       us=st.lists(UNIT_INTERVAL, min_size=2, max_size=24),
        ts=st.lists(st.floats(-60.0, 60.0), min_size=2, max_size=24))
 @example(scenario=default_scenario(CoolingArchitecture.CRAC),
          table=ROUNDING_EER, u=0.5, t=30.0, us=[0.0, 1.0],
@@ -957,7 +957,7 @@ def test_total_is_nondecreasing_in_utilisation_and_ambient(scenario, table,
 
 
 @settings(max_examples=200, deadline=None)
-@given(scenario=small_scenarios(), table=eer_tables(), hours=hourly)
+@given(scenario=small_scenarios(), table=EER_TABLES, hours=hourly)
 def test_architecture_leaves_it_and_supply_columns_bit_identical(
         scenario, table, hours):
     utilisation, ambient = profiles_from(*zip(*hours))
@@ -1038,7 +1038,7 @@ def finite_outputs(scenario, u, t, hours, target):
 
 @settings(max_examples=200, deadline=None)
 @given(scenario=small_scenarios(),
-       table=eer_tables(st.floats(5e-324, allow_infinity=False)),
+       table=eer_tables(eers=st.floats(5e-324, allow_infinity=False)),
        hours=hourly, target=st.floats(1.0, 1e308))
 @example(scenario=SCENARIO, table=TINY_EER, hours=[(0.5, 41.0)],
          target=1e7)

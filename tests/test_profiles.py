@@ -13,11 +13,12 @@ from dcpowersim.config import default_scenario
 from dcpowersim.engine import SimulationResult, simulate
 from dcpowersim.errors import (EmptyProfile, EmptyResult, GapInSeries,
                                InvariantViolation, MalformedRow,
-                               NonMonotonicTime, OutOfRange, SimulationError)
+                               NonMonotonicTime, OutOfRange)
 from dcpowersim import profiles
 from dcpowersim.profiles import (RESULT_COLUMNS, AmbientProfile,
                                  UtilisationProfile, parse_temperature_csv,
                                  parse_utilisation_csv, write_results_csv)
+from strategies import BOMS, INDEX, LAST_HOUR, outcome, spelled
 
 
 def hourly_csv(header: str, values) -> str:
@@ -175,56 +176,46 @@ def strptime_parse_utilisation(text):
     return UtilisationProfile(tuple(timestamps), tuple(values))
 
 
-LAST_HOUR = dt.datetime(9999, 12, 31, 23, 0)
-STARTS = [dt.datetime(2016, 2, 28, 21), dt.datetime(2016, 2, 29, 22),
-          dt.datetime(2100, 2, 28, 22), dt.datetime(2016, 12, 31, 21),
-          dt.datetime(2016, 1, 31, 23), dt.datetime(999, 12, 31, 22),
-          dt.datetime(1, 1, 1), dt.datetime(9999, 12, 31, 20)]
+STARTS = (st.sampled_from([
+    dt.datetime(2016, 2, 28, 21), dt.datetime(2016, 2, 29, 22),
+    dt.datetime(2100, 2, 28, 22), dt.datetime(2016, 12, 31, 21),
+    dt.datetime(2016, 1, 31, 23), dt.datetime(999, 12, 31, 22),
+    dt.datetime(1, 1, 1), dt.datetime(9999, 12, 31, 20)])
+    | st.datetimes(dt.datetime(1, 1, 1), LAST_HOUR).map(
+        lambda d: d.replace(second=0, microsecond=0)))
+MINUTES = st.sampled_from([0, 0, 30, 59])
+SERIES_LENGTHS = st.integers(1, 40)
 # Rows of each kind; "keep" is canonical and most common, "jump" moves
 # the clock by anything but one hour: a duplicate, a backward step, a
 # minute off, a 2 h gap, a day and an hour.
-KINDS = ["keep"] * 6 + ["unpadded", "spaces", "jump", "jump", "blank",
-                        "bad_value"]
-JUMPS_MIN = [0, -60, -1, 30, 59, 61, 90, 120, 24 * 60, 25 * 60]
-
-
-def spelled(when, kind):
-    if kind == "unpadded":   # strptime takes one-digit fields
-        return (f"{when.year:04d}-{when.month}-{when.day}T{when.hour}:"
-                f"{when.minute}")
-    stamp = when.isoformat(timespec="minutes")
-    return f"  {stamp} " if kind == "spaces" else stamp
+KINDS = st.sampled_from(["keep"] * 6 + ["unpadded", "spaces", "jump", "jump",
+                                        "blank", "bad_value"])
+JUMPS_MIN = st.sampled_from([0, -60, -1, 30, 59, 61, 90, 120, 24 * 60,
+                             25 * 60])
+# Past 9999-12-31 a series goes on from the last hour or from its start.
+RESTARTS = st.sampled_from([True, False])
 
 
 @st.composite
 def perturbed_series(draw):
-    start = draw(st.sampled_from(STARTS) | st.datetimes(
-        dt.datetime(1, 1, 1), LAST_HOUR).map(
-            lambda d: d.replace(second=0, microsecond=0)))
-    when = start.replace(minute=draw(st.sampled_from([0, 0, 30, 59])))
+    start = draw(STARTS)
+    when = start.replace(minute=draw(MINUTES))
     lines = ["timestamp,utilisation"]
-    for _ in range(draw(st.integers(1, 40))):
-        kind = draw(st.sampled_from(KINDS))
+    for _ in range(draw(SERIES_LENGTHS)):
+        kind = draw(KINDS)
         if kind == "blank":
             lines.append("")
             continue
-        shift = draw(st.sampled_from(JUMPS_MIN)) if kind == "jump" else 60
+        shift = draw(JUMPS_MIN) if kind == "jump" else 60
         if len(lines) == 1:
             shift = 0
         try:
             when += dt.timedelta(minutes=shift)
         except OverflowError:   # past 9999-12-31: any row may follow
-            when = draw(st.sampled_from([LAST_HOUR, start]))
+            when = LAST_HOUR if draw(RESTARTS) else start
         value = "1.5" if kind == "bad_value" else "0.5"
         lines.append(f"{spelled(when, kind)},{value}")
     return "\n".join(lines) + "\n"
-
-
-def outcome(parse, text):
-    try:
-        return parse(text)
-    except SimulationError as exc:
-        return type(exc), str(exc)
 
 
 @settings(max_examples=600, deadline=None)
@@ -282,57 +273,62 @@ def test_row_loop_parses_each_stamp_once():
 
 FIELD_LIMIT = csv.field_size_limit()
 VALUES = {   # per parser: in-range values, then values of other kinds
-    "utilisation": (st.floats(0.0, 1.0),
-                    ["nan", "inf", "-inf", "1.5", "1.0000000000000002",
-                     "-1e-300", "-0.0", "1e-400", "abc", "", " 0.5 ",
-                     "0.5,1", "1_0", "0.5" + " " * FIELD_LIMIT]),
-    "temperature": (st.floats(-60.0, 60.0),
-                    ["nan", "-inf", "61", "-60.00000000000001", "-60.0",
-                     "60", "x", "", "\t12.5", "20,1",
-                     "20" + " " * (FIELD_LIMIT - 2)]),
+    "utilisation": (st.floats(0.0, 1.0), st.sampled_from(
+        ["nan", "inf", "-inf", "1.5", "1.0000000000000002", "-1e-300",
+         "-0.0", "1e-400", "abc", "", " 0.5 ", "0.5,1", "1_0",
+         "0.5" + " " * FIELD_LIMIT])),
+    "temperature": (st.floats(-60.0, 60.0), st.sampled_from(
+        ["nan", "-inf", "61", "-60.00000000000001", "-60.0", "60", "x", "",
+         "\t12.5", "20,1", "20" + " " * (FIELD_LIMIT - 2)])),
 }
+PARSERS = st.sampled_from(sorted(VALUES))
+HEADERS = {kind: st.sampled_from([f"timestamp,{column}"] * 12 + [
+    f" timestamp , {column}", f"timestamp,{column},", "timestamp",
+    f'"timestamp",{column}', ""]) for kind, column in (
+        ("utilisation", "utilisation"), ("temperature", "temperature_c"))}
+ROW_COUNTS = st.integers(0, 30)
 # Each text is clean or clean but untidy, with up to two odd rows.
-ROW_KINDS = [["keep"], ["keep"] * 2 + ["spaces", "blank", "whitespace"]]
-ODD_KINDS = ["unpadded", "spaces", "jump", "blank", "whitespace",
-             "other_value", "quoted", "one_field"]
+ROW_KINDS = {row_kinds: st.sampled_from(row_kinds) for row_kinds in (
+    ("keep",), ("keep",) * 2 + ("spaces", "blank", "whitespace"))}
+ROW_KIND_SETS = st.sampled_from(list(ROW_KINDS))
+ODD_ROWS = st.integers(0, 2)
+ODD_KINDS = st.sampled_from(["unpadded", "spaces", "jump", "blank",
+                             "whitespace", "other_value", "quoted",
+                             "one_field"])
+NEWLINES = st.sampled_from(["\n"] * 3 + ["\r\n"])
+ENDINGS = {newline: st.sampled_from(["", newline, "\n\n"])
+           for newline in ("\n", "\r\n")}
 
 
 @st.composite
 def profile_texts(draw):
     """A profile CSV with defects of every kind the row loop names."""
-    kind = draw(st.sampled_from(sorted(VALUES)))
+    kind = draw(PARSERS)
     good, others = VALUES[kind]
-    header = draw(st.sampled_from([f"timestamp,{kind}"] * 12 + [
-        f" timestamp , {kind}", f"timestamp,{kind},", "timestamp",
-        f'"timestamp",{kind}', ""]))
-    header = header.replace("temperature", "temperature_c")
-    when = draw(st.sampled_from(STARTS) | st.datetimes(
-        dt.datetime(1, 1, 1), LAST_HOUR).map(
-            lambda d: d.replace(second=0, microsecond=0)))
-    n, kinds = draw(st.integers(0, 30)), draw(st.sampled_from(ROW_KINDS))
-    row_kinds = [draw(st.sampled_from(kinds)) for _ in range(n)]
-    for _ in range(draw(st.integers(0, 2)) if n else 0):
-        row_kinds[draw(st.integers(0, n - 1))] = draw(
-            st.sampled_from(ODD_KINDS))
+    header = draw(HEADERS[kind])
+    when = draw(STARTS)
+    n, kinds = draw(ROW_COUNTS), ROW_KINDS[draw(ROW_KIND_SETS)]
+    row_kinds = [draw(kinds) for _ in range(n)]
+    for _ in range(draw(ODD_ROWS) if n else 0):
+        row_kinds[draw(INDEX[n])] = draw(ODD_KINDS)
     lines = [header]
     for row, row_kind in enumerate(row_kinds):
         if row_kind in ("blank", "whitespace"):
             lines.append("" if row_kind == "blank" else " \t ")
             continue
-        shift = draw(st.sampled_from(JUMPS_MIN)) if row_kind == "jump" else 60
+        shift = draw(JUMPS_MIN) if row_kind == "jump" else 60
         try:
             when += dt.timedelta(minutes=shift if row else 0)
         except OverflowError:   # past 9999-12-31: any row may follow
             when = LAST_HOUR
         stamp = spelled(when, row_kind)
-        value = (draw(st.sampled_from(others)) if row_kind == "other_value"
-                 else repr(draw(good)))
+        value = draw(others) if row_kind == "other_value" else repr(draw(good))
         if row_kind == "quoted":
             stamp = f'"{stamp}"'
         lines.append(stamp if row_kind == "one_field" else f"{stamp},{value}")
-    newline = draw(st.sampled_from(["\n"] * 3 + ["\r\n"]))
-    text = newline.join(lines) + draw(st.sampled_from(["", newline, "\n\n"]))
-    return kind, draw(st.sampled_from(["", "\ufeff"])) + text
+    newline = draw(NEWLINES)
+    text = newline.join(lines) + draw(ENDINGS[newline])
+    return kind, draw(BOMS) + text
 
 
 PARSE = {"utilisation": parse_utilisation_csv,
