@@ -27,7 +27,7 @@ import math
 from typing import NamedTuple
 
 from . import cooling, power_chain, server_farm
-from .errors import (LARGEST, NONNEGATIVE, InvalidFractions,
+from .errors import (FINITE, LARGEST, NONNEGATIVE, UNIT, InvalidFractions,
                      InvariantViolation, MalformedRow, MissingRequired,
                      OutOfRange, UnknownKey, _Record, check)
 
@@ -97,10 +97,8 @@ class ScenarioConfig(_Record):
                 "pump_fraction + misc_fraction must be < 1, got "
                 f"{pump_fraction} + {misc_fraction}"
             )
-        if not 0.0 <= consolidation <= 1.0:
-            raise OutOfRange("consolidation must lie in [0, 1]")
-        if not -LARGEST <= reference_ambient_c <= LARGEST:
-            raise OutOfRange("reference_ambient_c must be finite")
+        check(OutOfRange, consolidation=(consolidation, UNIT),
+              reference_ambient_c=(reference_ambient_c, FINITE))
         self._set(server=server, architecture=architecture,
                   supply_targets=supply_targets, supply=supply,
                   chiller=chiller, crah=crah, crac=crac, eer=eer,
@@ -117,14 +115,14 @@ def _spec_keys(prefix: str, spec: type) -> dict[str, str]:
     return {f"{prefix}.{name}": name for name in spec._fields}
 
 
+# The spec records a config builds, by the prefix of their keys.
+_SPECS = {"server": server_farm.ServerSpec, "chiller": cooling.ChillerSpec,
+          "crah": cooling.CrahSpec, "crac": cooling.CracSpec}
 # Config key -> parameter, per target.  Only the keys present are passed,
 # so every default lives in the record whose field the key names.
 _PARAMETERS = {
-    "server": _spec_keys("server", server_farm.ServerSpec),
+    **{prefix: _spec_keys(prefix, spec) for prefix, spec in _SPECS.items()},
     "supply": _spec_keys("supply", power_chain.SupplyTargets),
-    "chiller": _spec_keys("chiller", cooling.ChillerSpec),
-    "crah": _spec_keys("crah", cooling.CrahSpec),
-    "crac": _spec_keys("crac", cooling.CracSpec),
     "scenario": {key: key for key in ("architecture", "pump_fraction",
                                       "misc_fraction", "reference_ambient_c",
                                       "consolidation")} | {"eer.table": "eer"},
@@ -211,14 +209,14 @@ def parse_scenario_config(text: str) -> ScenarioConfig:
     given = {target: {name: values[key] for key, name in keys.items()
                       if key in values}
              for target, keys in _PARAMETERS.items()}
-    return ScenarioConfig(
-        server=server_farm.ServerSpec(**given["server"]),
-        supply_targets=power_chain.SupplyTargets(**given["supply"]),
-        chiller=cooling.ChillerSpec(**given["chiller"]),
-        crah=cooling.CrahSpec(**given["crah"]),
-        crac=cooling.CracSpec(**given["crac"]),
-        **given["scenario"],
-    )
+    specs = {}
+    for prefix, spec in _SPECS.items():
+        try:
+            specs[prefix] = spec(**given[prefix])
+        except InvariantViolation as exc:   # name the field as its key
+            raise type(exc)(f"{prefix}.{exc}") from None
+    return ScenarioConfig(**specs, supply_targets=power_chain.SupplyTargets(
+        **given["supply"]), **given["scenario"])
 
 
 def default_scenario(

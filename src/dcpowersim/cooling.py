@@ -36,7 +36,7 @@ from __future__ import annotations
 import bisect
 import math
 
-from .errors import (FRACTION, LARGEST, NONNEGATIVE, POSITIVE, UNIT,
+from .errors import (FINITE, FRACTION, LARGEST, NONNEGATIVE, POSITIVE, UNIT,
                      InvariantViolation, OutOfRange, _Record, _shown, check,
                      check_fields)
 
@@ -120,19 +120,20 @@ class EerTable(_Record):
                  = DEFAULT_EER_BREAKPOINTS) -> None:
         if len(breakpoints) == 0:
             raise InvariantViolation("EER table needs at least one breakpoint")
-        # The first point is checked against one hotter than any ambient.
-        previous_t, previous_eer = math.inf, 0.0
+        # No point that passes the rules is out of order after this one.
+        previous = (math.inf, 0.0)
         for ambient_c, eer in breakpoints:
-            if not (0.0 < eer <= LARGEST and -LARGEST <= ambient_c <= LARGEST):
+            check(InvariantViolation, ambient_c=(ambient_c, FINITE),
+                  eer=(eer, POSITIVE))
+            if ambient_c >= previous[0]:
                 raise InvariantViolation(
-                    "EER values must be positive and finite, ambients finite")
-            if ambient_c >= previous_t:
+                    "breakpoints must be in strictly descending ambient "
+                    f"order, got {previous!r} then {(ambient_c, eer)!r}")
+            if eer < previous[1]:
                 raise InvariantViolation(
-                    "breakpoints must be in strictly descending ambient order")
-            if eer < previous_eer:
-                raise InvariantViolation(
-                    "EER must be nonincreasing in ambient temperature")
-            previous_t, previous_eer = ambient_c, eer
+                    "EER must be nonincreasing in ambient temperature, got "
+                    f"{previous!r} then {(ambient_c, eer)!r}")
+            previous = (ambient_c, eer)
         temps, eers = zip(*breakpoints[::-1])
         self._set(breakpoints=breakpoints, ascending_c=temps,
                   ascending_eer=eers,

@@ -244,9 +244,8 @@ def peak_context(scenario: ScenarioConfig) -> PeakContext:
     fixed, refrigeration = map(list, zip(*(
         pair if kept else (_ZERO, _ZERO)   # an excluded load is zero
         for pair, kept in zip(table, included))))
-    *_, has_pumps, has_misc = included
-    phi = scenario.pump_fraction if has_pumps else 0.0
-    mu = scenario.misc_fraction if has_misc else 0.0
+    phi = scenario.pump_fraction if included[-2] else 0.0   # pumps
+    mu = scenario.misc_fraction   # misc is in every architecture
     # At U = 1 and a = 1 each load is its coefficient sum; ScenarioConfig
     # keeps pump_fraction + misc_fraction below 1.  The zero slots add
     # +0.0, which is exact, here and in the pump sums.

@@ -63,6 +63,7 @@ POSITIVE = (lambda v: 0.0 < v <= LARGEST, "be positive and finite")
 AT_LEAST_ONE = (lambda v: 1 <= v <= LARGEST, "be >= 1 and finite")
 FRACTION = (lambda v: 0.0 < v <= 1.0, "be in (0, 1]")
 UNIT = (lambda v: 0.0 <= v <= 1.0, "lie in [0, 1]")
+FINITE = (lambda v: -LARGEST <= v <= LARGEST, "be finite")
 
 
 def _shown(value: object) -> str:

@@ -112,8 +112,8 @@ def calibrate_supply(farm_peak_w: float,
           pdu_idle_total_frac=(pdu_idle_frac, NONNEGATIVE),
           ups_idle_frac=(ups_idle_frac, NONNEGATIVE))
     check(NegativeInput, farm_peak_w=(farm_peak_w, POSITIVE))
-    if not 0.0 < peak_loss_frac < 1.0:
-        raise InvariantViolation("peak_loss_frac must lie in (0, 1)")
+    check(InvariantViolation, peak_loss_frac=(
+        peak_loss_frac, (lambda v: 0.0 < v < 1.0, "lie in (0, 1)")))
     pdu_idle_w = pdu_idle_frac * farm_peak_w
     ups_idle_w = ups_idle_frac * farm_peak_w
     proportional_budget_w = (peak_loss_frac - pdu_idle_frac

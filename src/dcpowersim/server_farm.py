@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import (AT_LEAST_ONE, LARGEST, UNIT, InvariantViolation,
+from .errors import (AT_LEAST_ONE, NONNEGATIVE, UNIT, InvariantViolation,
                      OutOfRange, _Record, check, check_fields)
 
 
@@ -28,11 +28,11 @@ class ServerSpec(_Record):
 
     def __init__(self, count: int, p_idle_w: float, p_peak_w: float) -> None:
         self._set(count=count, p_idle_w=p_idle_w, p_peak_w=p_peak_w)
-        check_fields(self, count=AT_LEAST_ONE)
-        if not 0.0 <= p_idle_w <= p_peak_w <= LARGEST:
-            raise InvariantViolation(
-                "server power must satisfy 0 <= p_idle_w <= p_peak_w < inf"
-            )
+        check_fields(self, count=AT_LEAST_ONE, p_idle_w=NONNEGATIVE,
+                     p_peak_w=NONNEGATIVE)
+        if p_idle_w > p_peak_w:
+            raise InvariantViolation("p_idle_w must be <= p_peak_w, got "
+                                     f"{p_idle_w!r} > {p_peak_w!r}")
 
     @property
     def farm_peak_w(self) -> float:

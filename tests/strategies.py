@@ -11,10 +11,13 @@ import sys
 
 from hypothesis import strategies as st
 
+from dcpowersim.config import _INT_KEYS, _KNOWN_KEYS
 from dcpowersim.cooling import EerTable
 from dcpowersim.errors import SimulationError
 
 LARGEST = sys.float_info.max
+# The config keys that take a float.
+FLOAT_KEYS = sorted(_KNOWN_KEYS - _INT_KEYS - {"architecture", "eer.table"})
 LAST_HOUR = dt.datetime(9999, 12, 31, 23)
 MAX_ROWS = 40   # the longest drawn EER table or profile
 INDEX = {n: st.integers(0, n - 1) for n in range(1, MAX_ROWS + 1)}

@@ -20,10 +20,10 @@ from hypothesis import strategies as st
 import dcpowersim
 from dcpowersim.analysis import compare_architectures, power_curve
 from dcpowersim.cli import run
-from dcpowersim.config import (_INT_KEYS, _KNOWN_KEYS, CoolingArchitecture,
+from dcpowersim.config import (_KNOWN_KEYS, CoolingArchitecture,
                               default_scenario)
 from dcpowersim.profiles import parse_temperature_csv, parse_utilisation_csv
-from strategies import BOMS, LAST_HOUR, spelled
+from strategies import BOMS, FLOAT_KEYS, LAST_HOUR, spelled
 
 CONFIG = """\
 server.count=40000
@@ -782,7 +782,6 @@ def test_config_text_through_every_subcommand_exits_0_1_or_2(text):
                 assert not list(Path(tmp).glob("*.tmp"))
 
 
-FLOAT_KEYS = sorted(_KNOWN_KEYS - _INT_KEYS - {"architecture", "eer.table"})
 MINUS_ZERO_COMMANDS = {   # --temps=: argparse reads a leading - as a flag
     "peak": [], "curtail": ["--ambient-c=30", "--target-w=1.5e7"],
     "curve": ["--temps=-10,20,50", "--points=3", "--out={d}/out.csv"],

@@ -16,6 +16,7 @@ from dcpowersim.errors import (InvalidFractions, InvariantViolation,
                                MalformedRow, MissingRequired, OutOfRange,
                                SimulationError, UnknownKey)
 from dcpowersim.power_chain import SupplyTargets
+from strategies import FLOAT_KEYS
 
 MINIMAL = """\
 server.count=40000
@@ -123,13 +124,20 @@ def config_text(values):
 
 
 def replaced(scenario, key, value):
-    """``scenario`` with config key ``key`` set to ``value`` by _replace."""
+    """``scenario`` with config key ``key`` set to ``value`` by _replace.
+    A spec record's error names the field by its key, as a parsed config's
+    does; the supply targets are checked under their own names."""
     record, _, field = key.rpartition(".")
     if not record:   # a top-level float
         return scenario._replace(**{key: value})
-    name = "supply_targets" if record == "supply" else record
-    return scenario._replace(
-        **{name: getattr(scenario, name)._replace(**{field: value})})
+    if record == "supply":
+        return scenario._replace(supply_targets=scenario.supply_targets
+                                 ._replace(**{field: value}))
+    try:
+        spec = getattr(scenario, record)._replace(**{field: value})
+    except InvariantViolation as error:
+        raise type(error)(f"{record}.{error}") from None
+    return scenario._replace(**{record: spec})
 
 
 @settings(deadline=None)
@@ -269,10 +277,6 @@ def test_overrides_take_effect():
 
 # --- non-finite values ---
 
-FLOAT_KEYS = sorted(config._KNOWN_KEYS - config._INT_KEYS
-                    - {"architecture", "eer.table"})
-
-
 def with_value(key, raw):
     lines = [line for line in MINIMAL.splitlines()
              if not line.startswith(f"{key}=")]
@@ -328,8 +332,26 @@ def test_eer_table_error_names_its_line(table, message):
     with pytest.raises(InvariantViolation) as raised:
         parse_scenario_config(MINIMAL + f"eer.table={table}\n")
     assert type(raised.value) is InvariantViolation
-    assert re.fullmatch(rf"line 5: eer\.table: .*{message}",
-                        str(raised.value))
+    assert re.fullmatch(rf"line 5: eer\.table: .*{message}"
+                        r"(, got \(.+\) then \(.+\))?", str(raised.value))
+
+
+@pytest.mark.parametrize("key, raw, message", [
+    pytest.param("crah.idle_frac", "-1",
+                 "crah.idle_frac must be finite and nonnegative, got -1.0",
+                 id="crah.idle_frac"),
+    pytest.param("crac.idle_frac", "-1",
+                 "crac.idle_frac must be finite and nonnegative, got -1.0",
+                 id="crac.idle_frac"),
+    pytest.param("server.p_idle_w", "300",
+                 "server.p_idle_w must be <= p_peak_w, got 300.0 > 250.0",
+                 id="server.p_idle_w-above-p_peak_w")])
+def test_a_spec_error_names_the_key_as_configured(key, raw, message):
+    # The same field of two records, or a relation of two fields, is told
+    # apart by the key's prefix; a record built in Python names the field.
+    with pytest.raises(InvariantViolation,
+                       match=f"^{re.escape(message)}$"):
+        parse_scenario_config(with_value(key, raw))
 
 
 @pytest.mark.parametrize("key, raw, kind", [

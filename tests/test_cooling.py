@@ -2,6 +2,7 @@
 
 import bisect
 import math
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -288,8 +289,10 @@ def test_table_validation():
     ((30.0, 3.5), (30.0, 3.5)),   # a repeated ambient
 ])
 def test_table_ambients_must_strictly_descend(breakpoints):
-    with pytest.raises(InvariantViolation, match=(
-            "^breakpoints must be in strictly descending ambient order$")):
+    first, second = breakpoints
+    with pytest.raises(InvariantViolation, match="^" + re.escape(
+            "breakpoints must be in strictly descending ambient order, "
+            f"got {first!r} then {second!r}") + "$"):
         EerTable(breakpoints)
 
 

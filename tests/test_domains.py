@@ -135,6 +135,40 @@ def test_component_gives_finite_nonnegative_numbers_or_raises(name, data):
         InvariantViolation,
         "count must be >= 1 and finite, got <int of 16610 bits>",
         id="<lambda>-InvariantViolation-count is too large for a float"),
+    # the checks that were written by hand, each now naming its value
+    pytest.param(lambda: SCENARIO._replace(consolidation=1.5), OutOfRange,
+                 "consolidation must lie in [0, 1], got 1.5",
+                 id="ScenarioConfig-consolidation"),
+    pytest.param(lambda: SCENARIO._replace(reference_ambient_c=-math.inf),
+                 OutOfRange, "reference_ambient_c must be finite, got -inf",
+                 id="ScenarioConfig-reference_ambient_c"),
+    pytest.param(lambda: calibrate_supply(1e6, SupplyTargets(
+        peak_loss_frac=1.0)), InvariantViolation,
+                 "peak_loss_frac must lie in (0, 1), got 1.0",
+                 id="calibrate_supply-peak_loss_frac"),
+    pytest.param(lambda: ServerSpec(1, -1.0, 2.0), InvariantViolation,
+                 "p_idle_w must be finite and nonnegative, got -1.0",
+                 id="ServerSpec-p_idle_w"),
+    pytest.param(lambda: ServerSpec(1, 1.0, math.nan), InvariantViolation,
+                 "p_peak_w must be finite and nonnegative, got nan",
+                 id="ServerSpec-p_peak_w"),
+    pytest.param(lambda: ServerSpec(1, 300.0, 200.0), InvariantViolation,
+                 "p_idle_w must be <= p_peak_w, got 300.0 > 200.0",
+                 id="ServerSpec-p_idle_w-above-p_peak_w"),
+    pytest.param(lambda: EerTable(((35.0, 3.1), (math.nan, 3.5))),
+                 InvariantViolation, "ambient_c must be finite, got nan",
+                 id="EerTable-ambient_c"),
+    pytest.param(lambda: EerTable(((35.0, 0.0),)), InvariantViolation,
+                 "eer must be positive and finite, got 0.0",
+                 id="EerTable-eer"),
+    pytest.param(lambda: EerTable(((30.0, 3.5), (35.0, 3.1))),
+                 InvariantViolation,
+                 "breakpoints must be in strictly descending ambient order, "
+                 "got (30.0, 3.5) then (35.0, 3.1)", id="EerTable-order"),
+    pytest.param(lambda: EerTable(((35.0, 3.1), (30.0, 2.9))),
+                 InvariantViolation,
+                 "EER must be nonincreasing in ambient temperature, "
+                 "got (35.0, 3.1) then (30.0, 2.9)", id="EerTable-eer-order"),
 ])
 def test_rule_messages(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
