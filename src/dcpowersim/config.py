@@ -9,12 +9,12 @@ namespaces, e.g.::
     architecture=crah_chiller
     consolidation=1.0
 
-Server sizing and the architecture are mandatory; every other key falls
-back to the default of the record field it names (``chiller.alpha`` is
-the ``alpha`` of ``ChillerSpec``).  Supply-loss coefficients are not
-configured directly: the ``supply.*`` keys set the calibration targets,
-``power_chain.SupplyTargets``, and the ``ScenarioConfig`` constructor
-solves the coefficients for its farm peak.
+One table, ``_KEYS``, maps each key to the one record field it sets
+(``chiller.alpha`` is the ``alpha`` of ``ChillerSpec``), and the parser
+files each value straight into that record's arguments.  Server sizing
+and the architecture are mandatory; every other key falls back to its
+field's default.  The ``supply.*`` keys set ``power_chain.SupplyTargets``,
+from which ``ScenarioConfig`` solves the supply-loss coefficients.
 
 ``COMPONENTS`` is the component table: each load's name, group and the
 cooling architectures that include it.
@@ -111,27 +111,24 @@ class ScenarioConfig(_Record):
         return self._replace(architecture=architecture)
 
 
-def _spec_keys(prefix: str, spec: type) -> dict[str, str]:
-    return {f"{prefix}.{name}": name for name in spec._fields}
-
-
-# The spec records a config builds, by the prefix of their keys.
-_SPECS = {"server": server_farm.ServerSpec, "chiller": cooling.ChillerSpec,
-          "crah": cooling.CrahSpec, "crac": cooling.CracSpec}
-# Config key -> parameter, per target.  Only the keys present are passed,
-# so every default lives in the record whose field the key names.
-_PARAMETERS = {
-    **{prefix: _spec_keys(prefix, spec) for prefix, spec in _SPECS.items()},
-    "supply": _spec_keys("supply", power_chain.SupplyTargets),
-    "scenario": {key: key for key in ("architecture", "pump_fraction",
-                                      "misc_fraction", "reference_ambient_c",
-                                      "consolidation")} | {"eer.table": "eer"},
-}
+# The records a config builds, by the prefix of their keys, in build order.
+_RECORDS = {"server": server_farm.ServerSpec, "chiller": cooling.ChillerSpec,
+            "crah": cooling.CrahSpec, "crac": cooling.CracSpec,
+            "supply": power_chain.SupplyTargets}
+# Config key -> (prefix, field); the scenario's own arguments have the
+# prefix "scenario".  Only the keys present are passed, so every default
+# lives in the record whose field the key names.
+_KEYS = {**{f"{prefix}.{name}": (prefix, name)
+            for prefix, record in _RECORDS.items() for name in record._fields},
+         **{key: ("scenario", key) for key in (
+             "architecture", "pump_fraction", "misc_fraction",
+             "reference_ambient_c", "consolidation")},
+         "eer.table": ("scenario", "eer")}
 
 _INT_KEYS = frozenset({"server.count", "supply.pdu_count"})
 _REQUIRED_KEYS = ("server.count", "server.p_idle_w", "server.p_peak_w",
                   "architecture")
-_KNOWN_KEYS = frozenset().union(*_PARAMETERS.values())
+_KNOWN_KEYS = frozenset(_KEYS)
 
 
 def _parse_number(key: str, raw: str, line_no: int) -> float | int:
@@ -174,7 +171,7 @@ def _parse_eer_table(raw: str, line_no: int) -> cooling.EerTable:
 
 def parse_scenario_config(text: str) -> ScenarioConfig:
     """Parse a key=value scenario description into a validated config."""
-    values: dict[str, object] = {}
+    given = {prefix: {} for prefix in (*_RECORDS, "scenario")}
     # One leading byte-order mark, as Notepad writes.
     text = text.removeprefix("\ufeff")
     for line_no, line in enumerate(text.splitlines(), start=1):
@@ -185,38 +182,37 @@ def parse_scenario_config(text: str) -> ScenarioConfig:
             raise MalformedRow(f"line {line_no}: expected key=value, "
                                f"got {stripped!r}")
         key, raw = (part.strip() for part in stripped.split("=", 1))
-        if key not in _KNOWN_KEYS:
+        if key not in _KEYS:
             raise UnknownKey(f"line {line_no}: unknown config key {key!r}")
-        if key in values:
+        prefix, name = _KEYS[key]
+        if name in given[prefix]:
             raise MalformedRow(f"line {line_no}: duplicate key {key!r}")
         if key == "architecture":
             try:
-                values[key] = CoolingArchitecture(raw)
+                given[prefix][name] = CoolingArchitecture(raw)
             except ValueError:
                 names = ", ".join(a.value for a in CoolingArchitecture)
                 raise MalformedRow(
                     f"line {line_no}: architecture must be one of {names}, "
                     f"got {raw!r}") from None
         elif key == "eer.table":
-            values[key] = _parse_eer_table(raw, line_no)
+            given[prefix][name] = _parse_eer_table(raw, line_no)
         else:
-            values[key] = _parse_number(key, raw, line_no)
+            given[prefix][name] = _parse_number(key, raw, line_no)
 
     for key in _REQUIRED_KEYS:
-        if key not in values:
+        prefix, name = _KEYS[key]
+        if name not in given[prefix]:
             raise MissingRequired(f"missing required config key {key!r}")
 
-    given = {target: {name: values[key] for key, name in keys.items()
-                      if key in values}
-             for target, keys in _PARAMETERS.items()}
-    specs = {}
-    for prefix, spec in _SPECS.items():
+    records = {}
+    for prefix, record in _RECORDS.items():
         try:
-            specs[prefix] = spec(**given[prefix])
+            records[prefix] = record(**given[prefix])
         except InvariantViolation as exc:   # name the field as its key
             raise type(exc)(f"{prefix}.{exc}") from None
-    return ScenarioConfig(**specs, supply_targets=power_chain.SupplyTargets(
-        **given["supply"]), **given["scenario"])
+    return ScenarioConfig(supply_targets=records.pop("supply"), **records,
+                          **given["scenario"])
 
 
 def default_scenario(

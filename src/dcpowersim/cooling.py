@@ -236,21 +236,19 @@ def _adjustment_column(ambients, table: EerTable,
                              table.segments)
     coldest, hottest = temps[0], temps[-1]
     cold, hot = reference_eer / eers[0], reference_eer / eers[-1]
-    bisect_left, largest, smallest = bisect.bisect_left, LARGEST, -LARGEST
     column: list[float] = []
-    append = column.append
     for ambient_c in ambients:
         if ambient_c <= coldest:
-            append(cold)
+            column.append(cold)
         elif ambient_c >= hottest:
-            append(hot)
+            column.append(hot)
         else:
             t_lo, eer_lo, eer_hi, rise, span = segments[
-                bisect_left(temps, ambient_c)]
+                bisect.bisect_left(temps, ambient_c)]
             eer = eer_lo + rise * (ambient_c - t_lo) / span
-            if not smallest <= eer <= largest:
+            if not -LARGEST <= eer <= LARGEST:
                 eer = eer_lo + rise * ((ambient_c - t_lo) / span)
-            append(reference_eer / (eer if eer >= eer_hi else eer_hi))
+            column.append(reference_eer / (eer if eer >= eer_hi else eer_hi))
     return column
 
 

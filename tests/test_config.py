@@ -354,6 +354,16 @@ def test_a_spec_error_names_the_key_as_configured(key, raw, message):
         parse_scenario_config(with_value(key, raw))
 
 
+@pytest.mark.parametrize("text", [
+    pytest.param("crac.cop=-1\n" + with_value("server.p_idle_w", "-1"),
+                 id="server.p_idle_w-before-crac.cop")])
+def test_the_first_record_in_build_order_names_the_error(text):
+    # The server is built before any cooling spec, whatever the line order.
+    with pytest.raises(InvariantViolation, match=r"^server\.p_idle_w must be "
+                       r"finite and nonnegative, got -1\.0$"):
+        parse_scenario_config(text)
+
+
 @pytest.mark.parametrize("key, raw, kind", [
     ("server.count", "1e3", "an integer"),
     ("server.count", "1.5", "an integer"),
