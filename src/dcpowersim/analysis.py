@@ -3,13 +3,17 @@
 Curtailment inverts the forward model in closed form: at one outdoor
 temperature the facility total is c0 + c1*U + c2*U^2 with every c >= 0
 (see ``engine``), solved by the cancellation-free root
-U = 2d / (c1 + sqrt(c1^2 + 4*c2*d)), d = target - c0.  Targets below the
-floor load (everything idle) or above the full-load total are reported
-infeasible with the nearest achievable total rather than raising.  A
-solve takes the adjustment a from one ``cooling.eer_lookup`` call and
-evaluates the compiled total pair at it in place.  It builds its record
-by ``tuple.__new__``, as the NamedTuple's own ``__new__`` does, without
-that Python-level call, which was about a fifth of a solve.
+U = 2d / (c1 + sqrt(c1^2 + 4*c2*d)), d = target - c0.  One comparison
+per endpoint decides the rest: a target at most the tolerance above the
+floor load (everything idle) takes the floor, one at most the tolerance
+below the full-load total takes the peak, and an endpoint is feasible
+only within the tolerance, so a target beyond it is reported infeasible
+with the nearest achievable total rather than raising.  A solve takes the
+adjustment a from one ``cooling.eer_lookup`` call and evaluates the
+compiled total pair at it in place.  It builds its record by
+``tuple.__new__`` at two sites, endpoint and root, as the NamedTuple's
+own ``__new__`` does, without that Python-level call, which was about a
+fifth of a solve.
 """
 
 from __future__ import annotations
@@ -75,24 +79,19 @@ def curtail(target_total_w: float, ambient_c: float,
     a = ctx.reference_eer / cooling.eer_lookup(ambient_c, ctx.eer)
     (f0, f1, f2), (r0, r1, r2) = ctx.total_fixed, ctx.total_refrigeration
     c0, c1, c2 = f0 + a * r0, f1 + a * r1, f2 + a * r2
-    floor_w, peak_w = c0, c0 + c1 + c2
     tolerance_w = CURTAIL_RELATIVE_TOLERANCE * target_total_w
-    if abs(floor_w - target_total_w) <= tolerance_w:
+    if target_total_w - c0 <= tolerance_w:
+        u, total_w = 0.0, c0
+    elif (peak_w := c0 + c1 + c2) - target_total_w <= tolerance_w:
+        u, total_w = 1.0, peak_w
+    else:
+        d = target_total_w - c0
+        u = 2.0 * d / (c1 + math.sqrt(c1 * c1 + 4.0 * c2 * d))
         return tuple.__new__(CurtailmentSolution,
-                             (target_total_w, 0.0, floor_w, True))
-    if abs(peak_w - target_total_w) <= tolerance_w:
-        return tuple.__new__(CurtailmentSolution,
-                             (target_total_w, 1.0, peak_w, True))
-    if target_total_w < floor_w:
-        return tuple.__new__(CurtailmentSolution,
-                             (target_total_w, 0.0, floor_w, False))
-    if target_total_w > peak_w:
-        return tuple.__new__(CurtailmentSolution,
-                             (target_total_w, 1.0, peak_w, False))
-    d = target_total_w - c0
-    u = 2.0 * d / (c1 + math.sqrt(c1 * c1 + 4.0 * c2 * d))
-    return tuple.__new__(CurtailmentSolution,
-                         (target_total_w, u, c0 + u * (c1 + u * c2), True))
+                             (target_total_w, u, c0 + u * (c1 + u * c2), True))
+    return tuple.__new__(CurtailmentSolution, (
+        target_total_w, u, total_w,
+        abs(total_w - target_total_w) <= tolerance_w))
 
 
 def peak_breakdown(scenario: ScenarioConfig) -> dict[str, float]:

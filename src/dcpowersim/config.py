@@ -128,7 +128,6 @@ _KEYS = {**{f"{prefix}.{name}": (prefix, name)
 _INT_KEYS = frozenset({"server.count", "supply.pdu_count"})
 _REQUIRED_KEYS = ("server.count", "server.p_idle_w", "server.p_peak_w",
                   "architecture")
-_KNOWN_KEYS = frozenset(_KEYS)
 
 
 def _parse_number(key: str, raw: str, line_no: int) -> float | int:

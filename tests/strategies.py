@@ -11,13 +11,14 @@ import sys
 
 from hypothesis import strategies as st
 
-from dcpowersim.config import _INT_KEYS, _KNOWN_KEYS
+from dcpowersim.config import _INT_KEYS, _KEYS
 from dcpowersim.cooling import EerTable
 from dcpowersim.errors import SimulationError
+from dcpowersim.profiles import AmbientProfile, UtilisationProfile
 
 LARGEST = sys.float_info.max
 # The config keys that take a float.
-FLOAT_KEYS = sorted(_KNOWN_KEYS - _INT_KEYS - {"architecture", "eer.table"})
+FLOAT_KEYS = sorted(_KEYS.keys() - _INT_KEYS - {"architecture", "eer.table"})
 LAST_HOUR = dt.datetime(9999, 12, 31, 23)
 MAX_ROWS = 40   # the longest drawn EER table or profile
 INDEX = {n: st.integers(0, n - 1) for n in range(1, MAX_ROWS + 1)}
@@ -27,6 +28,14 @@ BOMS = st.sampled_from(["", "\ufeff"])
 def stamps(n: int) -> tuple[str, ...]:
     return tuple(f"2016-06-{1 + h // 24:02d}T{h % 24:02d}:00"
                  for h in range(n))
+
+
+def profiles_from(us, ts):
+    """The utilisation and ambient profiles of ``us`` and ``ts``, stamped
+    by ``stamps``."""
+    n = len(us)
+    return (UtilisationProfile(stamps(n), tuple(us)),
+            AmbientProfile(stamps(n), tuple(ts)))
 
 
 def spelled(when, kind):

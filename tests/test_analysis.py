@@ -4,7 +4,7 @@ import math
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dcpowersim.analysis import (CURTAIL_RELATIVE_TOLERANCE,
@@ -15,17 +15,11 @@ from dcpowersim.config import (CoolingArchitecture, ScenarioConfig,
 from dcpowersim.cooling import CrahSpec, eer_lookup
 from dcpowersim.engine import COMPONENT_NAMES, peak_context, step_power
 from dcpowersim.errors import NegativeInput, OutOfRange
-from dcpowersim.profiles import AmbientProfile, UtilisationProfile
 from dcpowersim.server_farm import ServerSpec
-from strategies import stamps
+from strategies import profiles_from
 
 SCENARIO = default_scenario()
 CTX = peak_context(SCENARIO)
-
-
-def constant_profiles(n, u, t):
-    return (UtilisationProfile(stamps(n), (u,) * n),
-            AmbientProfile(stamps(n), (t,) * n))
 
 
 def one_load(fixed):
@@ -34,6 +28,14 @@ def one_load(fixed):
     zero = (0.0, 0.0, 0.0)
     rest = (zero,) * (len(COMPONENT_NAMES) - 1)
     return CTX._replace(fixed=(fixed, *rest), refrigeration=(zero, *rest))
+
+
+def compiled_total(ambient, ctx):
+    """The (c0, c1, c2) of the facility total at ``ambient``, as curtail
+    computes them."""
+    a = ctx.reference_eer / eer_lookup(ambient, ctx.eer)
+    (f0, f1, f2), (r0, r1, r2) = ctx.total_fixed, ctx.total_refrigeration
+    return f0 + a * r0, f1 + a * r1, f2 + a * r2
 
 
 # --- curtailment ---
@@ -179,10 +181,7 @@ def test_largest_unsnapped_target_solves_below_full_load():
     ambients = (table[0] - 20.0, *table, table[-1] + 20.0)
     for ctx in contexts:
         for ambient in ambients:
-            a = ctx.reference_eer / eer_lookup(ambient, ctx.eer)
-            (f0, f1, f2), (r0, r1, r2) = (ctx.total_fixed,
-                                          ctx.total_refrigeration)
-            c0, c1, c2 = f0 + a * r0, f1 + a * r1, f2 + a * r2
+            c0, c1, c2 = compiled_total(ambient, ctx)
             peak = c0 + c1 + c2
             target = peak / (1.0 + CURTAIL_RELATIVE_TOLERANCE)
             for _ in range(4):
@@ -195,6 +194,92 @@ def test_largest_unsnapped_target_solves_below_full_load():
             assert 0.0 < solution.required_utilisation < 1.0
             assert (abs(solution.achieved_total_w - target)
                     <= CURTAIL_RELATIVE_TOLERANCE * target)
+
+
+def five_branch_curtail(target_total_w, ambient_c, ctx):
+    """``curtail`` as 0.10.2 wrote it: both snaps, then both clamps, each
+    an early return, then the root."""
+    c0, c1, c2 = compiled_total(ambient_c, ctx)
+    floor_w, peak_w = c0, c0 + c1 + c2
+    tolerance_w = CURTAIL_RELATIVE_TOLERANCE * target_total_w
+    if abs(floor_w - target_total_w) <= tolerance_w:
+        return CurtailmentSolution(target_total_w, 0.0, floor_w, True)
+    if abs(peak_w - target_total_w) <= tolerance_w:
+        return CurtailmentSolution(target_total_w, 1.0, peak_w, True)
+    if target_total_w < floor_w:
+        return CurtailmentSolution(target_total_w, 0.0, floor_w, False)
+    if target_total_w > peak_w:
+        return CurtailmentSolution(target_total_w, 1.0, peak_w, False)
+    d = target_total_w - c0
+    u = 2.0 * d / (c1 + math.sqrt(c1 * c1 + 4.0 * c2 * d))
+    return CurtailmentSolution(target_total_w, u, c0 + u * (c1 + u * c2),
+                               True)
+
+
+def solved(solve, *args):
+    """The repr of the record ``solve(*args)`` returns, or the
+    ZeroDivisionError it raises: with c1 = 0 the root's denominator
+    underflows to 0 for a subnormal target above a zero floor."""
+    try:
+        return repr(solve(*args))
+    except ZeroDivisionError as exc:
+        return type(exc)
+
+
+# One-load totals for which a 1e6 W target lies exactly one tolerance,
+# 1 W, from an endpoint (999,999 or 1,000,001 W), or from both when the
+# total is flat.  Scaling the shape and the target by 2**j keeps it exact.
+SHAPES = {"flat-below": (999_999.0, 0.0, 0.0),
+          "flat-above": (1_000_001.0, 0.0, 0.0),
+          "zero-floor-linear": (0.0, 999_999.0, 0.0),
+          "zero-floor-quadratic": (0.0, 0.0, 1_000_001.0),
+          "linear-floor": (999_999.0, 2.0, 0.0),
+          "linear-peak": (999_997.0, 2.0, 0.0),
+          "quadratic-floor": (1_000_001.0, 0.0, 2.0),
+          "quadratic-peak": (999_997.0, 0.0, 2.0)}
+DEFAULT_CONTEXTS = {architecture.value: peak_context(
+                        default_scenario(architecture))
+                    for architecture in CoolingArchitecture}
+TABLE_C = SCENARIO.eer.ascending_c
+# The endpoint itself, or the target one tolerance below or above it:
+# |e - t| = tol * t at t = e / (1 + tol) and at t = e / (1 - tol).
+DIVISORS = (1.0, 1.0 + CURTAIL_RELATIVE_TOLERANCE,
+            1.0 - CURTAIL_RELATIVE_TOLERANCE)
+
+
+@settings(max_examples=400, deadline=None)
+@given(name=st.sampled_from([*DEFAULT_CONTEXTS, *SHAPES]),
+       exponent=st.integers(-30, 30),
+       ambient=st.sampled_from((TABLE_C[0] - 20.0, TABLE_C[0], TABLE_C[-1],
+                                TABLE_C[-1] + 20.0))
+       | st.floats(TABLE_C[0] - 20.0, TABLE_C[-1] + 20.0),
+       pick=st.sampled_from(("design", "middle"))
+       | st.tuples(st.sampled_from(("floor", "peak")),
+                   st.sampled_from(DIVISORS), st.integers(-3, 3)))
+@example(name="linear-floor", exponent=0, ambient=30.0, pick="design")
+@example(name="linear-peak", exponent=0, ambient=30.0, pick="design")
+@example(name="flat-above", exponent=0, ambient=30.0, pick="design")
+def test_curtail_keeps_the_records_of_the_five_branch_rule(
+        name, exponent, ambient, pick):
+    # The target is an endpoint, or one tolerance from it, moved by up to
+    # 3 ulps; the design target 1e6 * 2**j of the shape; or the midpoint.
+    scale = 2.0 ** exponent
+    ctx = (one_load(tuple(c * scale for c in SHAPES[name]))
+           if name in SHAPES else DEFAULT_CONTEXTS[name])
+    c0, c1, c2 = compiled_total(ambient, ctx)
+    floor_w, peak_w = c0, c0 + c1 + c2
+    if pick == "design":
+        target = 1e6 * scale
+    elif pick == "middle":
+        target = (floor_w + peak_w) / 2
+    else:
+        endpoint, divisor, ulps = pick
+        target = (floor_w if endpoint == "floor" else peak_w) / divisor
+        for _ in range(abs(ulps)):
+            target = math.nextafter(target, math.copysign(math.inf, ulps))
+    target = max(target, math.ulp(0.0))   # curtail takes only a target > 0
+    assert (solved(curtail, target, ambient, SCENARIO, ctx)
+            == solved(five_branch_curtail, target, ambient, ctx))
 
 
 # --- peak breakdown ---
@@ -294,7 +379,7 @@ def test_curve_rejects_non_finite_temperature(temp):
 # --- architecture comparison ---
 
 def test_self_comparison_has_zero_increase():
-    utilisation, ambient = constant_profiles(6, 0.8, 30.0)
+    utilisation, ambient = profiles_from([0.8] * 6, [30.0] * 6)
     comparison = compare_architectures(
         utilisation, ambient, SCENARIO,
         baseline=CoolingArchitecture.CRAH_CHILLER,
@@ -305,7 +390,7 @@ def test_self_comparison_has_zero_increase():
 def test_full_load_increase_hand_value():
     # Chilled water at design point: 7.42 + 2.662 + 0.04 * 23.98 MW pumps;
     # CRAC at design point: 2.5 + 7 * 1.862 MW.
-    utilisation, ambient = constant_profiles(24, 1.0, 30.0)
+    utilisation, ambient = profiles_from([1.0] * 24, [30.0] * 24)
     comparison = compare_architectures(utilisation, ambient, SCENARIO)
     chilled = 7.42e6 + 2.662e6 + 0.04 * (21.582e6 / 0.90)
     crac = 2.5e6 + 7 * 1.862e6
@@ -327,7 +412,7 @@ def test_crac_dominates_at_high_utilisation():
 
 
 def test_swapping_roles_negates_differences():
-    utilisation, ambient = constant_profiles(8, 0.9, 32.0)
+    utilisation, ambient = profiles_from([0.9] * 8, [32.0] * 8)
     forward = compare_architectures(utilisation, ambient, SCENARIO)
     backward = compare_architectures(
         utilisation, ambient, SCENARIO,
@@ -344,7 +429,7 @@ def test_swapping_roles_negates_differences():
 def test_zero_baseline_cooling_energy_is_out_of_range():
     # Free air with no fan idle floor draws nothing at U = 0.
     scenario = SCENARIO._replace(crah=CrahSpec(idle_frac=0.0))
-    utilisation, ambient = constant_profiles(1, 0.0, 30.0)
+    utilisation, ambient = profiles_from([0.0], [30.0])
     comparison = compare_architectures(
         utilisation, ambient, scenario,
         baseline=CoolingArchitecture.FREE_AIR,

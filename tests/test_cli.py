@@ -20,10 +20,9 @@ from hypothesis import strategies as st
 import dcpowersim
 from dcpowersim.analysis import compare_architectures, power_curve
 from dcpowersim.cli import run
-from dcpowersim.config import (_KNOWN_KEYS, CoolingArchitecture,
-                              default_scenario)
+from dcpowersim.config import _KEYS, CoolingArchitecture, default_scenario
 from dcpowersim.profiles import parse_temperature_csv, parse_utilisation_csv
-from strategies import BOMS, FLOAT_KEYS, LAST_HOUR, spelled
+from strategies import BOMS, FLOAT_KEYS, LAST_HOUR, spelled, stamps
 
 CONFIG = """\
 server.count=40000
@@ -38,8 +37,7 @@ def write_inputs(tmp_path, hours=24, utilisation=0.5, ambient=30.0):
     config.write_text(CONFIG)
     util_lines = ["timestamp,utilisation"]
     temp_lines = ["timestamp,temperature_c"]
-    for h in range(hours):
-        stamp = f"2016-06-{1 + h // 24:02d}T{h % 24:02d}:00"
+    for stamp in stamps(hours):
         util_lines.append(f"{stamp},{utilisation}")
         temp_lines.append(f"{stamp},{ambient}")
     util = tmp_path / "util.csv"
@@ -741,7 +739,7 @@ def config_value(key):
 
 
 KEPT = st.integers(0, 9)   # a line is dropped at 0
-KEYS = st.lists(st.sampled_from(sorted(_KNOWN_KEYS) + ["server.speed"]),
+KEYS = st.lists(st.sampled_from(sorted(_KEYS) + ["server.speed"]),
                 max_size=6)
 
 

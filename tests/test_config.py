@@ -82,7 +82,7 @@ def test_replace_of_the_server_calibrates_the_supply_again():
         scenario._replace(supply=tripled.supply)
 
 
-NUMERIC_KEYS = sorted(config._KNOWN_KEYS - {"architecture", "eer.table"})
+NUMERIC_KEYS = sorted(config._KEYS.keys() - {"architecture", "eer.table"})
 SERVER_KEYS = ("server.count", "server.p_idle_w", "server.p_peak_w")
 # Values that every scenario accepts, together; other keys take (0.01, 10).
 ACCEPTED = {

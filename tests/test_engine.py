@@ -24,18 +24,13 @@ from dcpowersim.errors import (LARGEST, EmptyProfile, EmptyResult,
                                InvariantViolation, OutOfRange, ProfileMismatch,
                                SimulationError)
 from dcpowersim.profiles import AmbientProfile, UtilisationProfile
-from strategies import EER_TABLES, INDEX, eer_tables, outcome, stamps
+from strategies import (EER_TABLES, INDEX, eer_tables, outcome,
+                        profiles_from, stamps)
 
 SCENARIO = default_scenario()
 CTX = peak_context(SCENARIO)
 
 TOTAL_PEAK_W = (10e6 + 1.5e6 + 7.42e6 + 2.662e6) / 0.90
-
-
-def profiles_from(us, ts):
-    n = len(us)
-    return (UtilisationProfile(stamps(n), tuple(us)),
-            AmbientProfile(stamps(n), tuple(ts)))
 
 
 # --- peak context ---

@@ -18,13 +18,13 @@ from dcpowersim import profiles
 from dcpowersim.profiles import (RESULT_COLUMNS, AmbientProfile,
                                  UtilisationProfile, parse_temperature_csv,
                                  parse_utilisation_csv, write_results_csv)
-from strategies import BOMS, INDEX, LAST_HOUR, outcome, spelled
+from strategies import BOMS, INDEX, LAST_HOUR, outcome, spelled, stamps
 
 
 def hourly_csv(header: str, values) -> str:
     lines = [header]
-    for hour, value in enumerate(values):
-        lines.append(f"2016-06-{1 + hour // 24:02d}T{hour % 24:02d}:00,{value}")
+    lines.extend(f"{stamp},{value}"
+                 for stamp, value in zip(stamps(len(values)), values))
     return "\n".join(lines) + "\n"
 
 
