@@ -3,7 +3,9 @@
 Curtailment inverts the forward model in closed form: at one outdoor
 temperature the facility total is c0 + c1*U + c2*U^2 with every c >= 0
 (see ``engine``), solved by the cancellation-free root
-U = 2d / (c1 + sqrt(c1^2 + 4*c2*d)), d = target - c0.  One comparison
+U = 2d / (c1 + sqrt(c1^2 + 4*c2*d)), d = target - c0, or by its equal
+form U = sqrt(d / c2) when c1 = 0 and 4*c2*d underflows to 0, which
+leaves the root no denominator.  One comparison
 per endpoint decides the rest: a target at most the tolerance above the
 floor load (everything idle) takes the floor, one at most the tolerance
 below the full-load total takes the peak, and an endpoint is feasible
@@ -86,7 +88,10 @@ def curtail(target_total_w: float, ambient_c: float,
         u, total_w = 1.0, peak_w
     else:
         d = target_total_w - c0
-        u = 2.0 * d / (c1 + math.sqrt(c1 * c1 + 4.0 * c2 * d))
+        try:
+            u = 2.0 * d / (c1 + math.sqrt(c1 * c1 + 4.0 * c2 * d))
+        except ZeroDivisionError:   # c1 = 0 and 4 * c2 * d underflowed
+            u = math.sqrt(d / c2)
         return tuple.__new__(CurtailmentSolution,
                              (target_total_w, u, c0 + u * (c1 + u * c2), True))
     return tuple.__new__(CurtailmentSolution, (

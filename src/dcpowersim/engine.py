@@ -45,13 +45,16 @@ of both, never the CRAC idle floor.  :func:`step_power` and
 :func:`simulate` takes the whole column from
 ``cooling._adjustment_column``, one loop with the same bits and no check
 of its own: a non-finite ambient has already failed :func:`simulate`'s
-column check with ``OutOfRange``.  A ``curtail`` solve through a column
+range check with ``OutOfRange``.  A ``curtail`` solve through a column
 of one took more than twice as long (see ``cooling``).  When the compiled
 refrigeration total is zero (free air, or a CRAC without airflow), no
 load depends on a, and :func:`simulate` reads no EER table past the
-reference.  The per-component functions of ``server_farm``,
-``power_chain`` and ``cooling`` remain the reference model the compiled
-form is tested against.
+reference.  The range check reads a verdict that each profile computes
+on first use and keeps, as its values cannot change, so a profile run
+under many scenarios is tested once; a false verdict has the rows
+searched on every call, to name the row that failed.  The per-component
+functions of ``server_farm``, ``power_chain`` and ``cooling`` remain the
+reference model the compiled form is tested against.
 """
 
 from __future__ import annotations
@@ -288,24 +291,22 @@ def _check_rows(utilisation: UtilisationProfile,
 
 def simulate(utilisation: UtilisationProfile, ambient: AmbientProfile,
              scenario: ScenarioConfig) -> SimulationResult:
-    """Run the full model over aligned hourly profiles, checked once."""
+    """Run the full model over aligned hourly profiles.  Their values are
+    tested once per profile, whose verdict is kept; their timestamps are
+    compared on each call."""
     if len(utilisation) == 0 or len(ambient) == 0:
         raise EmptyProfile("profiles must be non-empty")
     if len(utilisation) != len(ambient):
         raise ProfileMismatch(
             f"profile lengths differ: {len(utilisation)} utilisation rows "
             f"vs {len(ambient)} weather rows")
-    us, ts = utilisation.values, ambient.values
-    # Checked as columns; the rows are searched only to name what failed.
-    # A NaN utilisation can hide from min and max, never from the sum.
-    try:   # a sum from 0.0 raises on an int that no float can hold
-        ambients_finite = -LARGEST <= sum(ts, 0.0) <= LARGEST
-    except OverflowError:
-        ambients_finite = False
+    # Each profile keeps its range verdict, so a profile run under many
+    # scenarios is tested once; the rows are searched only to name what
+    # failed, on every call.
     if not (utilisation.timestamps == ambient.timestamps
-            and 0.0 <= min(us) and max(us) <= 1.0 and sum(us) <= LARGEST
-            and ambients_finite):
+            and utilisation._in_domain and ambient._in_domain):
         _check_rows(utilisation, ambient)
+    us, ts = utilisation.values, ambient.values
     ctx = peak_context(scenario)
     # Coefficients are >= 0, so a zero total means no load reads a.  The
     # column lookup skips the finite check that ts has just passed.

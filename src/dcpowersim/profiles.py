@@ -8,6 +8,11 @@ a profile is never returned partially valid.
 Timestamps carry no timezone and are treated as opaque labels once
 validated; the utilisation and weather profiles driving one simulation
 must agree on them verbatim.
+
+A profile holds its timestamps and values as tuples, copied from any
+other sequence on construction, so they cannot change afterwards.  Each
+profile keeps its own range verdict, computed on the first ``simulate``
+that reads it: one profile run under many scenarios is tested once.
 """
 
 from __future__ import annotations
@@ -15,11 +20,12 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import io
+from functools import cached_property
 from itertools import repeat
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 from .config import COMPONENTS
-from .errors import (EmptyProfile, GapInSeries, InvariantViolation,
+from .errors import (LARGEST, EmptyProfile, GapInSeries, InvariantViolation,
                      MalformedRow, NonMonotonicTime, OutOfRange, _Record)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -42,8 +48,10 @@ TEMPERATURE_BOUNDS_C = (-60.0, 60.0)
 
 
 class _HourlySeries(_Record):
-    def __init__(self, timestamps: tuple[str, ...],
-                 values: tuple[float, ...]) -> None:
+    def __init__(self, timestamps: Sequence[str],
+                 values: Sequence[float]) -> None:
+        # tuple(t) is t for a tuple, so a parsed profile is not copied.
+        timestamps, values = tuple(timestamps), tuple(values)
         if len(timestamps) != len(values):
             raise InvariantViolation(
                 f"{len(timestamps)} timestamps but {len(values)} values")
@@ -56,9 +64,25 @@ class _HourlySeries(_Record):
 class UtilisationProfile(_HourlySeries):
     """Hourly aggregate utilisation series, values in [0, 1]."""
 
+    @cached_property
+    def _in_domain(self) -> bool:
+        """Whether every value of this non-empty profile lies in [0, 1].
+        A NaN can hide from min and max, never from the sum."""
+        us = self.values
+        return 0.0 <= min(us) and max(us) <= 1.0 and sum(us) <= LARGEST
+
 
 class AmbientProfile(_HourlySeries):
     """Hourly outdoor temperature series, degrees Celsius."""
+
+    @cached_property
+    def _in_domain(self) -> bool:
+        """Whether every value is finite: a sum from 0.0 is finite only
+        then, and raises on an int that no float can hold."""
+        try:
+            return -LARGEST <= sum(self.values, 0.0) <= LARGEST
+        except OverflowError:
+            return False
 
 
 def _parse_timestamp(raw: str, row_no: int) -> dt.datetime:

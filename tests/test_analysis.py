@@ -196,9 +196,23 @@ def test_largest_unsnapped_target_solves_below_full_load():
                     <= CURTAIL_RELATIVE_TOLERANCE * target)
 
 
+def test_root_with_an_underflowed_denominator_takes_its_equal_form():
+    # With c1 = 0, 4 * c2 * d underflows to 0 for a subnormal target above
+    # a zero floor, which left 2d / (c1 + sqrt(c1^2 + 4 c2 d)) a division
+    # by 0; d = c2 * U^2 gives U = sqrt(d / c2) instead.
+    c2 = 1_000_001 * 2.0 ** -23
+    target = 5e-324
+    assert 4.0 * c2 * target == 0.0
+    solution = curtail(target, 30.0, SCENARIO, one_load((0.0, 0.0, c2)))
+    u = math.sqrt(target / c2)
+    assert solution == CurtailmentSolution(target, u, u * (u * c2), True)
+    assert 0.0 < u < 1.0
+
+
 def five_branch_curtail(target_total_w, ambient_c, ctx):
     """``curtail`` as 0.10.2 wrote it: both snaps, then both clamps, each
-    an early return, then the root."""
+    an early return, then the root, which takes its equal form
+    sqrt(d / c2) when its denominator underflows to 0, as 0.10.4 does."""
     c0, c1, c2 = compiled_total(ambient_c, ctx)
     floor_w, peak_w = c0, c0 + c1 + c2
     tolerance_w = CURTAIL_RELATIVE_TOLERANCE * target_total_w
@@ -211,19 +225,10 @@ def five_branch_curtail(target_total_w, ambient_c, ctx):
     if target_total_w > peak_w:
         return CurtailmentSolution(target_total_w, 1.0, peak_w, False)
     d = target_total_w - c0
-    u = 2.0 * d / (c1 + math.sqrt(c1 * c1 + 4.0 * c2 * d))
+    denominator = c1 + math.sqrt(c1 * c1 + 4.0 * c2 * d)
+    u = 2.0 * d / denominator if denominator else math.sqrt(d / c2)
     return CurtailmentSolution(target_total_w, u, c0 + u * (c1 + u * c2),
                                True)
-
-
-def solved(solve, *args):
-    """The repr of the record ``solve(*args)`` returns, or the
-    ZeroDivisionError it raises: with c1 = 0 the root's denominator
-    underflows to 0 for a subnormal target above a zero floor."""
-    try:
-        return repr(solve(*args))
-    except ZeroDivisionError as exc:
-        return type(exc)
 
 
 # One-load totals for which a 1e6 W target lies exactly one tolerance,
@@ -278,8 +283,8 @@ def test_curtail_keeps_the_records_of_the_five_branch_rule(
         for _ in range(abs(ulps)):
             target = math.nextafter(target, math.copysign(math.inf, ulps))
     target = max(target, math.ulp(0.0))   # curtail takes only a target > 0
-    assert (solved(curtail, target, ambient, SCENARIO, ctx)
-            == solved(five_branch_curtail, target, ambient, ctx))
+    assert (repr(curtail(target, ambient, SCENARIO, ctx))
+            == repr(five_branch_curtail(target, ambient, ctx)))
 
 
 # --- peak breakdown ---

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dcpowersim import analysis, cooling, engine, power_chain, server_farm
+from dcpowersim import (analysis, cooling, engine, power_chain, profiles,
+                        server_farm)
 from dcpowersim.analysis import (compare_architectures, curtail,
                                  peak_breakdown, power_curve)
 from dcpowersim.config import (COMPONENTS, CoolingArchitecture,
@@ -338,6 +339,68 @@ def test_column_check_agrees_with_the_row_checks(pair):
         scenario = SCENARIO.with_architecture(architecture)
         assert outcome(simulate, *pair, scenario) == \
             outcome(simulate_checking_rows, *pair, scenario)
+
+
+def column_hexes(result):
+    return [[x.hex() for x in column]
+            for column in (result.utilisation, result.ambient_c,
+                           *result.components, result.total_w)]
+
+
+DAY_US = [((h * 7) % 24) / 23 for h in range(24)]
+DAY_TS = [-5.0 + 2.5 * h for h in range(24)]
+
+
+def test_a_checked_profile_runs_the_next_scenario_as_a_fresh_one(
+        monkeypatch):
+    # Each profile tests its values on its first simulate and keeps the
+    # verdict; a later scenario reads it and computes nothing again.
+    sums = []
+    monkeypatch.setattr(profiles, "sum", lambda *args: sums.append(args)
+                        or sum(*args), raising=False)
+    utilisation, ambient = profiles_from(DAY_US, DAY_TS)
+    simulate(utilisation, ambient, SCENARIO)
+    assert len(sums) == 2
+    assert vars(utilisation)["_in_domain"] is vars(ambient)["_in_domain"] \
+        is True
+    for architecture in CoolingArchitecture:
+        scenario = SCENARIO.with_architecture(architecture)
+        again = simulate(utilisation, ambient, scenario)
+        fresh = simulate(*profiles_from(DAY_US, DAY_TS), scenario)
+        assert column_hexes(again) == column_hexes(fresh)
+    assert len(sums) == 2 + 2 * len(CoolingArchitecture)
+
+
+@pytest.mark.parametrize("column, bad", [
+    ("utilisation", 1.5), ("utilisation", math.nan),
+    ("utilisation", math.inf), ("utilisation", -math.inf),
+    ("ambient", math.nan), ("ambient", math.inf), ("ambient", -math.inf)],
+    ids=["u-1.5", "u-nan", "u-inf", "u--inf", "t-nan", "t-inf", "t--inf"])
+def test_a_bad_profile_names_its_row_on_every_call(column, bad):
+    us, ts = list(DAY_US), list(DAY_TS)
+    (us if column == "utilisation" else ts)[6] = bad
+    utilisation, ambient = profiles_from(us, ts)
+    first = outcome(simulate, utilisation, ambient, SCENARIO)
+    assert first[0] is OutOfRange and first[1].startswith("row 7: ")
+    bad_profile = utilisation if column == "utilisation" else ambient
+    assert vars(bad_profile)["_in_domain"] is False
+    assert outcome(simulate, utilisation, ambient, SCENARIO) == first
+
+
+def test_a_profile_built_from_lists_holds_tuples():
+    timestamps, us, ts = list(stamps(24)), list(DAY_US), list(DAY_TS)
+    utilisation = UtilisationProfile(timestamps, us)
+    ambient = AmbientProfile(timestamps, ts)
+    for profile in (utilisation, ambient):
+        assert type(profile.timestamps) is type(profile.values) is tuple
+    first = simulate(utilisation, ambient, SCENARIO)
+    # The verdict holds for the values the profile kept, not the lists.
+    us[3], ts[4], timestamps[5] = 1.5, math.nan, ""
+    assert utilisation.values == tuple(DAY_US)
+    assert ambient.values == tuple(DAY_TS)
+    assert utilisation.timestamps == ambient.timestamps == stamps(24)
+    assert column_hexes(simulate(utilisation, ambient, SCENARIO)) == \
+        column_hexes(first)
 
 
 def test_empty_profiles_rejected():
