@@ -5,17 +5,19 @@ temperature the facility total is c0 + c1*U + c2*U^2 with every c >= 0
 (see ``engine``), solved by the cancellation-free root
 U = 2d / (c1 + sqrt(c1^2 + 4*c2*d)), d = target - c0, or by its equal
 form U = sqrt(d / c2) when c1 = 0 and 4*c2*d underflows to 0, which
-leaves the root no denominator.  One comparison
-per endpoint decides the rest: a target at most the tolerance above the
+leaves the root no denominator.  One comparison per endpoint decides
+which of the three a target takes: one at most the tolerance above the
 floor load (everything idle) takes the floor, one at most the tolerance
-below the full-load total takes the peak, and an endpoint is feasible
-only within the tolerance, so a target beyond it is reported infeasible
-with the nearest achievable total rather than raising.  A solve takes the
-adjustment a from one ``cooling.eer_lookup`` call and evaluates the
-compiled total pair at it in place.  It builds its record by
-``tuple.__new__`` at two sites, endpoint and root, as the NamedTuple's
-own ``__new__`` does, without that Python-level call, which was about a
-fifth of a solve.
+below the full-load total takes the peak, and every other target takes
+the root.  Whichever it takes, a solution is feasible only if its
+achieved total lies within the tolerance of the target.  So a target
+beyond an endpoint is reported infeasible with the nearest achievable
+total rather than raising, and so is a subnormal target whose root total
+rounds away from it.  A solve takes the adjustment a from one
+``cooling.eer_lookup`` call and evaluates the compiled total pair at it
+in place.  It builds its record at one site by ``tuple.__new__``, as the
+NamedTuple's own ``__new__`` does, without that Python-level call, which
+was about a fifth of a solve.
 """
 
 from __future__ import annotations
@@ -92,8 +94,7 @@ def curtail(target_total_w: float, ambient_c: float,
             u = 2.0 * d / (c1 + math.sqrt(c1 * c1 + 4.0 * c2 * d))
         except ZeroDivisionError:   # c1 = 0 and 4 * c2 * d underflowed
             u = math.sqrt(d / c2)
-        return tuple.__new__(CurtailmentSolution,
-                             (target_total_w, u, c0 + u * (c1 + u * c2), True))
+        total_w = c0 + u * (c1 + u * c2)
     return tuple.__new__(CurtailmentSolution, (
         target_total_w, u, total_w,
         abs(total_w - target_total_w) <= tolerance_w))

@@ -43,18 +43,22 @@ of both, never the CRAC idle floor.  :func:`step_power` and
 ``analysis.curtail`` take a for one ambient from one call of the scalar
 ``cooling.eer_lookup``, which rejects a non-finite ambient.
 :func:`simulate` takes the whole column from
-``cooling._adjustment_column``, one loop with the same bits and no check
-of its own: a non-finite ambient has already failed :func:`simulate`'s
-range check with ``OutOfRange``.  A ``curtail`` solve through a column
-of one took more than twice as long (see ``cooling``).  When the compiled
+``cooling._adjustment_column``, with the same bits and no check of its
+own: a non-finite ambient has already failed :func:`simulate`'s range
+check with ``OutOfRange``.  The column reads the ambient profile's
+ascending view, which the profile sorts on first use and keeps, so the
+EER table is bisected once per breakpoint, not once per hour.  One
+ambient looked up through a column of one took about six times as long
+as through the scalar (see ``cooling``).  When the compiled
 refrigeration total is zero (free air, or a CRAC without airflow), no
 load depends on a, and :func:`simulate` reads no EER table past the
-reference.  The range check reads a verdict that each profile computes
-on first use and keeps, as its values cannot change, so a profile run
-under many scenarios is tested once; a false verdict has the rows
-searched on every call, to name the row that failed.  The per-component
-functions of ``server_farm``, ``power_chain`` and ``cooling`` remain the
-reference model the compiled form is tested against.
+reference and builds no view.  The range check reads a verdict that each
+profile computes on first use and keeps, as its values cannot change, so
+a profile run under many scenarios is tested once; a false verdict has
+the rows searched on every call, to name the row that failed.  The
+per-component functions of ``server_farm``, ``power_chain`` and
+``cooling`` remain the reference model the compiled form is tested
+against.
 """
 
 from __future__ import annotations
@@ -292,7 +296,8 @@ def _check_rows(utilisation: UtilisationProfile,
 def simulate(utilisation: UtilisationProfile, ambient: AmbientProfile,
              scenario: ScenarioConfig) -> SimulationResult:
     """Run the full model over aligned hourly profiles.  Their values are
-    tested once per profile, whose verdict is kept; their timestamps are
+    tested once per profile, whose verdict is kept, and the ambients of a
+    refrigerated run sorted once per profile; their timestamps are
     compared on each call."""
     if len(utilisation) == 0 or len(ambient) == 0:
         raise EmptyProfile("profiles must be non-empty")
@@ -308,9 +313,11 @@ def simulate(utilisation: UtilisationProfile, ambient: AmbientProfile,
         _check_rows(utilisation, ambient)
     us, ts = utilisation.values, ambient.values
     ctx = peak_context(scenario)
-    # Coefficients are >= 0, so a zero total means no load reads a.  The
-    # column lookup skips the finite check that ts has just passed.
-    adjustments = (cooling._adjustment_column(ts, ctx.eer, ctx.reference_eer)
+    # Coefficients are >= 0, so a zero total means no load reads a, and
+    # the profile's ascending view is not built.  The ambients have passed
+    # the finite check, so the view can sort them.
+    adjustments = (cooling._adjustment_column(ambient._ascending, ctx.eer,
+                                              ctx.reference_eer)
                    if ctx.total_refrigeration != _ZERO else ())
     result = SimulationResult(utilisation.timestamps, us, ts,
                               ctx.loads(us, adjustments))

@@ -12,7 +12,9 @@ must agree on them verbatim.
 A profile holds its timestamps and values as tuples, copied from any
 other sequence on construction, so they cannot change afterwards.  Each
 profile keeps its own range verdict, computed on the first ``simulate``
-that reads it: one profile run under many scenarios is tested once.
+that reads it: one profile run under many scenarios is tested once.  An
+ambient profile likewise keeps its values in ascending order, built on
+the first refrigerated ``simulate`` and read by every later one.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import datetime as dt
 import io
 from functools import cached_property
 from itertools import repeat
+from operator import itemgetter
 from typing import TYPE_CHECKING, Sequence
 
 from .config import COMPONENTS
@@ -83,6 +86,21 @@ class AmbientProfile(_HourlySeries):
             return -LARGEST <= sum(self.values, 0.0) <= LARGEST
         except OverflowError:
             return False
+
+    @cached_property
+    def _ascending(self):
+        """The values in ascending order, and an ``itemgetter`` of each
+        hour's rank in that order, which puts a column built in that order
+        back into hour order as a tuple.  Read only once every value is
+        known to be finite: ``sorted`` cannot order a NaN."""
+        ts = self.values
+        order = sorted(range(len(ts)), key=ts.__getitem__)
+        ranks = [0] * len(ts)
+        for rank, hour in enumerate(order):
+            ranks[hour] = rank
+        # itemgetter of one index returns the item, not a 1-tuple.
+        return (tuple([ts[hour] for hour in order]),
+                itemgetter(*ranks) if len(ranks) > 1 else tuple)
 
 
 def _parse_timestamp(raw: str, row_no: int) -> dt.datetime:

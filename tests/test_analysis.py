@@ -212,7 +212,8 @@ def test_root_with_an_underflowed_denominator_takes_its_equal_form():
 def five_branch_curtail(target_total_w, ambient_c, ctx):
     """``curtail`` as 0.10.2 wrote it: both snaps, then both clamps, each
     an early return, then the root, which takes its equal form
-    sqrt(d / c2) when its denominator underflows to 0, as 0.10.4 does."""
+    sqrt(d / c2) when its denominator underflows to 0, as 0.10.4 does, and
+    is feasible only within the tolerance of the target, as 0.10.5 is."""
     c0, c1, c2 = compiled_total(ambient_c, ctx)
     floor_w, peak_w = c0, c0 + c1 + c2
     tolerance_w = CURTAIL_RELATIVE_TOLERANCE * target_total_w
@@ -227,8 +228,9 @@ def five_branch_curtail(target_total_w, ambient_c, ctx):
     d = target_total_w - c0
     denominator = c1 + math.sqrt(c1 * c1 + 4.0 * c2 * d)
     u = 2.0 * d / denominator if denominator else math.sqrt(d / c2)
-    return CurtailmentSolution(target_total_w, u, c0 + u * (c1 + u * c2),
-                               True)
+    total_w = c0 + u * (c1 + u * c2)
+    return CurtailmentSolution(target_total_w, u, total_w,
+                               abs(total_w - target_total_w) <= tolerance_w)
 
 
 # One-load totals for which a 1e6 W target lies exactly one tolerance,

@@ -13,7 +13,8 @@ from dcpowersim.cooling import (ChillerSpec, CracSpec, CrahSpec, EerTable,
                                 ambient_adjustment, chiller_power, crac_power,
                                 crah_power, eer_lookup)
 from dcpowersim.errors import InvariantViolation, OutOfRange
-from strategies import EER_TABLES, LARGEST, eer_tables
+from dcpowersim.profiles import AmbientProfile
+from strategies import EER_TABLES, LARGEST, eer_tables, stamps
 
 FARM_PEAK = 10e6
 CHILLER = ChillerSpec()
@@ -229,9 +230,52 @@ def test_adjustment_column_matches_the_scalar_lookup_bit_for_bit(
         table, drawn, reference_c):
     reference_eer = eer_lookup(reference_c, table)
     ambients = probe_ambients(table) + drawn
-    column = _adjustment_column(tuple(ambients), table, reference_eer)
+    profile = AmbientProfile(stamps(len(ambients)), ambients)
+    column = _adjustment_column(profile._ascending, table, reference_eer)
     assert [a.hex() for a in column] == [
         (reference_eer / eer_lookup(t, table)).hex() for t in ambients]
+
+
+# An hour is a drawn float, or a pick among the first table's probes: its
+# breakpoints and their neighbours, +-0.0 and points beyond both ends,
+# repeated and in any order.
+HOURS = st.lists(FINITE | st.integers(0, 2 ** 16), min_size=1, max_size=40)
+ONE_BREAKPOINT = EerTable(((20.0, 3.0),))
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=TABLES, other=TABLES, hours=HOURS, reference_c=FINITE)
+@example(table=EER, other=EerTable(ROUNDING_TABLE), hours=[25.0],
+         reference_c=30.0)
+@example(table=EER, other=ONE_BREAKPOINT, hours=[-0.0, 5.0, 0.0, -0.0, 5.0],
+         reference_c=30.0)
+@example(table=EER, other=ONE_BREAKPOINT, hours=[-30.0, 0.0, -1e308, -0.0],
+         reference_c=30.0)
+@example(table=EER, other=ONE_BREAKPOINT, hours=[41.0, 1e308, 50.0, 41.0],
+         reference_c=30.0)
+@example(table=ONE_BREAKPOINT, other=EER, hours=[20.0, 19.0, 21.0, 20.0],
+         reference_c=10.0)
+@example(table=EerTable(((40.0, 1e300), (0.0, 1.7e308))), other=EER,
+         hours=[20.0, 39.0, 1.0, 20.0], reference_c=10.0)
+# The divide-first branch in a segment that starts below 0 C.
+@example(table=EerTable(((30.0, 1e300), (-10.0, 1.7e308))), other=EER,
+         hours=[10.0], reference_c=30.0)
+@example(table=EerTable(((1.7e308, 2.0), (-1.7e308, 3.0))), other=EER,
+         hours=[1e308, -1e308, 0.0], reference_c=30.0)
+@example(table=EerTable(((7.0, LARGEST - 3 * 2.0 ** 971), (0.0, LARGEST))),
+         other=EER, hours=[1.1666666666666665, 6.0, 0.5], reference_c=30.0)
+def test_adjustment_column_over_a_profiles_view_matches_the_scalar(
+        table, other, hours, reference_c):
+    probes = probe_ambients(table)
+    ambients = tuple(probes[h % len(probes)] if type(h) is int else h
+                     for h in hours)
+    profile = AmbientProfile(stamps(len(ambients)), ambients)
+    for each in (table, other):   # one view serves every table
+        reference_eer = eer_lookup(reference_c, each)
+        column = _adjustment_column(profile._ascending, each, reference_eer)
+        assert type(column) is tuple
+        assert [a.hex() for a in column] == [
+            (reference_eer / eer_lookup(t, each)).hex() for t in ambients]
 
 
 def reference_eer_lookup(ambient_c, table):

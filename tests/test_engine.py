@@ -488,20 +488,52 @@ def test_simulate_looks_up_eer_only_when_a_load_is_refrigerated(
         looked_up.append(ambient_c)
         return lookup(ambient_c, table)
 
-    def adjustment_column(ambients, table, reference_eer):
-        columns.append(tuple(ambients))
-        return column(ambients, table, reference_eer)
+    def adjustment_column(view, table, reference_eer):
+        columns.append((view, column(view, table, reference_eer)))
+        return columns[-1][1]
 
     monkeypatch.setattr(cooling, "eer_lookup", eer_lookup)
     monkeypatch.setattr(cooling, "_adjustment_column", adjustment_column)
     result = simulate(utilisation, ambient, scenario)
     assert looked_up == [30.0]   # peak_context's reference lookup only
-    if hourly:   # then one column of every hour
-        assert columns == [tuple(ts)]
+    if hourly:   # then one column of every hour, from the profile's view
+        [(view, adjustments)] = columns
+        assert view is vars(ambient)["_ascending"]
+        assert view[0] == tuple(sorted(ts))
+        reference_eer = peak_context(scenario).reference_eer
+        assert adjustments == tuple(reference_eer / lookup(t, scenario.eer)
+                                    for t in ts)
         assert result.components != constant.components
-    else:
+    else:   # no column, and no sort of the ambients
         assert columns == []
+        assert "_ascending" not in vars(ambient)
         assert result.components == constant.components
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf],
+                         ids=["nan", "inf", "-inf"])
+def test_a_non_finite_ambient_names_its_row_and_builds_no_view(bad):
+    ts = list(DAY_TS)
+    ts[6] = bad
+    utilisation, ambient = profiles_from(DAY_US, ts)
+    for _ in range(2):
+        kind, message = outcome(simulate, utilisation, ambient, SCENARIO)
+        assert kind is OutOfRange and message.startswith("row 7: ")
+    assert "_ascending" not in vars(ambient)
+
+
+def test_the_ascending_view_holds_tuples():
+    timestamps, ts = list(stamps(24)), list(DAY_TS[::-1])
+    ambient = AmbientProfile(timestamps, ts)
+    simulate(UtilisationProfile(timestamps, DAY_US), ambient, SCENARIO)
+    view = vars(ambient)["_ascending"]
+    ascending, restore = view
+    assert type(view) is type(ascending) is tuple
+    assert ascending == tuple(sorted(ts))
+    # The ranks it restores by are a tuple in the itemgetter itself.
+    assert restore.__reduce__()[1] == tuple(23 - h for h in range(24))
+    assert type(restore(list(ascending))) is tuple
+    assert restore(list(ascending)) == tuple(ts)
 
 
 def test_fractions_of_minus_zero_give_loads_of_plus_zero():
