@@ -53,9 +53,9 @@ as through the scalar (see ``cooling``).  When the compiled
 refrigeration total is zero (free air, or a CRAC without airflow), no
 load depends on a, and :func:`simulate` reads no EER table past the
 reference and builds no view.  The range check reads a verdict that each
-profile computes on first use and keeps, as its values cannot change, so
-a profile run under many scenarios is tested once; a false verdict has
-the rows searched on every call, to name the row that failed.  The
+profile computes on first use and keeps, so a profile run under many
+scenarios is tested once; a false verdict, by the rule the row search
+tests, has the rows searched on every call to name the row that failed.  The
 per-component functions of ``server_farm``, ``power_chain`` and
 ``cooling`` remain the reference model the compiled form is tested
 against.
@@ -68,9 +68,9 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from . import cooling
 from .config import COMPONENTS, ScenarioConfig
-from .errors import (LARGEST, POSITIVE, UNIT, EmptyProfile, EmptyResult,
-                     InvariantViolation, OutOfRange, ProfileMismatch, _Record,
-                     _shown, check)
+from .errors import (FINITE, LARGEST, POSITIVE, UNIT, EmptyProfile,
+                     EmptyResult, InvariantViolation, OutOfRange,
+                     ProfileMismatch, _Record, _shown, check)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .profiles import AmbientProfile, UtilisationProfile
@@ -281,15 +281,16 @@ def step_power(utilisation: float, ambient_c: float,
 
 def _check_rows(utilisation: UtilisationProfile,
                 ambient: AmbientProfile) -> None:
+    """Raise naming the first row that differs or breaks a profile's rule."""
     rows = zip(utilisation.timestamps, ambient.timestamps,
                utilisation.values, ambient.values)
     for row, (stamp, other, u, t) in enumerate(rows, 1):
         if stamp != other:
             raise ProfileMismatch(
                 f"row {row}: timestamps diverge ({stamp!r} vs {other!r})")
-        if not (0.0 <= u <= 1.0 and -LARGEST <= t <= LARGEST):
-            raise OutOfRange(f"row {row}: utilisation must lie in [0, 1] and "
-                             f"ambient be finite, got {_shown(u)}, "
+        if not (UNIT[0](u) and FINITE[0](t)):
+            raise OutOfRange(f"row {row}: utilisation must {UNIT[1]} and "
+                             f"ambient {FINITE[1]}, got {_shown(u)}, "
                              f"{_shown(t)}")
 
 
@@ -306,8 +307,8 @@ def simulate(utilisation: UtilisationProfile, ambient: AmbientProfile,
             f"profile lengths differ: {len(utilisation)} utilisation rows "
             f"vs {len(ambient)} weather rows")
     # Each profile keeps its range verdict, so a profile run under many
-    # scenarios is tested once; the rows are searched only to name what
-    # failed, on every call.
+    # scenarios is tested once.  The search tests the verdicts' rules, so
+    # it always finds a row to name, and raises.
     if not (utilisation.timestamps == ambient.timestamps
             and utilisation._in_domain and ambient._in_domain):
         _check_rows(utilisation, ambient)

@@ -12,7 +12,8 @@ must agree on them verbatim.
 A profile holds its timestamps and values as tuples, copied from any
 other sequence on construction, so they cannot change afterwards.  Each
 profile keeps its own range verdict, computed on the first ``simulate``
-that reads it: one profile run under many scenarios is tested once.  An
+that reads it: one profile run under many scenarios is tested once, by
+the ``errors`` rule that ``simulate``'s row search names a failed row by.  An
 ambient profile likewise keeps its values in ascending order, built on
 the first refrigerated ``simulate`` and read by every later one.
 """
@@ -28,8 +29,9 @@ from operator import itemgetter
 from typing import TYPE_CHECKING, Sequence
 
 from .config import COMPONENTS
-from .errors import (LARGEST, EmptyProfile, GapInSeries, InvariantViolation,
-                     MalformedRow, NonMonotonicTime, OutOfRange, _Record)
+from .errors import (FINITE, UNIT, EmptyProfile, GapInSeries,
+                     InvariantViolation, MalformedRow, NonMonotonicTime,
+                     OutOfRange, _Record)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .engine import SimulationResult
@@ -63,29 +65,22 @@ class _HourlySeries(_Record):
     def __len__(self) -> int:
         return len(self.timestamps)
 
+    @cached_property
+    def _in_domain(self) -> bool:
+        """Whether every value holds the profile kind's ``_DOMAIN`` rule."""
+        return all(map(self._DOMAIN[0], self.values))
+
 
 class UtilisationProfile(_HourlySeries):
     """Hourly aggregate utilisation series, values in [0, 1]."""
 
-    @cached_property
-    def _in_domain(self) -> bool:
-        """Whether every value of this non-empty profile lies in [0, 1].
-        A NaN can hide from min and max, never from the sum."""
-        us = self.values
-        return 0.0 <= min(us) and max(us) <= 1.0 and sum(us) <= LARGEST
+    _DOMAIN = UNIT
 
 
 class AmbientProfile(_HourlySeries):
     """Hourly outdoor temperature series, degrees Celsius."""
 
-    @cached_property
-    def _in_domain(self) -> bool:
-        """Whether every value is finite: a sum from 0.0 is finite only
-        then, and raises on an int that no float can hold."""
-        try:
-            return -LARGEST <= sum(self.values, 0.0) <= LARGEST
-        except OverflowError:
-            return False
+    _DOMAIN = FINITE
 
     @cached_property
     def _ascending(self):

@@ -7,13 +7,13 @@ Design peak solves to (10 + 1.5 + 7.42 + 2.662) MW / 0.90 = 23.98 MW.
 """
 
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dcpowersim import (analysis, cooling, engine, power_chain, profiles,
-                        server_farm)
+from dcpowersim import analysis, cooling, engine, power_chain, server_farm
 from dcpowersim.analysis import (compare_architectures, curtail,
                                  peak_breakdown, power_curve)
 from dcpowersim.config import (COMPONENTS, CoolingArchitecture,
@@ -355,12 +355,15 @@ def test_a_checked_profile_runs_the_next_scenario_as_a_fresh_one(
         monkeypatch):
     # Each profile tests its values on its first simulate and keeps the
     # verdict; a later scenario reads it and computes nothing again.
-    sums = []
-    monkeypatch.setattr(profiles, "sum", lambda *args: sums.append(args)
-                        or sum(*args), raising=False)
+    tested = {UtilisationProfile: [], AmbientProfile: []}
+    for kind, values in tested.items():
+        holds, requirement = kind._DOMAIN
+        monkeypatch.setattr(kind, "_DOMAIN", (
+            lambda v, holds=holds, values=values: values.append(v)
+            or holds(v), requirement))
     utilisation, ambient = profiles_from(DAY_US, DAY_TS)
     simulate(utilisation, ambient, SCENARIO)
-    assert len(sums) == 2
+    assert tested == {UtilisationProfile: DAY_US, AmbientProfile: DAY_TS}
     assert vars(utilisation)["_in_domain"] is vars(ambient)["_in_domain"] \
         is True
     for architecture in CoolingArchitecture:
@@ -368,7 +371,42 @@ def test_a_checked_profile_runs_the_next_scenario_as_a_fresh_one(
         again = simulate(utilisation, ambient, scenario)
         fresh = simulate(*profiles_from(DAY_US, DAY_TS), scenario)
         assert column_hexes(again) == column_hexes(fresh)
-    assert len(sums) == 2 + 2 * len(CoolingArchitecture)
+    # Only the fresh profiles were tested again, once each.
+    runs = 1 + len(CoolingArchitecture)
+    assert tested == {UtilisationProfile: DAY_US * runs,
+                      AmbientProfile: DAY_TS * runs}
+
+
+def test_finite_ambients_whose_sum_overflows_are_never_searched(
+        monkeypatch):
+    # Two ambients of 1e308 are finite, so they pass, though their sum is
+    # not; above the table's hottest breakpoint they draw what 41 C draws.
+    pair = profiles_from([0.5, 0.5], [1e308, 1e308])
+    clamped = profiles_from([0.5, 0.5], [41.0, 41.0])
+    monkeypatch.setattr(engine, "_check_rows", lambda *profiles: pytest.fail(
+        "searched the rows of valid profiles"))
+    for architecture in CoolingArchitecture:
+        scenario = SCENARIO.with_architecture(architecture)
+        result = simulate(*pair, scenario)
+        assert result.ambient_c == (1e308, 1e308)
+        assert column_hexes(result)[2:] == \
+            column_hexes(simulate(*clamped, scenario))[2:]
+
+
+@settings(max_examples=400, deadline=None)
+@given(pair=defective_profiles())
+@example(pair=profiles_from([0.5, 0.5], [1e308, 1e308]))
+def test_the_row_search_never_returns(pair):
+    # simulate searches the rows only when a row's stamps differ or its
+    # values break a rule, so the search always finds that row and raises.
+    search = engine._check_rows
+
+    def must_raise(*profiles):
+        search(*profiles)
+        pytest.fail("the row search returned")
+
+    with mock.patch.object(engine, "_check_rows", must_raise):
+        outcome(simulate, *pair, SCENARIO)
 
 
 @pytest.mark.parametrize("column, bad", [
