@@ -33,7 +33,7 @@ _HOMES = {
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}
 
-__version__ = "0.10.6"
+__version__ = "0.10.7"
 
 __all__ = sorted(_HOME)
 

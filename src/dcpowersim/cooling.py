@@ -40,8 +40,7 @@ import bisect
 import math
 
 from .errors import (FINITE, FRACTION, LARGEST, NONNEGATIVE, POSITIVE, UNIT,
-                     InvariantViolation, OutOfRange, _Record, _shown, check,
-                     check_fields)
+                     InvariantViolation, OutOfRange, _Record, _shown, check)
 
 # Fan power per unit of (heat capacity / removal efficiency) and airflow,
 # in kW per (kW * CMH).  Together with the 14000 CMH standard flow of a
@@ -72,10 +71,11 @@ class ChillerSpec(_Record):
 
     def __init__(self, alpha: float = 0.32, beta: float = 0.11,
                  gamma: float = 0.63, sizing_factor: float = 0.7) -> None:
+        check(InvariantViolation, alpha=(alpha, NONNEGATIVE),
+              beta=(beta, NONNEGATIVE), gamma=(gamma, POSITIVE),
+              sizing_factor=(sizing_factor, POSITIVE))
         self._set(alpha=alpha, beta=beta, gamma=gamma,
                   sizing_factor=sizing_factor)
-        check_fields(self, alpha=NONNEGATIVE, beta=NONNEGATIVE,
-                     gamma=POSITIVE, sizing_factor=POSITIVE)
 
 
 class CrahSpec(_Record):
@@ -89,11 +89,13 @@ class CrahSpec(_Record):
     def __init__(self, idle_frac: float = 0.08, eta_heat: float = 1.0,
                  unit_capacity_kw: float = 7.5,
                  unit_airflow_cmh: float = 14000.0) -> None:
+        check(InvariantViolation, idle_frac=(idle_frac, NONNEGATIVE),
+              eta_heat=(eta_heat, FRACTION),
+              unit_capacity_kw=(unit_capacity_kw, POSITIVE),
+              unit_airflow_cmh=(unit_airflow_cmh, NONNEGATIVE))
         self._set(idle_frac=idle_frac, eta_heat=eta_heat,
                   unit_capacity_kw=unit_capacity_kw,
                   unit_airflow_cmh=unit_airflow_cmh)
-        check_fields(self, idle_frac=NONNEGATIVE, eta_heat=FRACTION,
-                     unit_capacity_kw=POSITIVE, unit_airflow_cmh=NONNEGATIVE)
 
 
 class CracSpec(_Record):
@@ -104,8 +106,9 @@ class CracSpec(_Record):
     """
 
     def __init__(self, idle_frac: float = 0.25, cop: float = 6.0) -> None:
+        check(InvariantViolation, idle_frac=(idle_frac, NONNEGATIVE),
+              cop=(cop, NONNEGATIVE))
         self._set(idle_frac=idle_frac, cop=cop)
-        check_fields(self, idle_frac=NONNEGATIVE, cop=NONNEGATIVE)
 
 
 class EerTable(_Record):

@@ -127,21 +127,21 @@ class PeakContext(_Record):
             raise InvariantViolation(
                 f"compiled model needs {len(COMPONENT_NAMES)} (c0, c1, c2) "
                 "triples on each side")
-        self._set(eer=eer, reference_eer=reference_eer, fixed=fixed,
-                  refrigeration=refrigeration,
-                  total_fixed=tuple(map(sum, zip(*fixed))),
-                  total_refrigeration=tuple(map(sum, zip(*refrigeration))))
         if not all(0.0 <= c <= LARGEST
                    for c in sum(fixed + refrigeration, ())):
             raise InvariantViolation(
                 "compiled coefficients must be finite, >= 0")
         check(InvariantViolation, reference_eer=(reference_eer, POSITIVE))
+        f0, f1, f2 = total_fixed = tuple(map(sum, zip(*fixed)))
+        r0, r1, r2 = total_refrigeration = tuple(map(sum, zip(*refrigeration)))
         min_eer = eer.ascending_eer[-1]
         a = reference_eer / min_eer
-        (f0, f1, f2), (r0, r1, r2) = self.total_fixed, self.total_refrigeration
         if not sum((f0 + a * r0, f1 + a * r1, f2 + a * r2)) <= LARGEST:
             raise OutOfRange(f"EER table: its smallest EER, {min_eer!r}, "
                              "makes the full-load total overflow")
+        self._set(eer=eer, reference_eer=reference_eer, fixed=fixed,
+                  refrigeration=refrigeration, total_fixed=total_fixed,
+                  total_refrigeration=total_refrigeration)
 
     def loads(self, us: Sequence[float], adjustments: Sequence[float]):
         """Unchecked load columns, ``COMPONENT_NAMES`` order, per (U, a)."""
@@ -194,8 +194,14 @@ class SimulationResult(_Record):
                 f"3 input and {len(COMPONENT_NAMES)} load columns, one length")
         if not timestamps:
             raise EmptyResult("a simulation result needs at least one hour")
-        # Totals summed as PowerBreakdown sums them; 1-hour steps: W = Wh.
-        energy_wh = dict(zip(COMPONENT_NAMES, map(sum, components)))
+        # Summed by sum() from 0.0, so each load becomes a float and an int
+        # that no float can hold raises here; 1-hour steps: W = Wh.
+        try:
+            energy_wh = dict(zip(COMPONENT_NAMES,
+                                 [sum(column, 0.0) for column in components]))
+        except OverflowError:
+            raise InvariantViolation(
+                "every load must be a number a float can hold") from None
         total_wh = sum(energy_wh.values())
         self._set(timestamps=timestamps, utilisation=utilisation,
                   ambient_c=ambient_c, components=components,
@@ -209,9 +215,9 @@ class SimulationResult(_Record):
         """Hourly totals, summed as :class:`PowerBreakdown` sums them.
 
         Built on the first read and kept: an annual run read only for its
-        energy skips 8,760 sums.  The eager ``map(sum, components)`` has
-        already raised on any column these sums could fail on."""
-        return tuple(map(sum, zip(*self.components)))
+        energy skips 8,760 sums.  Each sums from 0.0 and cannot fail: the
+        eager column sums have already converted every load to a float."""
+        return tuple([sum(hour, 0.0) for hour in zip(*self.components)])
 
     @property
     def steps(self) -> tuple[SimulationStep, ...]:

@@ -81,13 +81,6 @@ def check(error: type[SimulationError], **named: tuple) -> None:
             raise error(f"{name} must {requirement}, got {_shown(value)}")
 
 
-def check_fields(spec: object, **rules: tuple) -> None:
-    """Raise :class:`InvariantViolation` naming the first field of ``spec``
-    that breaks its rule, e.g. ``check_fields(self, cop=NONNEGATIVE)``."""
-    check(InvariantViolation, **{name: (getattr(spec, name), rule)
-                                 for name, rule in rules.items()})
-
-
 # --- component models ---
 
 class NegativeInput(SimulationError):
@@ -114,9 +107,9 @@ class _Record:
     """Immutable record whose ``__init__`` checks and sets its fields.
 
     ``_fields`` are the constructor's parameters in order; equality, hash,
-    repr and ``_replace`` read them.  ``__init__`` sets every field, derived
-    ones too, once through :meth:`_set`, and ``_replace`` builds the new
-    record through ``__init__``, so every check runs again.
+    repr and ``_replace`` read them.  ``__init__`` checks its arguments,
+    derives only from checked values, and sets every field last, once, by
+    :meth:`_set`.  ``_replace`` calls ``__init__``, so every check reruns.
     """
 
     _fields: tuple[str, ...] = ()

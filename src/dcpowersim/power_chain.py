@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 from .errors import (AT_LEAST_ONE, NONNEGATIVE, POSITIVE, InfeasibleTarget,
                      InvariantViolation, NegativeInput, OutOfRange, _Record,
-                     check, check_fields)
+                     check)
 
 # Split of the proportional (non-idle) peak loss between PDU and UPS.
 _PDU_PROPORTIONAL_SHARE = 3.0 / 7.0
@@ -36,12 +36,14 @@ class SupplyChainSpec(_Record):
     def __init__(self, pdu_count: int, pdu_idle_total_w: float,
                  ups_idle_w: float, lambda_pdu_per_w: float,
                  lambda_ups: float) -> None:
+        check(InvariantViolation, pdu_count=(pdu_count, AT_LEAST_ONE),
+              pdu_idle_total_w=(pdu_idle_total_w, NONNEGATIVE),
+              ups_idle_w=(ups_idle_w, NONNEGATIVE),
+              lambda_pdu_per_w=(lambda_pdu_per_w, NONNEGATIVE),
+              lambda_ups=(lambda_ups, NONNEGATIVE))
         self._set(pdu_count=pdu_count, pdu_idle_total_w=pdu_idle_total_w,
                   ups_idle_w=ups_idle_w, lambda_pdu_per_w=lambda_pdu_per_w,
                   lambda_ups=lambda_ups)
-        check_fields(self, pdu_count=AT_LEAST_ONE,
-                     pdu_idle_total_w=NONNEGATIVE, ups_idle_w=NONNEGATIVE,
-                     lambda_pdu_per_w=NONNEGATIVE, lambda_ups=NONNEGATIVE)
 
 
 class SupplyTargets(NamedTuple):

@@ -20,19 +20,20 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import (AT_LEAST_ONE, NONNEGATIVE, UNIT, InvariantViolation,
-                     OutOfRange, _Record, check, check_fields)
+                     OutOfRange, _Record, check)
 
 
 class ServerSpec(_Record):
     """Homogeneous server population and its idle/peak draw in watts."""
 
     def __init__(self, count: int, p_idle_w: float, p_peak_w: float) -> None:
-        self._set(count=count, p_idle_w=p_idle_w, p_peak_w=p_peak_w)
-        check_fields(self, count=AT_LEAST_ONE, p_idle_w=NONNEGATIVE,
-                     p_peak_w=NONNEGATIVE)
+        check(InvariantViolation, count=(count, AT_LEAST_ONE),
+              p_idle_w=(p_idle_w, NONNEGATIVE),
+              p_peak_w=(p_peak_w, NONNEGATIVE))
         if p_idle_w > p_peak_w:
             raise InvariantViolation("p_idle_w must be <= p_peak_w, got "
                                      f"{p_idle_w!r} > {p_peak_w!r}")
+        self._set(count=count, p_idle_w=p_idle_w, p_peak_w=p_peak_w)
 
     @property
     def farm_peak_w(self) -> float:

@@ -21,8 +21,8 @@ from dcpowersim.cooling import (ChillerSpec, CracSpec, CrahSpec, EerTable,
                                 airflow_heat_power, ambient_adjustment,
                                 chiller_power, crac_power, crah_power,
                                 eer_lookup)
-from dcpowersim.engine import (PowerBreakdown, peak_context, simulate,
-                               step_power)
+from dcpowersim.engine import (PowerBreakdown, SimulationResult,
+                               peak_context, simulate, step_power)
 from dcpowersim.errors import (AT_LEAST_ONE, NONNEGATIVE, POSITIVE,
                                InvariantViolation, NegativeInput, OutOfRange,
                                SimulationError, _shown)
@@ -234,6 +234,13 @@ PAST_THE_FLOAT_RANGE = {
     "simulate": (lambda: simulate(UtilisationProfile(STAMPS, (0.5, 0.5)),
                                   AmbientProfile(STAMPS, (20.0, BIG)),
                                   SCENARIO), OutOfRange),
+    "SimulationResult-load": (lambda: SimulationResult(
+        STAMPS, (0.5, 0.5), (20.0, 20.0), ((1.0, BIG),) + ((0.0, 0.0),) * 7),
+        InvariantViolation),
+    # BIG and -BIG sum to the int 0, so only a sum of floats sees them.
+    "SimulationResult-cancelling-loads": (lambda: SimulationResult(
+        STAMPS, (0.5, 0.5), (20.0, 20.0), ((BIG, -BIG),) + ((0.0, 0.0),) * 7),
+        InvariantViolation),
 }
 
 

@@ -910,6 +910,10 @@ BAD_CONTEXTS = {
                            COEFFICIENT_ERROR)
        for side in ("fixed", "refrigeration")
        for value in (math.nan, -1.0, math.inf)},
+    # The default id would print all 401 digits.
+    **{f"{side}-int-past-float-range": (
+        with_coefficient(side, 10**400), InvariantViolation, COEFFICIENT_ERROR)
+       for side in ("fixed", "refrigeration")},
     **{f"reference_eer-{value}": (
         {"reference_eer": value}, InvariantViolation,
         f"^reference_eer must be positive and finite, got {value!r}$")
@@ -950,6 +954,17 @@ def test_cooling_follows_utilisation_over_a_week():
 
 
 # --- summarize ---
+
+def test_int_loads_sum_as_floats():
+    # Two ints that each fit a float sum past the float range as ints.
+    big = int(LARGEST)
+    result = SimulationResult(
+        timestamps=("2016-06-01T00:00",), utilisation=(0.5,),
+        ambient_c=(30.0,), components=((big,), (big,), (1,)) + ((0,),) * 5)
+    assert type(result.energy_wh["ups_loss"]) is float
+    assert result.energy_wh["ups_loss"] == 1.0
+    assert result.total_energy_wh == result.total_w[0] == math.inf
+
 
 def test_two_component_split():
     result = SimulationResult(
