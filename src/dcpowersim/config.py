@@ -23,11 +23,10 @@ cooling architectures that include it.
 from __future__ import annotations
 
 import enum
-import math
 from typing import NamedTuple
 
 from . import cooling, power_chain, server_farm
-from .errors import (FINITE, LARGEST, NONNEGATIVE, UNIT, InvalidFractions,
+from .errors import (FINITE, NONNEGATIVE, UNIT, InvalidFractions,
                      InvariantViolation, MalformedRow, MissingRequired,
                      OutOfRange, UnknownKey, _Record, check)
 
@@ -138,7 +137,7 @@ def _parse_number(key: str, raw: str, line_no: int) -> float | int:
         raise MalformedRow(
             f"line {line_no}: value for {key!r} is not {kind}: {raw!r}"
         ) from None
-    if not -LARGEST <= value <= LARGEST:
+    if not FINITE[0](value):
         raise MalformedRow(
             f"line {line_no}: value for {key!r} is not finite: {raw!r}")
     return value
@@ -157,7 +156,7 @@ def _parse_eer_table(raw: str, line_no: int) -> cooling.EerTable:
             raise MalformedRow(
                 f"line {line_no}: eer.table entry {pair!r} is not 'T:EER'"
             ) from None
-        if not all(map(math.isfinite, point)):
+        if not all(map(FINITE[0], point)):
             raise MalformedRow(
                 f"line {line_no}: eer.table entry {pair!r} is not finite")
         breakpoints.append(point)

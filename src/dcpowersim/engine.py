@@ -68,9 +68,9 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from . import cooling
 from .config import COMPONENTS, ScenarioConfig
-from .errors import (FINITE, LARGEST, POSITIVE, UNIT, EmptyProfile,
-                     EmptyResult, InvariantViolation, OutOfRange,
-                     ProfileMismatch, _Record, _shown, check)
+from .errors import (FINITE, LARGEST, NONNEGATIVE, POSITIVE, UNIT,
+                     EmptyProfile, EmptyResult, InvariantViolation,
+                     OutOfRange, ProfileMismatch, _Record, _shown, check)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .profiles import AmbientProfile, UtilisationProfile
@@ -83,7 +83,7 @@ _ZERO: Quadratic = (0.0, 0.0, 0.0)
 
 class PowerBreakdown(_Record):
     """Power at one instant, watts: one load per component in
-    ``COMPONENT_NAMES`` order, and ``total_w``, their ``sum()``
+    ``COMPONENT_NAMES`` order, and ``total_w``, their ``sum()`` from 0.0
     (compensated from Python 3.12) computed on construction."""
 
     def __init__(self, components: tuple[float, ...]) -> None:
@@ -95,7 +95,7 @@ class PowerBreakdown(_Record):
                 raise InvariantViolation(
                     f"component {name} must be finite and nonnegative, "
                     f"got {_shown(value)}")
-        self._set(components=components, total_w=sum(components))
+        self._set(components=components, total_w=sum(components, 0.0))
 
     def as_dict(self) -> dict[str, float]:
         """Components by name in the canonical order, without the total."""
@@ -108,8 +108,8 @@ class PeakContext(_Record):
     Load i, the i-th of ``COMPONENT_NAMES``, draws
     ``fixed[i](U) + a * refrigeration[i](U)``: ``refrigeration`` holds the
     terms the ambient adjustment ``a`` scales.  The facility total is
-    compiled once, on construction, into one pair of column sums,
-    ``total_fixed`` and ``total_refrigeration``.
+    compiled once, on construction, into one pair of column sums from
+    0.0, ``total_fixed`` and ``total_refrigeration``.
 
     Each side must hold one (c0, c1, c2) triple per load, and every
     coefficient must be finite and >= 0, so every load is finite,
@@ -127,13 +127,13 @@ class PeakContext(_Record):
             raise InvariantViolation(
                 f"compiled model needs {len(COMPONENT_NAMES)} (c0, c1, c2) "
                 "triples on each side")
-        if not all(0.0 <= c <= LARGEST
-                   for c in sum(fixed + refrigeration, ())):
+        if not all(map(NONNEGATIVE[0], sum(fixed + refrigeration, ()))):
             raise InvariantViolation(
                 "compiled coefficients must be finite, >= 0")
         check(InvariantViolation, reference_eer=(reference_eer, POSITIVE))
-        f0, f1, f2 = total_fixed = tuple(map(sum, zip(*fixed)))
-        r0, r1, r2 = total_refrigeration = tuple(map(sum, zip(*refrigeration)))
+        f0, f1, f2 = total_fixed = tuple(sum(c, 0.0) for c in zip(*fixed))
+        r0, r1, r2 = total_refrigeration = tuple(
+            sum(c, 0.0) for c in zip(*refrigeration))
         min_eer = eer.ascending_eer[-1]
         a = reference_eer / min_eer
         if not sum((f0 + a * r0, f1 + a * r1, f2 + a * r2)) <= LARGEST:

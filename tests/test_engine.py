@@ -897,6 +897,9 @@ def with_coefficient(side, value):
 
 
 COEFFICIENT_ERROR = "^compiled coefficients must be finite, >= 0$"
+FULL_LOAD_ERROR = ("^EER table: its smallest EER, "
+                   f"{CTX.eer.ascending_eer[-1]!r}, "
+                   "makes the full-load total overflow$")
 SHAPE_ERROR = (rf"^compiled model needs {len(COMPONENT_NAMES)} \(c0, c1, c2\) "
                "triples on each side$")
 BAD_CONTEXTS = {
@@ -922,8 +925,14 @@ BAD_CONTEXTS = {
         {"refrigeration": tuple(
             (1e308, 1e308, 0.0) if load == CHILLER else pair
             for load, pair in enumerate(CTX.refrigeration))}, OutOfRange,
-        f"^EER table: its smallest EER, {CTX.eer.ascending_eer[-1]!r}, "
-        "makes the full-load total overflow$"),
+        FULL_LOAD_ERROR),
+    # The first two loads' c0: two ints that each fit a float sum past the
+    # float range as ints before a float joins them.
+    **{f"{side}-ints-summing-past-float-range": (
+        {side: tuple((int(LARGEST), *pair[1:]) if load < 2 else pair
+                     for load, pair in enumerate(getattr(CTX, side)))},
+        OutOfRange, FULL_LOAD_ERROR)
+       for side in ("fixed", "refrigeration")},
 }
 
 
@@ -958,12 +967,16 @@ def test_cooling_follows_utilisation_over_a_week():
 def test_int_loads_sum_as_floats():
     # Two ints that each fit a float sum past the float range as ints.
     big = int(LARGEST)
+    loads = (big, big, 1, 0.0) + (0,) * 4   # 0.0 meets the int 2 * big + 1
     result = SimulationResult(
         timestamps=("2016-06-01T00:00",), utilisation=(0.5,),
-        ambient_c=(30.0,), components=((big,), (big,), (1,)) + ((0,),) * 5)
+        ambient_c=(30.0,), components=tuple((load,) for load in loads))
     assert type(result.energy_wh["ups_loss"]) is float
     assert result.energy_wh["ups_loss"] == 1.0
     assert result.total_energy_wh == result.total_w[0] == math.inf
+    breakdown = PowerBreakdown(loads)
+    assert type(breakdown.total_w) is float
+    assert breakdown.total_w == math.inf
 
 
 def test_two_component_split():
