@@ -33,7 +33,7 @@ _HOMES = {
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}
 
-__version__ = "0.10.8"
+__version__ = "0.11.0"
 
 __all__ = sorted(_HOME)
 

@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING, NamedTuple
 from . import cooling
 from .config import COMPONENTS, CoolingArchitecture, ScenarioConfig
 from .engine import PeakContext, peak_context, simulate, step_power
-from .errors import LARGEST, OutOfRange, _shown, check
+from .errors import GRID_SIZE, LARGEST, OutOfRange, _shown, check
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .profiles import AmbientProfile, UtilisationProfile
@@ -111,8 +111,7 @@ def peak_breakdown(scenario: ScenarioConfig) -> dict[str, float]:
 def power_curve(temps_c: list[float], scenario: ScenarioConfig,
                 n_points: int) -> list[PowerCurve]:
     """Facility total as a function of utilisation, one curve per temperature."""
-    check(OutOfRange, n_points=(
-        n_points, (lambda n: isinstance(n, int) and n >= 2, "be an int >= 2")))
+    check(OutOfRange, n_points=(n_points, GRID_SIZE))
     ctx = peak_context(scenario)
     grid = [i / (n_points - 1) for i in range(n_points)]
     curves = []

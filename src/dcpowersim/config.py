@@ -28,7 +28,7 @@ from typing import NamedTuple
 from . import cooling, power_chain, server_farm
 from .errors import (FINITE, NONNEGATIVE, UNIT, InvalidFractions,
                      InvariantViolation, MalformedRow, MissingRequired,
-                     OutOfRange, UnknownKey, _Record, check)
+                     UnknownKey, _Record, check)
 
 
 class CoolingArchitecture(enum.Enum):
@@ -96,7 +96,7 @@ class ScenarioConfig(_Record):
                 "pump_fraction + misc_fraction must be < 1, got "
                 f"{pump_fraction} + {misc_fraction}"
             )
-        check(OutOfRange, consolidation=(consolidation, UNIT),
+        check(InvariantViolation, consolidation=(consolidation, UNIT),
               reference_ambient_c=(reference_ambient_c, FINITE))
         self._set(server=server, architecture=architecture,
                   supply_targets=supply_targets, supply=supply,

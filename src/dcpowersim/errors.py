@@ -4,9 +4,12 @@ base of the records that check their fields.
 Every error raised by this package derives from :class:`SimulationError`,
 which itself derives from ``ValueError`` so casual callers can catch one
 thing.  The CLI maps usage problems to exit code 1 and any
-``SimulationError`` to exit code 2.  ``LARGEST`` bounds every finiteness
-test: an int compares with a float exactly, so ``v <= LARGEST`` also
-rejects an int that no float can hold, where ``math.isfinite`` raises.
+``SimulationError`` to exit code 2.  An argument outside its domain, or
+a result that overflows, raises :class:`OutOfRange`; a record field, or
+a relation between fields, that cannot hold raises
+:class:`InvariantViolation`.  ``LARGEST`` bounds every finiteness test:
+an int compares with a float exactly, so ``v <= LARGEST`` also rejects
+an int that no float can hold, where ``math.isfinite`` raises.
 """
 
 import sys
@@ -23,7 +26,7 @@ class MalformedRow(SimulationError):
 
 
 class OutOfRange(SimulationError):
-    """A numeric value lies outside its documented domain."""
+    """An argument lies outside its domain, or a result overflows."""
 
 
 class NonMonotonicTime(SimulationError):
@@ -53,7 +56,15 @@ class MissingRequired(SimulationError):
 
 
 class InvariantViolation(SimulationError):
-    """A domain type's invariant would be violated."""
+    """A record field, or a relation between fields, cannot hold."""
+
+
+class InvalidFractions(InvariantViolation):
+    """Pump and miscellaneous fractions leave no room for the components."""
+
+
+class InfeasibleTarget(InvariantViolation):
+    """Supply-loss calibration target is below the idle losses alone."""
 
 
 LARGEST = sys.float_info.max   # the bound of every finiteness test
@@ -64,6 +75,8 @@ AT_LEAST_ONE = (lambda v: 1 <= v <= LARGEST, "be >= 1 and finite")
 FRACTION = (lambda v: 0.0 < v <= 1.0, "be in (0, 1]")
 UNIT = (lambda v: 0.0 <= v <= 1.0, "lie in [0, 1]")
 FINITE = (lambda v: -LARGEST <= v <= LARGEST, "be finite")
+OPEN_UNIT = (lambda v: 0.0 < v < 1.0, "lie in (0, 1)")
+GRID_SIZE = (lambda n: isinstance(n, int) and n >= 2, "be an int >= 2")
 
 
 def _shown(value: object) -> str:
@@ -81,24 +94,10 @@ def check(error: type[SimulationError], **named: tuple) -> None:
             raise error(f"{name} must {requirement}, got {_shown(value)}")
 
 
-# --- component models ---
-
-class NegativeInput(SimulationError):
-    """A power quantity that must be nonnegative was negative."""
-
-
-class InfeasibleTarget(SimulationError):
-    """Supply-loss calibration target is below the idle losses alone."""
-
-
 # --- engine ---
 
 class ProfileMismatch(SimulationError):
     """Utilisation and weather profiles differ in length or timestamps."""
-
-
-class InvalidFractions(InvariantViolation):
-    """Pump and miscellaneous fractions leave no room for the components."""
 
 
 # --- records ---

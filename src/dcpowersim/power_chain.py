@@ -18,9 +18,9 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import (AT_LEAST_ONE, NONNEGATIVE, POSITIVE, InfeasibleTarget,
-                     InvariantViolation, NegativeInput, OutOfRange, _Record,
-                     check)
+from .errors import (AT_LEAST_ONE, NONNEGATIVE, OPEN_UNIT, POSITIVE,
+                     InfeasibleTarget, InvariantViolation, OutOfRange,
+                     _Record, check)
 
 # Split of the proportional (non-idle) peak loss between PDU and UPS.
 _PDU_PROPORTIONAL_SHARE = 3.0 / 7.0
@@ -67,7 +67,7 @@ class SupplyLoss(NamedTuple):
 
 def pdu_loss(farm_power_w: float, spec: SupplyChainSpec) -> float:
     """Combined loss of all PDUs carrying ``farm_power_w``, watts."""
-    check(NegativeInput, farm_power_w=(farm_power_w, NONNEGATIVE))
+    check(OutOfRange, farm_power_w=(farm_power_w, NONNEGATIVE))
     try:
         loss_w = (spec.pdu_idle_total_w + spec.pdu_count * spec.lambda_pdu_per_w
                   * (farm_power_w / spec.pdu_count) ** 2)
@@ -80,7 +80,7 @@ def pdu_loss(farm_power_w: float, spec: SupplyChainSpec) -> float:
 def ups_loss(farm_power_w: float, pdu_loss_w: float,
              spec: SupplyChainSpec) -> float:
     """UPS loss in watts; throughput is the IT load plus PDU losses."""
-    check(NegativeInput, farm_power_w=(farm_power_w, NONNEGATIVE),
+    check(OutOfRange, farm_power_w=(farm_power_w, NONNEGATIVE),
           pdu_loss_w=(pdu_loss_w, NONNEGATIVE))
     loss_w = spec.ups_idle_w + spec.lambda_ups * (farm_power_w + pdu_loss_w)
     check(OutOfRange, ups_loss_w=(loss_w, NONNEGATIVE))
@@ -113,9 +113,8 @@ def calibrate_supply(farm_peak_w: float,
     check(InvariantViolation, pdu_count=(pdu_count, AT_LEAST_ONE),
           pdu_idle_total_frac=(pdu_idle_frac, NONNEGATIVE),
           ups_idle_frac=(ups_idle_frac, NONNEGATIVE))
-    check(NegativeInput, farm_peak_w=(farm_peak_w, POSITIVE))
-    check(InvariantViolation, peak_loss_frac=(
-        peak_loss_frac, (lambda v: 0.0 < v < 1.0, "lie in (0, 1)")))
+    check(OutOfRange, farm_peak_w=(farm_peak_w, POSITIVE))
+    check(InvariantViolation, peak_loss_frac=(peak_loss_frac, OPEN_UNIT))
     pdu_idle_w = pdu_idle_frac * farm_peak_w
     ups_idle_w = ups_idle_frac * farm_peak_w
     proportional_budget_w = (peak_loss_frac - pdu_idle_frac

@@ -14,7 +14,7 @@ from dcpowersim.config import (CoolingArchitecture, ScenarioConfig,
                                default_scenario)
 from dcpowersim.cooling import CrahSpec, eer_lookup
 from dcpowersim.engine import COMPONENT_NAMES, peak_context, step_power
-from dcpowersim.errors import NegativeInput, OutOfRange
+from dcpowersim.errors import OutOfRange
 from dcpowersim.server_farm import ServerSpec
 from strategies import profiles_from
 
@@ -330,7 +330,7 @@ def test_shares_invariant_under_farm_scaling():
 def test_zero_design_peak_breakdown_is_out_of_range(architecture):
     # A zero farm peak cannot be calibrated, so no scenario that
     # peak_breakdown could take has a design peak of 0 W.
-    with pytest.raises(NegativeInput, match=re.escape(
+    with pytest.raises(OutOfRange, match=re.escape(
             "farm_peak_w must be positive and finite, got 0.0")):
         ScenarioConfig(server=ServerSpec(1, 0.0, 0.0),
                        architecture=architecture)

@@ -13,7 +13,7 @@ from dcpowersim.config import (CoolingArchitecture, default_scenario,
                                parse_scenario_config)
 from dcpowersim.engine import peak_context, step_power
 from dcpowersim.errors import (InvalidFractions, InvariantViolation,
-                               MalformedRow, MissingRequired, OutOfRange,
+                               MalformedRow, MissingRequired,
                                SimulationError, UnknownKey)
 from dcpowersim.power_chain import SupplyTargets
 from strategies import FLOAT_KEYS
@@ -178,7 +178,7 @@ def test_fraction_invariant():
 @pytest.mark.parametrize("lines, error", [
     ("pump_fraction=0\nmisc_fraction=0\nconsolidation=0\n", None),
     ("pump_fraction=0.5\nmisc_fraction=0.5\n", InvalidFractions),
-    ("consolidation=1.5\n", OutOfRange),
+    ("consolidation=1.5\n", InvariantViolation),
 ])
 def test_scenario_bounds_are_exact(lines, error):
     if error is None:

@@ -24,7 +24,7 @@ from dcpowersim.cooling import (ChillerSpec, CracSpec, CrahSpec, EerTable,
 from dcpowersim.engine import (PowerBreakdown, SimulationResult,
                                peak_context, simulate, step_power)
 from dcpowersim.errors import (AT_LEAST_ONE, NONNEGATIVE, POSITIVE,
-                               InvariantViolation, NegativeInput, OutOfRange,
+                               InvariantViolation, OutOfRange,
                                SimulationError, _shown)
 from dcpowersim.power_chain import (SupplyChainSpec, SupplyLoss,
                                     SupplyTargets, calibrate_supply,
@@ -136,11 +136,13 @@ def test_component_gives_finite_nonnegative_numbers_or_raises(name, data):
         "count must be >= 1 and finite, got <int of 16610 bits>",
         id="<lambda>-InvariantViolation-count is too large for a float"),
     # the checks that were written by hand, each now naming its value
-    pytest.param(lambda: SCENARIO._replace(consolidation=1.5), OutOfRange,
+    pytest.param(lambda: SCENARIO._replace(consolidation=1.5),
+                 InvariantViolation,
                  "consolidation must lie in [0, 1], got 1.5",
                  id="ScenarioConfig-consolidation"),
     pytest.param(lambda: SCENARIO._replace(reference_ambient_c=-math.inf),
-                 OutOfRange, "reference_ambient_c must be finite, got -inf",
+                 InvariantViolation,
+                 "reference_ambient_c must be finite, got -inf",
                  id="ScenarioConfig-reference_ambient_c"),
     pytest.param(lambda: calibrate_supply(1e6, SupplyTargets(
         peak_loss_frac=1.0)), InvariantViolation,
@@ -197,7 +199,8 @@ PAST_THE_FLOAT_RANGE = {
     "EerTable-ambient": (lambda: EerTable(((BIG, 3.0),)), InvariantViolation),
     "EerTable-eer": (lambda: EerTable(((30.0, BIG),)), InvariantViolation),
     "ScenarioConfig-reference_ambient_c": (
-        lambda: SCENARIO._replace(reference_ambient_c=BIG), OutOfRange),
+        lambda: SCENARIO._replace(reference_ambient_c=BIG),
+        InvariantViolation),
     "ScenarioConfig-pump_fraction": (
         lambda: SCENARIO._replace(pump_fraction=BIG), InvariantViolation),
     "ScenarioConfig-misc_fraction": (
@@ -212,11 +215,13 @@ PAST_THE_FLOAT_RANGE = {
         1e6, SupplyTargets(pdu_idle_total_frac=BIG)), InvariantViolation),
     "calibrate_supply-ups_idle_frac": (lambda: calibrate_supply(
         1e6, SupplyTargets(ups_idle_frac=BIG)), InvariantViolation),
+    "calibrate_supply-farm_peak_w": (lambda: calibrate_supply(BIG),
+                                     OutOfRange),
     "ServerSpec-p_peak_w": (lambda: default_scenario(p_peak_w=BIG),
                             InvariantViolation),
     # Both fields fit a float; their product does not.
     "ServerSpec-count_times_p_peak_w": (lambda: default_scenario(
-        count=10**300, p_idle_w=1, p_peak_w=10**10), NegativeInput),
+        count=10**300, p_idle_w=1, p_peak_w=10**10), OutOfRange),
     "step_power": (lambda: step_power(0.5, BIG, peak_context(SCENARIO)),
                    OutOfRange),
     "curtail-target": (lambda: curtail(BIG, 20.0, SCENARIO,
@@ -230,7 +235,8 @@ PAST_THE_FLOAT_RANGE = {
     "chiller_power": (lambda: chiller_power(0.5, BIG, CHILLER), OutOfRange),
     "crah_power": (lambda: crah_power(0.5, BIG, CRAH), OutOfRange),
     "crac_power": (lambda: crac_power(0.5, BIG, CRAC, CRAH), OutOfRange),
-    "ups_loss": (lambda: ups_loss(BIG, 0.0, SUPPLY), NegativeInput),
+    "pdu_loss": (lambda: pdu_loss(BIG, SUPPLY), OutOfRange),
+    "ups_loss": (lambda: ups_loss(BIG, 0.0, SUPPLY), OutOfRange),
     "simulate": (lambda: simulate(UtilisationProfile(STAMPS, (0.5, 0.5)),
                                   AmbientProfile(STAMPS, (20.0, BIG)),
                                   SCENARIO), OutOfRange),

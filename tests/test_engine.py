@@ -840,7 +840,7 @@ def test_checked_records_are_immutable_and_rechecked_on_replace():
         (SCENARIO, ("server", "architecture", "supply_targets", "chiller",
                     "crah", "crac", "eer", "pump_fraction", "misc_fraction",
                     "reference_ambient_c", "consolidation"),
-         "consolidation", 2.0, OutOfRange),
+         "consolidation", 2.0, InvariantViolation),
         (step_power(0.5, 30.0, CTX), ("components",),
          "components", (1.0,), InvariantViolation),
         (CTX, ("eer", "reference_eer", "fixed", "refrigeration"),

@@ -13,8 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dcpowersim.errors import (InfeasibleTarget, InvariantViolation,
-                               NegativeInput, OutOfRange)
+from dcpowersim.errors import InfeasibleTarget, InvariantViolation, OutOfRange
 from dcpowersim.power_chain import (SupplyChainSpec, SupplyTargets,
                                     calibrate_supply, pdu_loss, supply_loss,
                                     ups_loss)
@@ -88,14 +87,16 @@ def test_calibration_round_trip_other_farm_sizes():
 
 def test_infeasible_when_idle_floors_exceed_target():
     with pytest.raises(InfeasibleTarget, match=re.escape(
-            "idle fractions alone exceed the peak loss target (0.2 > 0.15)")):
+            "idle fractions alone exceed the peak loss target (0.2 > 0.15)")
+            ) as raised:
         calibrate_supply(FARM_PEAK, SupplyTargets(
             pdu_idle_total_frac=0.10, ups_idle_frac=0.10,
             peak_loss_frac=0.15))
+    assert isinstance(raised.value, InvariantViolation)
 
 
 def test_calibration_input_validation():
-    with pytest.raises(NegativeInput):
+    with pytest.raises(OutOfRange):
         calibrate_supply(-1.0)
     # With no idle floors, 0 and 1 would otherwise calibrate.
     for frac in (0.0, 1.0, 1.5):
@@ -106,9 +107,9 @@ def test_calibration_input_validation():
 
 
 def test_loss_functions_reject_negative_power():
-    with pytest.raises(NegativeInput):
+    with pytest.raises(OutOfRange):
         pdu_loss(-1.0, DEFAULT)
-    with pytest.raises(NegativeInput):
+    with pytest.raises(OutOfRange):
         ups_loss(-1.0, 0.0, DEFAULT)
 
 
@@ -148,7 +149,7 @@ def test_loss_functions_reject_non_finite_power(power_w):
                  lambda: ups_loss(power_w, 0.0, DEFAULT),
                  lambda: ups_loss(0.0, power_w, DEFAULT),
                  lambda: supply_loss(power_w, DEFAULT)):
-        with pytest.raises(NegativeInput, match="must be finite and nonneg"):
+        with pytest.raises(OutOfRange, match="must be finite and nonneg"):
             call()
 
 
